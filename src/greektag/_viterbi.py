@@ -149,8 +149,9 @@ def _prune(scores, beam):
     return scores
 
 
-def viterbi_numpy(counts, adims, bdims, off, inc, beam):
-    """Vectorized fallback; identical output to the numba kernel."""
+def _numpy_search(counts, adims, bdims, off, inc, beam, dead_ties):
+    """Best path and its score; exact ties at states whose best score is
+    ``-inf`` are resolved only when ``dead_ties`` is set."""
     K = len(counts)
     n0 = int(counts[0])
     scores = inc[off[0] : off[0] + n0].reshape(1, n0).copy()
@@ -165,6 +166,8 @@ def viterbi_numpy(counts, adims, bdims, off, inc, beam):
         bx = cand.argmax(axis=0)
         ties = (cand == best[None, :, :]).sum(axis=0) > 1
         if ties.any():
+            if not dead_ties:
+                ties &= best > -np.inf
             for y, z in zip(*np.nonzero(ties)):
                 xs = np.nonzero(cand[:, y, z] == best[y, z])[0]
                 keep = xs[0]
@@ -178,14 +181,28 @@ def viterbi_numpy(counts, adims, bdims, off, inc, beam):
         scores, paths = _prune(best, beam), new_paths
 
     flat = scores.reshape(-1)
-    winners = np.nonzero(flat == flat.max())[0]
+    top = flat.max()
+    winners = np.nonzero(flat == top)[0]
     keep = winners[0]
-    V = scores.shape[1]
     flat_paths = paths.reshape(-1, K)
     for i in winners[1:]:
         if _lex_smaller(flat_paths[i], flat_paths[keep]):
             keep = i
-    return flat_paths[keep].copy()
+    return flat_paths[keep].copy(), top
+
+
+def viterbi_numpy(counts, adims, bdims, off, inc, beam):
+    """Vectorized fallback; identical output to the numba kernel.
+
+    A state whose best score is ``-inf`` (every state a beam prunes) lies
+    on no path of finite score, so its ties are left unresolved; only
+    when no path has a finite score does the search run again with
+    every tie resolved.
+    """
+    path, score = _numpy_search(counts, adims, bdims, off, inc, beam, False)
+    if score == -np.inf:
+        path, _ = _numpy_search(counts, adims, bdims, off, inc, beam, True)
+    return path
 
 
 def viterbi(counts, adims, bdims, off, inc, beam=0):

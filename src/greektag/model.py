@@ -15,7 +15,7 @@ import math
 from collections import Counter
 
 from . import morph
-from .errors import FormatError, ModelError
+from .errors import FormatError, ModelError, TagError
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -34,9 +34,9 @@ NEG_INF = float("-inf")
 _FORMAT = "greektag-model 1"
 
 
-def _instances(tags):
+def _instances(tags, boundary=BOUNDARY):
     """(h2, h1, t) triples over a sequence padded with two boundary tags."""
-    a, b = BOUNDARY, BOUNDARY
+    a, b = boundary, boundary
     for t in tags:
         yield (a, b, t)
         a, b = b, t
@@ -50,44 +50,39 @@ def fit_interpolation(seq_tag_lists):
     whose leave-one-out relative frequency is largest, ties split
     evenly; observations no order can explain go to the most robust
     level.  Weights are the normalized award totals.
+
+    The counts live in one id-keyed ``_Tables`` built over the whole
+    corpus.  Each sequence is mapped to tag-id triples once; to hold it
+    out, ``_Tables.add`` takes its counts out of the tables in place,
+    touching only the keys that sequence contributes to, the awards are
+    read off the remaining counts, and the counts are added back.
     """
-    per_seq = [Counter(_instances(tags)) for tags in seq_tag_lists]
-    tri_g = Counter()
-    for c in per_seq:
-        tri_g.update(c)
+    tables = _Tables({})
+    boundary = tables.intern(BOUNDARY)
+    seq_counts = [Counter(_instances([tables.intern(t) for t in tags], boundary))
+                  for tags in seq_tag_lists]
+    total = Counter()
+    for c in seq_counts:
+        total.update(c)
+    tables.add(total)
 
-    big_g, uni_g, ctx3_g, ctx2_g = Counter(), Counter(), Counter(), Counter()
-    n_g = 0
-    for (a, b, t), n in tri_g.items():
-        big_g[(b, t)] += n
-        uni_g[t] += n
-        ctx3_g[(a, b)] += n
-        ctx2_g[b] += n
-        n_g += n
-
-    tables_g = _Tables(tri_g)
+    pre1, pre2, pre3 = tables.pre[1], tables.pre[2], tables.pre[3]
+    ctx1, ctx2, ctx3 = tables.ctx[1], tables.ctx[2], tables.ctx[3]
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
     chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
     saw_features = False
 
-    for c_s in per_seq:
-        big_s, uni_s, ctx3_s, ctx2_s = Counter(), Counter(), Counter(), Counter()
-        n_s = 0
+    for c_s in seq_counts:
+        tables.add(c_s, -1)
+        d1 = ctx1[()]
         for (a, b, t), n in c_s.items():
-            big_s[(b, t)] += n
-            uni_s[t] += n
-            ctx3_s[(a, b)] += n
-            ctx2_s[b] += n
-            n_s += n
-        tables_s = _Tables(c_s)
-
-        for (a, b, t), n in c_s.items():
-            d3 = ctx3_g[(a, b)] - ctx3_s[(a, b)]
-            c3 = (tri_g[(a, b, t)] - c_s[(a, b, t)]) / d3 if d3 else 0.0
-            d2 = ctx2_g[b] - ctx2_s[b]
-            c2 = (big_g[(b, t)] - big_s[(b, t)]) / d2 if d2 else 0.0
-            d1 = n_g - n_s
-            c1 = (uni_g[t] - uni_s[t]) / d1 if d1 else 0.0
+            prefixes = tables.prefixes[t]
+            full = prefixes[-1]
+            d3 = ctx3[(a, b)]
+            c3 = pre3[(a, b, full)] / d3 if d3 else 0.0
+            d2 = ctx2[(b,)]
+            c2 = pre2[(b, full)] / d2 if d2 else 0.0
+            c1 = pre1[(full,)] / d1 if d1 else 0.0
             best = max(c3, c2, c1)
             if best <= 0.0:
                 order_awards[0] += n
@@ -96,30 +91,14 @@ def fit_interpolation(seq_tag_lists):
                 for i in winners:
                     order_awards[i] += n / len(winners)
 
-            hist = (a, b)
-            prefix = (t.category,)
-            for fv in t.features:
+            for j, (ckey, vkey, feature, ukey) in enumerate(tables.features[t]):
                 saw_features = True
-                key_den = hist + (prefix,)
-                key_num = hist + (prefix + (fv.value,),)
-                d_spec = tables_g.pre[3].get(key_den, 0) - tables_s.pre[3].get(key_den, 0)
-                c_spec = (
-                    (tables_g.pre[3].get(key_num, 0) - tables_s.pre[3].get(key_num, 0)) / d_spec
-                    if d_spec else 0.0
-                )
-                ckey = (t.category, fv.feature)
-                d_cat = tables_g.catfeat_ctx.get(ckey, 0) - tables_s.catfeat_ctx.get(ckey, 0)
-                vkey = (t.category, fv.feature, fv.value)
-                c_cat = (
-                    (tables_g.catfeat.get(vkey, 0) - tables_s.catfeat.get(vkey, 0)) / d_cat
-                    if d_cat else 0.0
-                )
-                d_uni = tables_g.featuni_ctx.get(fv.feature, 0) - tables_s.featuni_ctx.get(fv.feature, 0)
-                ukey = (fv.feature, fv.value)
-                c_uni = (
-                    (tables_g.featuni.get(ukey, 0) - tables_s.featuni.get(ukey, 0)) / d_uni
-                    if d_uni else 0.0
-                )
+                d_spec = pre3[(a, b, prefixes[j])]
+                c_spec = pre3[(a, b, prefixes[j + 1])] / d_spec if d_spec else 0.0
+                d_cat = tables.catfeat_ctx[ckey]
+                c_cat = tables.catfeat[vkey] / d_cat if d_cat else 0.0
+                d_uni = tables.featuni_ctx[feature]
+                c_uni = tables.featuni[ukey] / d_uni if d_uni else 0.0
                 best = max(c_spec, c_cat, c_uni)
                 if best <= 0.0:
                     chain_awards[2] += n
@@ -127,7 +106,7 @@ def fit_interpolation(seq_tag_lists):
                     winners = [i for i, c in ((0, c_spec), (1, c_cat), (2, c_uni)) if c == best]
                     for i in winners:
                         chain_awards[i] += n / len(winners)
-                prefix = prefix + (fv.value,)
+        tables.add(c_s)
 
     total = sum(order_awards)
     lambdas = tuple(a / total for a in order_awards) if total else (1.0, 0.0, 0.0)
@@ -137,6 +116,19 @@ def fit_interpolation(seq_tag_lists):
     else:
         chain_weights = tuple(a / ctotal for a in chain_awards)
     return lambdas, chain_weights
+
+
+def _header_numbers(header, name, count, path) -> tuple[float, ...]:
+    """The ``count`` numbers of model header line ``name``, each finite
+    and non-negative."""
+    no, fields = header[name]
+    values = tuple(float(x) for x in fields)
+    if len(values) != count or not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise FormatError(
+            f"{name} needs {count} finite non-negative number(s), got {' '.join(fields)}",
+            path, no,
+        )
+    return values
 
 
 class Model:
@@ -246,28 +238,34 @@ class Model:
             lines = fh.read().splitlines()
         if not lines or lines[0] != _FORMAT:
             raise FormatError("not a greektag model file", path, 1)
-        header: dict[str, list[str]] = {}
+        header: dict[str, tuple[int, list[str]]] = {}
         i = 1
         while i < len(lines) and not lines[i].startswith("["):
             parts = lines[i].split()
             if len(parts) < 2:
                 raise FormatError(f"bad header line {lines[i]!r}", path, i + 1)
-            header[parts[0]] = parts[1:]
+            header[parts[0]] = (i + 1, parts[1:])
             i += 1
         try:
-            lambdas = tuple(float(x) for x in header["lambdas"])
-            chain_weights = tuple(float(x) for x in header["chain"])
-            floor = float(header["floor"][0])
-            smoothed = bool(int(header["smoothed"][0]))
+            lambdas = _header_numbers(header, "lambdas", 3, path)
+            chain_weights = _header_numbers(header, "chain", 3, path)
+            (floor,) = _header_numbers(header, "floor", 1, path)
+            smoothed = bool(int(header["smoothed"][1][0]))
         except (KeyError, ValueError, IndexError) as exc:
             raise FormatError(f"bad model header: {exc}", path) from None
+        if not sum(chain_weights):
+            raise FormatError("chain weights are all zero", path, header["chain"][0])
+        if floor > 1.0:
+            raise FormatError(f"floor {floor!r} exceeds 1", path, header["floor"][0])
 
         sections: dict[str, list[str]] = {}
+        starts: dict[str, int] = {}  # file line of each section's [name] line
         current = None
-        for line in lines[i:]:
+        for no, line in enumerate(lines[i:], start=i + 1):
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
                 sections[current] = []
+                starts[current] = no
             elif current is not None:
                 sections[current].append(line)
             else:
@@ -283,13 +281,20 @@ class Model:
             return BOUNDARY if s == BOUNDARY_CATEGORY else schema.parse(s)
 
         trigram_counts: dict = {}
-        for no, line in enumerate(sections["trigrams"], start=1):
+        for no, line in enumerate(sections["trigrams"], start=starts["trigrams"] + 1):
             if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
                 raise FormatError(f"bad trigram row {line!r}", path, no)
-            key = (parse_tag(fields[0]), parse_tag(fields[1]), parse_tag(fields[2]))
+            try:
+                key = (parse_tag(fields[0]), parse_tag(fields[1]), parse_tag(fields[2]))
+            except TagError as exc:
+                raise FormatError(str(exc), path, no) from None
+            if not (fields[3].isascii() and fields[3].isdigit()):
+                raise FormatError(
+                    f"trigram count {fields[3]!r} is not a non-negative integer", path, no
+                )
             trigram_counts[key] = int(fields[3])
 
         stats = TransitionStats(schema, trigram_counts, smoothed=smoothed,

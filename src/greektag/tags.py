@@ -237,10 +237,25 @@ def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
     return out
 
 
-class _Tables:
-    """Count tables derived from full-tag trigram counts.
+def _feature_keys(tag: Tag) -> tuple:
+    """Per feature-value pair of ``tag``, its keys in the category-local
+    and global tables: ((cat, f), (cat, f, v), f, (f, v))."""
+    return tuple(
+        ((tag.category, fv.feature), (tag.category, fv.feature, fv.value),
+         fv.feature, (fv.feature, fv.value))
+        for fv in tag.features
+    )
 
-    ``pre[o]`` maps (history tags..., prefix tuple) to a count at order
+
+class _Tables:
+    """Count tables derived from full-tag trigram counts, on integer keys.
+
+    Every tag in the counts is interned to a dense int (``tag_id``), and
+    every chain prefix (category, v1, .., vj) of such a tag to an int
+    (``prefix_id``); ``prefixes[i]`` holds the prefix ids of tag ``i``,
+    shortest first, and ``features[i]`` the string keys of its
+    feature-value pairs in the category-local and global tables.
+    ``pre[o]`` maps (history tag ids..., prefix id) to a count at order
     ``o`` (history length o-1); ``ctx[o]`` maps the history alone to the
     number of positions carrying it.  ``catfeat``/``featuni`` hold the
     category-local and global feature-value counts used as backoff
@@ -248,25 +263,58 @@ class _Tables:
     """
 
     def __init__(self, trigram_counts):
+        self.tag_id: dict[Tag, int] = {}
+        self.prefix_id: dict[tuple[str, ...], int] = {}
+        self.prefixes: list[tuple[int, ...]] = []
+        self.features: list[tuple] = []
         self.pre = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
         self.ctx = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
         self.catfeat = defaultdict(int)
         self.catfeat_ctx = defaultdict(int)
         self.featuni = defaultdict(int)
         self.featuni_ctx = defaultdict(int)
-        for (a, b, t), n in trigram_counts.items():
-            prefixes = _tag_prefixes(t)
-            for order, hist in ((3, (a, b)), (2, (b,)), (1, ())):
-                self.ctx[order][hist] += n
-                pre = self.pre[order]
-                for p in prefixes:
-                    pre[hist + (p,)] += n
-            cat = t.category
-            for fv in t.features:
-                self.catfeat[(cat, fv.feature, fv.value)] += n
-                self.catfeat_ctx[(cat, fv.feature)] += n
-                self.featuni[(fv.feature, fv.value)] += n
-                self.featuni_ctx[fv.feature] += n
+        self.add({tuple(map(self.intern, key)): n for key, n in trigram_counts.items()})
+
+    def intern(self, tag: Tag) -> int:
+        """The id of ``tag``, assigning the next one on first sight."""
+        i = self.tag_id.get(tag)
+        if i is None:
+            i = self.tag_id[tag] = len(self.prefixes)
+            self.prefixes.append(tuple(
+                self.prefix_id.setdefault(p, len(self.prefix_id)) for p in _tag_prefixes(tag)
+            ))
+            self.features.append(_feature_keys(tag))
+        return i
+
+    def resolve(self, tag: Tag):
+        """(prefix ids, feature keys) of ``tag`` as ``prefixes``/``features``
+        hold them for counted tags; a prefix never counted has id None."""
+        i = self.tag_id.get(tag)
+        if i is not None:
+            return self.prefixes[i], self.features[i]
+        return tuple(map(self.prefix_id.get, _tag_prefixes(tag))), _feature_keys(tag)
+
+    def add(self, counts, sign: int = 1) -> None:
+        """Add ``sign`` times the id-keyed trigram counts ``{(a, b, t): n}``
+        to every table; ``sign=-1`` takes them out again."""
+        pre1, pre2, pre3 = self.pre[1], self.pre[2], self.pre[3]
+        ctx1, ctx2, ctx3 = self.ctx[1], self.ctx[2], self.ctx[3]
+        catfeat, catfeat_ctx = self.catfeat, self.catfeat_ctx
+        featuni, featuni_ctx = self.featuni, self.featuni_ctx
+        for (a, b, t), n in counts.items():
+            n *= sign
+            ctx3[(a, b)] += n
+            ctx2[(b,)] += n
+            ctx1[()] += n
+            for p in self.prefixes[t]:
+                pre3[(a, b, p)] += n
+                pre2[(b, p)] += n
+                pre1[(p,)] += n
+            for ckey, vkey, feature, ukey in self.features[t]:
+                catfeat[vkey] += n
+                catfeat_ctx[ckey] += n
+                featuni[ukey] += n
+                featuni_ctx[feature] += n
 
 
 #: Default weights for the (full conditioning, category-local, global)
@@ -318,27 +366,28 @@ class TransitionStats:
             return 0.0
         return pre.get(hist + (num_prefix,), 0) / den
 
-    def _category_factor(self, order, hist, category) -> float:
+    def _category_factor(self, order, hist, prefix) -> float:
         ncat = len(self.schema.categories)
         if self.tables.ctx[order].get(hist, 0):
-            mle = self._raw_factor(order, hist, (category,), None)
+            mle = self._raw_factor(order, hist, prefix, None)
         else:
             # unseen history: escape to the category unigram
-            mle = self._raw_factor(1, (), (category,), None)
+            mle = self._raw_factor(1, (), prefix, None)
         return (1.0 - self.floor) * mle + self.floor / ncat
 
-    def _feature_factor(self, order, hist, category, prefix, feature, value) -> float:
+    def _feature_factor(self, order, hist, prefix, longer, keys) -> float:
         tb = self.tables
+        ckey, vkey, feature, ukey = keys
         g_spec, g_cat, g_uni = self.chain_weights
         levels = []
         if tb.pre[order].get(hist + (prefix,), 0):
-            levels.append((g_spec, self._raw_factor(order, hist, prefix + (value,), prefix)))
-        cden = tb.catfeat_ctx.get((category, feature), 0)
+            levels.append((g_spec, self._raw_factor(order, hist, longer, prefix)))
+        cden = tb.catfeat_ctx.get(ckey, 0)
         if cden:
-            levels.append((g_cat, tb.catfeat.get((category, feature, value), 0) / cden))
+            levels.append((g_cat, tb.catfeat.get(vkey, 0) / cden))
         uden = tb.featuni_ctx.get(feature, 0)
         if uden:
-            levels.append((g_uni, tb.featuni.get((feature, value), 0) / uden))
+            levels.append((g_uni, tb.featuni.get(ukey, 0) / uden))
         nvals = len(self.schema.allowed_values(feature))
         if not levels:
             return 1.0 / nvals
@@ -349,21 +398,19 @@ class TransitionStats:
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
         order = len(history) + 1
+        # a history tag never counted gets id None, which is in no key
+        hist = tuple(map(self.tables.tag_id.get, history))
+        prefixes, features = self.tables.resolve(tag)
         if self.smoothed:
-            p = self._category_factor(order, history, tag.category)
-            prefix = (tag.category,)
-            for fv in tag.features:
-                p *= self._feature_factor(order, history, tag.category,
-                                          prefix, fv.feature, fv.value)
-                prefix = prefix + (fv.value,)
+            p = self._category_factor(order, hist, prefixes[0])
+            for j, keys in enumerate(features):
+                p *= self._feature_factor(order, hist, prefixes[j], prefixes[j + 1], keys)
             return p
-        p = self._raw_factor(order, history, (tag.category,), None)
-        prefix = (tag.category,)
-        for fv in tag.features:
+        p = self._raw_factor(order, hist, prefixes[0], None)
+        for j in range(len(features)):
             if p == 0.0:
                 return 0.0
-            p *= self._raw_factor(order, history, prefix + (fv.value,), prefix)
-            prefix = prefix + (fv.value,)
+            p *= self._raw_factor(order, hist, prefixes[j + 1], prefixes[j])
         return p
 
 

@@ -24,13 +24,9 @@ def _random_schema(rng):
     return TagSchema.from_lines(lines)
 
 
-def random_instance(rng):
-    """A trained toy model plus a token list to decode.
-
-    Mixes featureless and feature-structured schemas, optional suffix
-    rules, smoothed and raw estimation, and out-of-vocabulary tokens, so
-    that every emission path of the decoder gets exercised.
-    """
+def random_corpus(rng):
+    """A random schema, optional suffix rules, a tagged training corpus
+    and the vocabulary it draws from."""
     schema = _random_schema(rng)
     all_tags = [t for c in schema.categories for t in schema.iter_tags(c)]
 
@@ -54,7 +50,17 @@ def random_instance(rng):
             tokens.append(Token(word, word, i))
             tags.append(all_tags[int(rng.integers(0, len(all_tags)))])
         sequences.append(Sequence(tuple(tokens), tuple(tags)))
+    return schema, rules, sequences, vocab
 
+
+def random_instance(rng):
+    """A trained toy model plus a token list to decode.
+
+    Mixes featureless and feature-structured schemas, optional suffix
+    rules, smoothed and raw estimation, and out-of-vocabulary tokens, so
+    that every emission path of the decoder gets exercised.
+    """
+    schema, rules, sequences, vocab = random_corpus(rng)
     smooth = rng.random() < 0.8
     model = train(sequences, rules, schema, smooth=smooth)
 

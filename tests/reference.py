@@ -1,0 +1,133 @@
+"""Reference deleted interpolation (test oracle).
+
+The direct form of ``greektag.model.fit_interpolation``: every count is
+keyed by ``Tag`` objects, and for each held-out sequence a full set of
+tables is built from that sequence alone and subtracted from the global
+one.  The awards are summed in the same order and with the same
+arithmetic as the library's in-place version, so both must return
+exactly equal weights.
+"""
+
+from collections import Counter, defaultdict
+
+from greektag.model import _instances
+from greektag.tags import DEFAULT_CHAIN_WEIGHTS, _tag_prefixes
+
+
+class _TagTables:
+    """Tag-keyed count tables: ``pre[o]`` maps (history tags..., prefix
+    tuple) to a count at order ``o``, ``ctx[o]`` maps the history alone;
+    ``catfeat``/``featuni`` are the category-local and global
+    feature-value counts."""
+
+    def __init__(self, trigram_counts):
+        self.pre = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
+        self.ctx = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
+        self.catfeat = defaultdict(int)
+        self.catfeat_ctx = defaultdict(int)
+        self.featuni = defaultdict(int)
+        self.featuni_ctx = defaultdict(int)
+        for (a, b, t), n in trigram_counts.items():
+            prefixes = _tag_prefixes(t)
+            for order, hist in ((3, (a, b)), (2, (b,)), (1, ())):
+                self.ctx[order][hist] += n
+                pre = self.pre[order]
+                for p in prefixes:
+                    pre[hist + (p,)] += n
+            cat = t.category
+            for fv in t.features:
+                self.catfeat[(cat, fv.feature, fv.value)] += n
+                self.catfeat_ctx[(cat, fv.feature)] += n
+                self.featuni[(fv.feature, fv.value)] += n
+                self.featuni_ctx[fv.feature] += n
+
+
+def fit_interpolation_reference(seq_tag_lists):
+    """(lambdas, chain_weights) by leave-one-sequence-out deleted
+    interpolation, one table per held-out sequence."""
+    per_seq = [Counter(_instances(tags)) for tags in seq_tag_lists]
+    tri_g = Counter()
+    for c in per_seq:
+        tri_g.update(c)
+
+    big_g, uni_g, ctx3_g, ctx2_g = Counter(), Counter(), Counter(), Counter()
+    n_g = 0
+    for (a, b, t), n in tri_g.items():
+        big_g[(b, t)] += n
+        uni_g[t] += n
+        ctx3_g[(a, b)] += n
+        ctx2_g[b] += n
+        n_g += n
+
+    tables_g = _TagTables(tri_g)
+    order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
+    chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
+    saw_features = False
+
+    for c_s in per_seq:
+        big_s, uni_s, ctx3_s, ctx2_s = Counter(), Counter(), Counter(), Counter()
+        n_s = 0
+        for (a, b, t), n in c_s.items():
+            big_s[(b, t)] += n
+            uni_s[t] += n
+            ctx3_s[(a, b)] += n
+            ctx2_s[b] += n
+            n_s += n
+        tables_s = _TagTables(c_s)
+
+        for (a, b, t), n in c_s.items():
+            d3 = ctx3_g[(a, b)] - ctx3_s[(a, b)]
+            c3 = (tri_g[(a, b, t)] - c_s[(a, b, t)]) / d3 if d3 else 0.0
+            d2 = ctx2_g[b] - ctx2_s[b]
+            c2 = (big_g[(b, t)] - big_s[(b, t)]) / d2 if d2 else 0.0
+            d1 = n_g - n_s
+            c1 = (uni_g[t] - uni_s[t]) / d1 if d1 else 0.0
+            best = max(c3, c2, c1)
+            if best <= 0.0:
+                order_awards[0] += n
+            else:
+                winners = [i for i, c in ((0, c1), (1, c2), (2, c3)) if c == best]
+                for i in winners:
+                    order_awards[i] += n / len(winners)
+
+            hist = (a, b)
+            prefix = (t.category,)
+            for fv in t.features:
+                saw_features = True
+                key_den = hist + (prefix,)
+                key_num = hist + (prefix + (fv.value,),)
+                d_spec = tables_g.pre[3].get(key_den, 0) - tables_s.pre[3].get(key_den, 0)
+                c_spec = (
+                    (tables_g.pre[3].get(key_num, 0) - tables_s.pre[3].get(key_num, 0)) / d_spec
+                    if d_spec else 0.0
+                )
+                ckey = (t.category, fv.feature)
+                d_cat = tables_g.catfeat_ctx.get(ckey, 0) - tables_s.catfeat_ctx.get(ckey, 0)
+                vkey = (t.category, fv.feature, fv.value)
+                c_cat = (
+                    (tables_g.catfeat.get(vkey, 0) - tables_s.catfeat.get(vkey, 0)) / d_cat
+                    if d_cat else 0.0
+                )
+                d_uni = tables_g.featuni_ctx.get(fv.feature, 0) - tables_s.featuni_ctx.get(fv.feature, 0)
+                ukey = (fv.feature, fv.value)
+                c_uni = (
+                    (tables_g.featuni.get(ukey, 0) - tables_s.featuni.get(ukey, 0)) / d_uni
+                    if d_uni else 0.0
+                )
+                best = max(c_spec, c_cat, c_uni)
+                if best <= 0.0:
+                    chain_awards[2] += n
+                else:
+                    winners = [i for i, c in ((0, c_spec), (1, c_cat), (2, c_uni)) if c == best]
+                    for i in winners:
+                        chain_awards[i] += n / len(winners)
+                prefix = prefix + (fv.value,)
+
+    total = sum(order_awards)
+    lambdas = tuple(a / total for a in order_awards) if total else (1.0, 0.0, 0.0)
+    ctotal = sum(chain_awards)
+    if not saw_features or not ctotal:
+        chain_weights = DEFAULT_CHAIN_WEIGHTS
+    else:
+        chain_weights = tuple(a / ctotal for a in chain_awards)
+    return lambdas, chain_weights

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 
 import pytest
@@ -54,6 +55,16 @@ def test_train_is_deterministic(workdir, capsys):
     (workdir / "toy.model").unlink()
     _train(workdir, capsys)
     assert (workdir / "toy.model").read_bytes() == first
+
+
+#: sha256 of the model file trained on the toy fixtures
+TOY_MODEL_SHA256 = "86f37fcd754919b99be4e9441dad6ecfb2339e428d878a4a09f1f30ed5f42325"
+
+
+def test_train_model_file_is_golden(workdir, capsys):
+    _train(workdir, capsys)
+    digest = hashlib.sha256((workdir / "toy.model").read_bytes()).hexdigest()
+    assert digest == TOY_MODEL_SHA256
 
 
 def test_train_missing_schema_exits_2(workdir, capsys):
@@ -113,6 +124,58 @@ def test_tag_bad_model_exits(workdir, capsys):
     inp = workdir / "texts" / "alpha.txt"
     assert main(["tag", str(inp), "--model", str(bad),
                  "--out", str(workdir / "x")]) == 1
+
+
+def _tag_with_edited_model(workdir, capsys, edit):
+    """Tag with the toy model after ``edit(lines)``; (exit code, stderr)."""
+    _train(workdir, capsys)
+    lines = (workdir / "toy.model").read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    bad = workdir / "bad.model"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["tag", str(workdir / "texts" / "alpha.txt"), "--model", str(bad),
+                 "--out", str(workdir / "x")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replacement", [
+    "lambdas nan nan nan",
+    "lambdas 0.5 0.5",
+    "lambdas 1.5 -0.25 -0.25",
+    "chain -5 3 3",
+    "chain 0 0 0",
+    "floor inf",
+    "floor 7",
+])
+def test_tag_rejects_bad_model_header(workdir, capsys, replacement):
+    name = replacement.split()[0]
+
+    def edit(lines):
+        no = next(i for i, line in enumerate(lines) if line.startswith(name + " "))
+        lines[no] = replacement
+        edit.line = no + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    (3, "2.5"), (3, "-1"), (3, "x"), (3, ""), (0, "nosuch"),
+])
+def test_tag_rejects_bad_trigram_row(workdir, capsys, field, value):
+    def edit(lines):
+        no = lines.index("[trigrams]") + 1
+        fields = lines[no].split("\t")
+        fields[field] = value
+        lines[no] = "\t".join(fields)
+        edit.line = no + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: " in err
+    assert "Traceback" not in err
 
 
 def test_count_sums_to_token_count(workdir, capsys):

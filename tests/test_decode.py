@@ -140,11 +140,12 @@ def test_numpy_fallback_matches_numba(monkeypatch, toy_model):
     assert tag_sequence(toy_model, tokens) == default
 
 
-@pytest.mark.skipif(not _viterbi.HAVE_NUMBA, reason="numba unavailable")
-def test_kernels_agree_on_random_instances():
-    rng = np.random.default_rng(99)
-    for trial in range(300):
-        K = int(rng.integers(1, 9))
+def _kernel_instances(seed, trials, max_len):
+    """Random trellises: tie-heavy, tie-heavy with zero-probability
+    (``-inf``) increments, and continuous; beams 0 to 4."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        K = int(rng.integers(1, max_len + 1))
         width = int(rng.integers(1, 6))
         counts = rng.integers(1, width + 1, K).astype(np.int64)
         adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
@@ -154,12 +155,22 @@ def test_kernels_agree_on_random_instances():
         for k in range(K):
             off[k] = total
             total += adims[k] * bdims[k] * counts[k]
-        if trial % 2 == 0:
-            inc = np.log(rng.choice([0.25, 0.5, 1.0], total))  # tie-heavy
-        else:
+        if trial % 3 == 2:
             inc = np.log(rng.random(total))
-        beam = int(rng.integers(0, 3))
-        a = _viterbi.viterbi_numba(counts, adims, bdims, off, inc, beam)
-        b = _viterbi.viterbi_numpy(counts, adims, bdims, off, inc, beam)
-        c = _viterbi.viterbi_python(counts, adims, bdims, off, inc, beam)
-        assert np.array_equal(a, b) and np.array_equal(b, c)
+        else:
+            inc = np.log(rng.choice([0.25, 0.5, 1.0], total))
+            if trial % 3 == 1:
+                inc[rng.random(total) < 0.4] = -np.inf
+        beam = int(rng.integers(0, 5))
+        yield counts, adims, bdims, off, inc, beam
+
+
+def test_numpy_kernel_matches_python_kernel():
+    for args in _kernel_instances(99, 600, 30):
+        assert np.array_equal(_viterbi.viterbi_numpy(*args), _viterbi.viterbi_python(*args))
+
+
+@pytest.mark.skipif(not _viterbi.HAVE_NUMBA, reason="numba unavailable")
+def test_numba_kernel_matches_numpy_kernel():
+    for args in _kernel_instances(99, 600, 30):
+        assert np.array_equal(_viterbi.viterbi_numba(*args), _viterbi.viterbi_numpy(*args))

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from greektag import Model, ModelError, Sequence, TagSchema, Token, train
 from greektag.errors import FormatError
 from greektag.model import NEG_INF, fit_interpolation
 from greektag.tags import BOUNDARY, Tag
+
+from genmodels import random_corpus
+from reference import fit_interpolation_reference
 
 
 def _seqs(schema, rows):
@@ -40,6 +44,16 @@ def test_lambdas_shift_down_when_trigrams_unique(abc_schema):
     lambdas, _ = fit_interpolation([s.gold_tags for s in corpus])
     assert lambdas[2] == 0.0
     assert abs(sum(lambdas) - 1.0) < 1e-12
+
+
+def test_fit_interpolation_matches_reference(toy_corpus):
+    """The in-place leave-one-out fit returns exactly the weights of the
+    per-sequence-table reference, on the fixture and 1000 random corpora."""
+    rng = np.random.default_rng(2024)
+    corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(1000)]
+    for corpus in corpora:
+        seqs = [s.gold_tags for s in corpus]
+        assert fit_interpolation(seqs) == fit_interpolation_reference(seqs)
 
 
 def test_retraining_is_deterministic(toy_corpus, toy_rules, toy_schema):

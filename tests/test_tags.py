@@ -199,7 +199,7 @@ def test_tables_derive_bigrams_from_trigrams(chain_schema, chain_corpus):
     # order-2 context of a tag == its total occurrences as predecessor
     v_sg = chain_schema.parse("v:num=sg")
     occurrences = sum(n for (a, b, t), n in trigrams.items() if b == v_sg)
-    assert tables.ctx[2][(v_sg,)] == occurrences
+    assert tables.ctx[2][(tables.tag_id[v_sg],)] == occurrences
 
 
 def test_stats_require_counts(chain_schema):
