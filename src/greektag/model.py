@@ -274,8 +274,10 @@ class Model:
             if needed not in sections:
                 raise FormatError(f"missing [{needed}] section", path)
 
-        schema = TagSchema.from_lines(sections["schema"], path=path)
-        rules = morph.RuleSet.from_lines(sections["rules"], schema, path=path)
+        schema = TagSchema.from_lines(sections["schema"], path=path,
+                                      first_line=starts["schema"] + 1)
+        rules = morph.RuleSet.from_lines(sections["rules"], schema, path=path,
+                                         first_line=starts["rules"] + 1)
 
         def parse_tag(s: str) -> Tag:
             return BOUNDARY if s == BOUNDARY_CATEGORY else schema.parse(s)
@@ -301,7 +303,8 @@ class Model:
                                 chain_weights=chain_weights, floor=floor)
         # undo the raw-mode floor reset so a smoothed save round-trips
         stats.floor = floor
-        lexicon = morph.Lexicon.from_lines(sections["lexicon"], schema, rules, path=path)
+        lexicon = morph.Lexicon.from_lines(sections["lexicon"], schema, rules, path=path,
+                                           first_line=starts["lexicon"] + 1)
         return cls(schema, stats, lambdas, lexicon)
 
 

@@ -15,6 +15,7 @@ the prior over hapax legomena seen in training.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -26,6 +27,17 @@ _EMPTY_PATTERN = "-"
 _PREFIX_CLASS = "@prefix"
 _PRIOR_FORM = "__hapax__"
 _MAX_EXPANSION = 4096
+#: how far a lexicon row's probabilities may sum from 1
+_SUM_TOLERANCE = 1e-9
+
+
+def _weight(text: str) -> float:
+    """A probability or rule weight; ValueError unless it is a finite
+    non-negative number."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"weight {text!r} is not a finite non-negative number")
+    return value
 
 
 def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
@@ -180,10 +192,10 @@ class RuleSet:
         return lines
 
     @classmethod
-    def from_lines(cls, lines, schema: TagSchema, path=None) -> "RuleSet":
+    def from_lines(cls, lines, schema: TagSchema, path=None, first_line=1) -> "RuleSet":
         suffix_rules = []
         prefix_rules = []
-        for no, raw in enumerate(lines, start=1):
+        for no, raw in enumerate(lines, start=first_line):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -212,7 +224,7 @@ class RuleSet:
                 except GreektagError:
                     tagstring, eq, prob = item.rpartition("=")
                     try:
-                        tag, w = schema.parse(tagstring), float(prob)
+                        tag, w = schema.parse(tagstring), _weight(prob)
                     except (GreektagError, ValueError) as exc:
                         raise FormatError(f"bad tag item {item!r}: {exc}", path, no) from None
                 tags.append(tag)
@@ -307,12 +319,12 @@ class Lexicon:
         return lines
 
     @classmethod
-    def from_lines(cls, lines, schema, rules, path=None) -> "Lexicon":
+    def from_lines(cls, lines, schema, rules, path=None, first_line=1) -> "Lexicon":
         stems = []
         fullforms = []
         suffix_probs = {}
         hapax_prior = {}
-        for no, raw in enumerate(lines, start=1):
+        for no, raw in enumerate(lines, start=first_line):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -329,10 +341,12 @@ class Lexicon:
                 if not eq:
                     raise FormatError(f"missing probability in {item!r}", path, no)
                 try:
-                    tag = schema.parse(tagstring)
-                    probs.append((tag, float(prob)))
+                    probs.append((schema.parse(tagstring), _weight(prob)))
                 except (GreektagError, ValueError) as exc:
                     raise FormatError(str(exc), path, no) from None
+            total = math.fsum(p for _, p in probs)
+            if abs(total - 1.0) > _SUM_TOLERANCE:
+                raise FormatError(f"probabilities sum to {total!r}, not 1", path, no)
             if kind == "stem":
                 stems.append(LexiconEntry(form, "stem", classes, tuple(probs)))
             elif kind == "fullform":

@@ -188,10 +188,10 @@ class TagSchema:
         return lines
 
     @classmethod
-    def from_lines(cls, lines, path=None) -> "TagSchema":
+    def from_lines(cls, lines, path=None, first_line=1) -> "TagSchema":
         feature_values: dict[str, tuple[str, ...]] = {}
         category_features: dict[str, tuple[str, ...]] = {}
-        for no, raw in enumerate(lines, start=1):
+        for no, raw in enumerate(lines, start=first_line):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,14 +1,22 @@
-"""Reference deleted interpolation (test oracle).
+"""Plain reference implementations used as test oracles.
 
-The direct form of ``greektag.model.fit_interpolation``: every count is
-keyed by ``Tag`` objects, and for each held-out sequence a full set of
-tables is built from that sequence alone and subtracted from the global
-one.  The awards are summed in the same order and with the same
-arithmetic as the library's in-place version, so both must return
-exactly equal weights.
+``fit_interpolation_reference`` is the direct form of
+``greektag.model.fit_interpolation``: every count is keyed by ``Tag``
+objects, and for each held-out sequence a full set of tables is built
+from that sequence alone and subtracted from the global one.  The awards
+are summed in the same order and with the same arithmetic as the
+library's in-place version, so both must return exactly equal weights.
+
+``_viterbi_loops`` is the trigram Viterbi search written as plain loops
+over the instance layout of ``greektag._viterbi.viterbi``.  It copies
+every state's whole best path at each position and breaks exact ties by
+comparing those paths element by element, the most literal reading of
+the lexicographic tie-break, beam pruning included.
 """
 
 from collections import Counter, defaultdict
+
+import numpy as np
 
 from greektag.model import _instances
 from greektag.tags import DEFAULT_CHAIN_WEIGHTS, _tag_prefixes
@@ -131,3 +139,90 @@ def fit_interpolation_reference(seq_tag_lists):
     else:
         chain_weights = tuple(a / ctotal for a in chain_awards)
     return lambdas, chain_weights
+
+
+def _viterbi_loops(counts, adims, bdims, off, inc, beam):
+    K = counts.shape[0]
+    maxc = 1
+    for k in range(K):
+        if counts[k] > maxc:
+            maxc = counts[k]
+
+    scores = np.full((maxc, maxc), -np.inf)
+    paths = np.zeros((maxc, maxc, K), np.int32)
+    new_scores = np.full((maxc, maxc), -np.inf)
+    new_paths = np.zeros((maxc, maxc, K), np.int32)
+
+    n0 = counts[0]
+    for y in range(n0):
+        scores[0, y] = inc[off[0] + y]
+        paths[0, y, 0] = y
+    if 0 < beam < n0:
+        flat = np.sort(scores[0, :n0].copy())
+        threshold = flat[n0 - beam]
+        for y in range(n0):
+            if scores[0, y] < threshold:
+                scores[0, y] = -np.inf
+
+    for k in range(1, K):
+        X = adims[k]
+        Y = bdims[k]
+        Z = counts[k]
+        base = off[k]
+        for y in range(Y):
+            for z in range(Z):
+                best = -np.inf
+                bestx = -1
+                for x in range(X):
+                    v = scores[x, y] + inc[base + (x * Y + y) * Z + z]
+                    if bestx < 0 or v > best:
+                        best = v
+                        bestx = x
+                    elif v == best:
+                        # exact tie: keep the lexicographically smaller path
+                        for i in range(k):
+                            d = paths[x, y, i] - paths[bestx, y, i]
+                            if d < 0:
+                                bestx = x
+                                break
+                            if d > 0:
+                                break
+                new_scores[y, z] = best
+                for i in range(k):
+                    new_paths[y, z, i] = paths[bestx, y, i]
+                new_paths[y, z, k] = z
+        scores, new_scores = new_scores, scores
+        paths, new_paths = new_paths, paths
+        if 0 < beam < Y * Z:
+            flat = np.sort(scores[:Y, :Z].copy().reshape(Y * Z))
+            threshold = flat[Y * Z - beam]
+            for y in range(Y):
+                for z in range(Z):
+                    if scores[y, z] < threshold:
+                        scores[y, z] = -np.inf
+
+    U = bdims[K - 1]
+    V = counts[K - 1]
+    best = -np.inf
+    bu = -1
+    bv = -1
+    for u in range(U):
+        for v in range(V):
+            s = scores[u, v]
+            if bu < 0 or s > best:
+                best = s
+                bu = u
+                bv = v
+            elif s == best:
+                for i in range(K):
+                    d = paths[u, v, i] - paths[bu, bv, i]
+                    if d < 0:
+                        bu = u
+                        bv = v
+                        break
+                    if d > 0:
+                        break
+    out = np.empty(K, np.int32)
+    for i in range(K):
+        out[i] = paths[bu, bv, i]
+    return out

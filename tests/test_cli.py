@@ -178,6 +178,39 @@ def test_tag_rejects_bad_trigram_row(workdir, capsys, field, value):
     assert "Traceback" not in err
 
 
+def _replace_line(workdir, capsys, prefix, replacement):
+    """Tag with the toy model after its first line starting with
+    ``prefix`` becomes ``replacement``; (exit code, stderr, file line)."""
+    def edit(lines):
+        no = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[no] = replacement
+        edit.line = no + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    return code, err, edit.line
+
+
+@pytest.mark.parametrize("prefix, replacement", [
+    ("καί\t", "καί\tfullform\t-\tkonj=nan"),
+    ("καί\t", "καί\tfullform\t-\tkonj=inf"),
+    ("καί\t", "καί\tfullform\t-\tkonj=-0.5"),
+    ("καί\t", "καί\tfullform\t-\tkonj=0.5"),
+    ("σας\t", "σας\tw-verb\tpart:case=nom,num=sg,tense=aor,voice=act,gend=masc=nan"),
+], ids=["nan", "inf", "negative", "sum-0.5", "rule-nan"])
+def test_tag_rejects_bad_lexicon_row(workdir, capsys, prefix, replacement):
+    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
+    assert code == 1
+    assert f"bad.model: line {line}: " in err
+    assert "Traceback" not in err
+
+
+def test_tag_rejects_bad_schema_line_at_its_file_line(workdir, capsys):
+    code, err, line = _replace_line(workdir, capsys, "feature case ", "feature case")
+    assert code == 1
+    assert f"bad.model: line {line}: " in err
+    assert "Traceback" not in err
+
+
 def test_count_sums_to_token_count(workdir, capsys):
     _train(workdir, capsys)
     tagged = workdir / "alpha.tagged"

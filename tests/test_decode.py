@@ -16,6 +16,7 @@ from greektag.decode import tag_corpus
 from greektag.tags import format_tag
 
 from genmodels import random_instance, symmetric_tie_instance
+from reference import _viterbi_loops
 
 
 def test_empty_input(toy_model):
@@ -132,29 +133,30 @@ def test_brute_force_guard():
         brute_force_best(model, tokens, limit=100)
 
 
-def test_numpy_fallback_matches_numba(monkeypatch, toy_model):
-    tokens = [Token(w, w, i) for i, w in enumerate(
-        ["κωλύσαντος", "λόγου", "παιδεύεις", ".", "τέχνη"])]
-    default = tag_sequence(toy_model, tokens)
-    monkeypatch.setattr(_viterbi, "NUMBA_ENABLED", False)
-    assert tag_sequence(toy_model, tokens) == default
+def _layout(counts):
+    """adims, bdims, off and the increment count for candidate counts."""
+    K = len(counts)
+    adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
+    bdims = np.array([counts[k - 1] if k >= 1 else 1 for k in range(K)], np.int64)
+    off = np.zeros(K, np.int64)
+    total = 0
+    for k in range(K):
+        off[k] = total
+        total += adims[k] * bdims[k] * counts[k]
+    return adims, bdims, off, int(total)
 
 
 def _kernel_instances(seed, trials, max_len):
     """Random trellises: tie-heavy, tie-heavy with zero-probability
-    (``-inf``) increments, and continuous; beams 0 to 4."""
+    (``-inf``) increments, and continuous; beams 0 to 4.  Then long
+    trellises whose increments are all equal or all ``-inf``, where
+    every state ties at every position."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         K = int(rng.integers(1, max_len + 1))
         width = int(rng.integers(1, 6))
         counts = rng.integers(1, width + 1, K).astype(np.int64)
-        adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
-        bdims = np.array([counts[k - 1] if k >= 1 else 1 for k in range(K)], np.int64)
-        off = np.zeros(K, np.int64)
-        total = 0
-        for k in range(K):
-            off[k] = total
-            total += adims[k] * bdims[k] * counts[k]
+        adims, bdims, off, total = _layout(counts)
         if trial % 3 == 2:
             inc = np.log(rng.random(total))
         else:
@@ -163,14 +165,13 @@ def _kernel_instances(seed, trials, max_len):
                 inc[rng.random(total) < 0.4] = -np.inf
         beam = int(rng.integers(0, 5))
         yield counts, adims, bdims, off, inc, beam
+    for K, value, beam in ((300, np.log(0.5), 0), (300, -np.inf, 0),
+                           (200, np.log(0.5), 3), (200, -np.inf, 2)):
+        counts = rng.integers(1, 4, K).astype(np.int64)
+        adims, bdims, off, total = _layout(counts)
+        yield counts, adims, bdims, off, np.full(total, value), beam
 
 
-def test_numpy_kernel_matches_python_kernel():
+def test_kernel_matches_reference_loops():
     for args in _kernel_instances(99, 600, 30):
-        assert np.array_equal(_viterbi.viterbi_numpy(*args), _viterbi.viterbi_python(*args))
-
-
-@pytest.mark.skipif(not _viterbi.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_kernel_matches_numpy_kernel():
-    for args in _kernel_instances(99, 600, 30):
-        assert np.array_equal(_viterbi.viterbi_numba(*args), _viterbi.viterbi_numpy(*args))
+        assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
