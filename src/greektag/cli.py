@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import stylometry
 from .decode import tag_corpus, tag_sequence
-from .errors import GreektagError
+from .errors import GreektagError, decode_utf8
 from .model import Model, train
 from .morph import RuleSet
 from .stylometry import (
@@ -97,9 +97,9 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model = Model.load(args.model)
     if args.input == "-":
-        text = sys.stdin.read()
+        text = decode_utf8(sys.stdin.buffer.read(), "<stdin>")
     else:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = decode_utf8(Path(args.input).read_bytes(), args.input)
     tagged = tag_corpus(model, tokenize(text), beam=args.beam)
     save_annotated_corpus(args.out, tagged)
     total = sum(len(s) for s in tagged)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all greektag modules."""
+"""Exception hierarchy shared by all greektag modules, and the UTF-8
+readers that report undecodable input as a ``FormatError``."""
+
+from contextlib import contextmanager
 
 
 class GreektagError(Exception):
@@ -29,3 +32,26 @@ class ModelError(GreektagError):
 
 class SearchSpaceError(GreektagError):
     """Exhaustive enumeration was requested for an instance that is too large."""
+
+
+def decode_utf8(data: bytes, path) -> str:
+    """``data`` as UTF-8 text; bytes that are not UTF-8 raise a
+    ``FormatError`` naming ``path`` and the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+                          path, data.count(b"\n", 0, exc.start) + 1) from None
+
+
+@contextmanager
+def open_utf8(path, newline=None):
+    """``open(path, encoding="utf-8")`` for reading, except that bytes
+    that are not UTF-8 raise ``decode_utf8``'s ``FormatError``."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            decode_utf8(fh.read(), path)
+        raise

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 
 from . import morph
-from .errors import FormatError, ModelError, TagError
+from .errors import FormatError, ModelError, TagError, open_utf8
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -42,70 +42,62 @@ def _instances(tags, boundary=BOUNDARY):
         a, b = b, t
 
 
-def fit_interpolation(seq_tag_lists):
+def count_sequences(seq_tag_lists):
+    """One id-keyed ``_Tables`` over all the tag sequences, and the
+    id-keyed trigram counts of each (what holds it out of the tables)."""
+    tables = _Tables({})
+    boundary = tables.intern(BOUNDARY)
+    seq_counts = [Counter(_instances([tables.intern(t) for t in tags], boundary))
+                  for tags in seq_tag_lists]
+    for c in seq_counts:
+        tables.add(c)
+    return tables, seq_counts
+
+
+def _award(awards, n, fallback, freqs) -> None:
+    """Award ``n`` to the level(s) of largest relative frequency in
+    ``freqs`` (None is 0), split evenly, or to ``fallback`` if none is > 0."""
+    freqs = [f or 0.0 for f in freqs]
+    best = max(freqs)
+    if best <= 0.0:
+        awards[fallback] += n
+        return
+    winners = [i for i, f in enumerate(freqs) if f == best]
+    for i in winners:
+        awards[i] += n / len(winners)
+
+
+def fit_interpolation(tables, seq_counts):
     """Order weights (l1, l2, l3) and chain level weights fitted by
-    leave-one-sequence-out deleted interpolation.
+    leave-one-sequence-out deleted interpolation over the tables and
+    per-sequence counts of ``count_sequences``.
 
     Each held-out observation is awarded to the order (or chain level)
     whose leave-one-out relative frequency is largest, ties split
     evenly; observations no order can explain go to the most robust
     level.  Weights are the normalized award totals.
 
-    The counts live in one id-keyed ``_Tables`` built over the whole
-    corpus.  Each sequence is mapped to tag-id triples once; to hold it
-    out, ``_Tables.add`` takes its counts out of the tables in place,
-    touching only the keys that sequence contributes to, the awards are
-    read off the remaining counts, and the counts are added back.
+    To hold a sequence out, ``_Tables.add`` takes its counts out of the
+    tables in place, touching only the keys that sequence contributes
+    to; the awards are read off the remaining counts, and the counts are
+    added back, so the tables end as they began.
     """
-    tables = _Tables({})
-    boundary = tables.intern(BOUNDARY)
-    seq_counts = [Counter(_instances([tables.intern(t) for t in tags], boundary))
-                  for tags in seq_tag_lists]
-    total = Counter()
-    for c in seq_counts:
-        total.update(c)
-    tables.add(total)
-
-    pre1, pre2, pre3 = tables.pre[1], tables.pre[2], tables.pre[3]
-    ctx1, ctx2, ctx3 = tables.ctx[1], tables.ctx[2], tables.ctx[3]
+    freq = tables.prefix_freq
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
     chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
     saw_features = False
 
     for c_s in seq_counts:
         tables.add(c_s, -1)
-        d1 = ctx1[()]
         for (a, b, t), n in c_s.items():
             prefixes = tables.prefixes[t]
             full = prefixes[-1]
-            d3 = ctx3[(a, b)]
-            c3 = pre3[(a, b, full)] / d3 if d3 else 0.0
-            d2 = ctx2[(b,)]
-            c2 = pre2[(b, full)] / d2 if d2 else 0.0
-            c1 = pre1[(full,)] / d1 if d1 else 0.0
-            best = max(c3, c2, c1)
-            if best <= 0.0:
-                order_awards[0] += n
-            else:
-                winners = [i for i, c in ((0, c1), (1, c2), (2, c3)) if c == best]
-                for i in winners:
-                    order_awards[i] += n / len(winners)
-
-            for j, (ckey, vkey, feature, ukey) in enumerate(tables.features[t]):
+            _award(order_awards, n, 0,
+                   (freq(1, (), full), freq(2, (b,), full), freq(3, (a, b), full)))
+            for j, keys in enumerate(tables.features[t]):
                 saw_features = True
-                d_spec = pre3[(a, b, prefixes[j])]
-                c_spec = pre3[(a, b, prefixes[j + 1])] / d_spec if d_spec else 0.0
-                d_cat = tables.catfeat_ctx[ckey]
-                c_cat = tables.catfeat[vkey] / d_cat if d_cat else 0.0
-                d_uni = tables.featuni_ctx[feature]
-                c_uni = tables.featuni[ukey] / d_uni if d_uni else 0.0
-                best = max(c_spec, c_cat, c_uni)
-                if best <= 0.0:
-                    chain_awards[2] += n
-                else:
-                    winners = [i for i, c in ((0, c_spec), (1, c_cat), (2, c_uni)) if c == best]
-                    for i in winners:
-                        chain_awards[i] += n / len(winners)
+                _award(chain_awards, n, 2, (freq(3, (a, b), prefixes[j + 1], (prefixes[j],)),
+                                            *tables.feature_freqs(keys)))
         tables.add(c_s)
 
     total = sum(order_awards)
@@ -234,7 +226,7 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != _FORMAT:
             raise FormatError("not a greektag model file", path, 1)
@@ -299,10 +291,8 @@ class Model:
                 )
             trigram_counts[key] = int(fields[3])
 
-        stats = TransitionStats(schema, trigram_counts, smoothed=smoothed,
+        stats = TransitionStats(schema, _Tables(trigram_counts), smoothed=smoothed,
                                 chain_weights=chain_weights, floor=floor)
-        # undo the raw-mode floor reset so a smoothed save round-trips
-        stats.floor = floor
         lexicon = morph.Lexicon.from_lines(sections["lexicon"], schema, rules, path=path,
                                            first_line=starts["lexicon"] + 1)
         return cls(schema, stats, lambdas, lexicon)
@@ -312,10 +302,10 @@ def train(corpus, rules, schema, *, smooth=True, lambdas=None,
           chain_weights=None, floor=DEFAULT_FLOOR) -> Model:
     """Train on an annotated corpus.
 
-    Counts tag trigrams over sequences padded with two boundary tags,
-    fits the interpolation weights leave-one-sequence-out (unless given
-    explicitly), and builds the lexicon.  Deterministic: the same corpus
-    yields a byte-identical model file.
+    Counts tag trigrams over sequences padded with two boundary tags
+    once, fits the interpolation weights leave-one-sequence-out (unless
+    given) and scores transitions on those counts, and builds the
+    lexicon.  Deterministic: the same corpus yields the same model file.
     """
     if rules is None:
         rules = morph.RuleSet.empty()
@@ -330,16 +320,13 @@ def train(corpus, rules, schema, *, smooth=True, lambdas=None,
     if not seq_tags:
         raise ModelError("empty training corpus")
 
-    trigram_counts = Counter()
-    for tags in seq_tags:
-        trigram_counts.update(_instances(tags))
-
+    tables, seq_counts = count_sequences(seq_tags)
     if lambdas is None or chain_weights is None:
-        fit_l, fit_g = fit_interpolation(seq_tags)
+        fit_l, fit_g = fit_interpolation(tables, seq_counts)
         lambdas = fit_l if lambdas is None else lambdas
         chain_weights = fit_g if chain_weights is None else chain_weights
 
-    stats = TransitionStats(schema, trigram_counts, smoothed=smooth,
+    stats = TransitionStats(schema, tables, smoothed=smooth,
                             chain_weights=chain_weights, floor=floor)
     lexicon = morph.train_lexicon(corpus, rules, schema)
     return Model(schema, stats, lambdas, lexicon)

@@ -19,7 +19,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import FormatError, GreektagError
+from .errors import FormatError, GreektagError, open_utf8
 from .tags import Tag, TagSchema, format_tag, tag_key
 from .text import PUNCT_CATEGORY, Sequence, is_punct
 
@@ -241,7 +241,7 @@ class RuleSet:
 
     @classmethod
     def load(cls, path, schema: TagSchema) -> "RuleSet":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             return cls.from_lines(fh, schema, path=str(path))
 
 
@@ -362,7 +362,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, path, schema, rules) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             return cls.from_lines(fh, schema, rules, path=str(path))
 
     def save(self, path) -> None:

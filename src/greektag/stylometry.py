@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, GreektagError
+from .errors import FormatError, GreektagError, open_utf8
 
 #: Chi-square cutoff for one category: 1 degree of freedom at p = 0.05.
 DEFAULT_THRESHOLD = 3.841
@@ -279,7 +279,7 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
 
 
 def load_counts_csv(path) -> list[CategoryCounts]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         return read_counts_csv(fh, path=str(path))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import FormatError, ModelError, TagError
+from .errors import FormatError, ModelError, TagError, open_utf8
 
 BOUNDARY_CATEGORY = "<s>"
 
@@ -74,21 +74,26 @@ class TagSchema:
 
     def __init__(self, feature_values, category_features):
         self.feature_values: dict[str, tuple[str, ...]] = {}
-        for feat, values in feature_values.items():
-            _check_ident(feat, "feature")
-            if not values:
-                raise FormatError(f"feature {feat} declares no values")
-            self.feature_values[feat] = tuple(
-                _check_ident(v, "value") for v in values
-            )
-        order = {f: i for i, f in enumerate(self.feature_values)}
         self.category_features: dict[str, tuple[str, ...]] = {}
+        for feat, values in feature_values.items():
+            self._declare_feature(feat, values)
         for cat, feats in category_features.items():
-            _check_ident(cat, "category")
-            for f in feats:
-                if f not in self.feature_values:
-                    raise FormatError(f"category {cat} uses undeclared feature {f}")
-            self.category_features[cat] = tuple(sorted(feats, key=order.__getitem__))
+            self._declare_category(cat, feats)
+
+    def _declare_feature(self, feat, values) -> None:
+        _check_ident(feat, "feature")
+        if not values:
+            raise FormatError(f"feature {feat} declares no values")
+        self.feature_values[feat] = tuple(_check_ident(v, "value") for v in values)
+
+    def _declare_category(self, cat, feats) -> None:
+        """Declare ``cat`` over already declared features."""
+        _check_ident(cat, "category")
+        for f in feats:
+            if f not in self.feature_values:
+                raise FormatError(f"category {cat} uses undeclared feature {f}")
+        order = list(self.feature_values)
+        self.category_features[cat] = tuple(sorted(feats, key=order.index))
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -189,8 +194,11 @@ class TagSchema:
 
     @classmethod
     def from_lines(cls, lines, path=None, first_line=1) -> "TagSchema":
-        feature_values: dict[str, tuple[str, ...]] = {}
-        category_features: dict[str, tuple[str, ...]] = {}
+        """Parse the schema file format.  Categories are declared after
+        every feature, so a category may use a feature declared below it;
+        each error names the line of the declaration at fault."""
+        schema = cls({}, {})
+        categories: dict[str, tuple[int, tuple[str, ...]]] = {}
         for no, raw in enumerate(lines, start=first_line):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -198,27 +206,32 @@ class TagSchema:
             parts = line.split()
             if parts[0] == "feature" and len(parts) == 3:
                 name, values = parts[1], parts[2]
-                if name in feature_values:
+                if name in schema.feature_values:
                     raise FormatError(f"duplicate feature {name}", path, no)
-                feature_values[name] = tuple(values.split(","))
+                try:
+                    schema._declare_feature(name, tuple(values.split(",")))
+                except FormatError as exc:
+                    raise FormatError(str(exc), path, no) from None
             elif parts[0] == "category" and len(parts) in (2, 3):
                 name = parts[1]
-                if name in category_features:
+                if name in categories:
                     raise FormatError(f"duplicate category {name}", path, no)
                 feats = tuple(parts[2].split(",")) if len(parts) == 3 else ()
-                category_features[name] = feats
+                categories[name] = (no, feats)
             else:
                 raise FormatError(f"unrecognized schema line: {line!r}", path, no)
-        if not category_features:
+        if not categories:
             raise FormatError("schema declares no categories", path)
-        try:
-            return cls(feature_values, category_features)
-        except FormatError as exc:
-            raise FormatError(str(exc), path) from None
+        for name, (no, feats) in categories.items():
+            try:
+                schema._declare_category(name, feats)
+            except FormatError as exc:
+                raise FormatError(str(exc), path, no) from None
+        return schema
 
     @classmethod
     def load(cls, path) -> "TagSchema":
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             return cls.from_lines(fh, path=str(path))
 
     def save(self, path) -> None:
@@ -255,11 +268,13 @@ class _Tables:
     (``prefix_id``); ``prefixes[i]`` holds the prefix ids of tag ``i``,
     shortest first, and ``features[i]`` the string keys of its
     feature-value pairs in the category-local and global tables.
-    ``pre[o]`` maps (history tag ids..., prefix id) to a count at order
-    ``o`` (history length o-1); ``ctx[o]`` maps the history alone to the
-    number of positions carrying it.  ``catfeat``/``featuni`` hold the
+    ``tri`` maps id triples (h2, h1, t) to their counts.  ``pre[o]`` maps
+    (history tag ids..., prefix id) to a count at order ``o`` (history
+    length o-1); ``ctx[o]`` maps the history alone to the number of
+    positions carrying it.  ``catfeat``/``featuni`` hold the
     category-local and global feature-value counts used as backoff
-    levels inside the chain.
+    levels inside the chain.  Relative frequencies are read only through
+    ``prefix_freq`` and ``feature_freqs``.
     """
 
     def __init__(self, trigram_counts):
@@ -267,6 +282,7 @@ class _Tables:
         self.prefix_id: dict[tuple[str, ...], int] = {}
         self.prefixes: list[tuple[int, ...]] = []
         self.features: list[tuple] = []
+        self.tri = defaultdict(int)
         self.pre = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
         self.ctx = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
         self.catfeat = defaultdict(int)
@@ -303,6 +319,7 @@ class _Tables:
         featuni, featuni_ctx = self.featuni, self.featuni_ctx
         for (a, b, t), n in counts.items():
             n *= sign
+            self.tri[(a, b, t)] += n
             ctx3[(a, b)] += n
             ctx2[(b,)] += n
             ctx1[()] += n
@@ -315,6 +332,24 @@ class _Tables:
                 catfeat_ctx[ckey] += n
                 featuni[ukey] += n
                 featuni_ctx[feature] += n
+
+    def prefix_freq(self, order, hist, prefix, given=()):
+        """Relative frequency of chain prefix id ``prefix`` after history ids
+        ``hist`` at ``order``, given ``(one-shorter prefix id,)`` or, if
+        ``given=()``, the history alone; None on a zero denominator (an id
+        None counts zero)."""
+        pre = self.pre[order]
+        den = pre.get(hist + given, 0) if given else self.ctx[order].get(hist, 0)
+        return pre.get(hist + (prefix,), 0) / den if den else None
+
+    def feature_freqs(self, keys):
+        """Relative frequencies of one feature value of a tag (``keys``,
+        its entry in ``features``) within the tag's category and over all
+        categories; each None when no counted tag has the feature there."""
+        ckey, vkey, feature, ukey = keys
+        cden, uden = self.catfeat_ctx.get(ckey, 0), self.featuni_ctx.get(feature, 0)
+        return (self.catfeat.get(vkey, 0) / cden if cden else None,
+                self.featuni.get(ukey, 0) / uden if uden else None)
 
 
 #: Default weights for the (full conditioning, category-local, global)
@@ -336,64 +371,51 @@ class TransitionStats:
     product telescopes to the joint relative frequency.  With smoothing,
     feature factors interpolate their three backoff levels using
     ``chain_weights`` (levels with empty conditioning counts are dropped
-    and the weights renormalized) and every factor mixes in ``floor``
-    mass spread uniformly over the schema-allowed values.
+    and the weights renormalized; with no weight left, uniform) and every
+    factor mixes in ``floor`` mass spread uniformly over the schema-allowed
+    values.  The counts are read off ``tables``, of which it keeps no copy.
     """
 
-    def __init__(self, schema, trigram_counts, *, smoothed=True,
+    def __init__(self, schema, tables: _Tables, *, smoothed=True,
                  chain_weights=DEFAULT_CHAIN_WEIGHTS, floor=DEFAULT_FLOOR):
         self.schema = schema
-        self.trigram_counts = dict(trigram_counts)
+        self.tables = tables
         self.smoothed = smoothed
         self.chain_weights = tuple(chain_weights)
         self.floor = floor if smoothed else 0.0
-        self.tables = _Tables(self.trigram_counts)
-        if not self.tables.ctx[1].get((), 0):
+        if not tables.ctx[1].get((), 0):
             raise ModelError("no trigram statistics (untrained model)")
 
     @property
-    def observed_tags(self) -> list[Tag]:
-        seen = {t for (_, _, t) in self.trigram_counts}
-        return sorted(seen, key=tag_key)
+    def trigram_counts(self) -> dict:
+        tags = list(self.tables.tag_id)
+        return {(tags[a], tags[b], tags[t]): n for (a, b, t), n in self.tables.tri.items()}
 
-    def _raw_factor(self, order, hist, num_prefix, den_prefix) -> float:
-        pre = self.tables.pre[order]
-        if den_prefix is None:
-            den = self.tables.ctx[order].get(hist, 0)
-        else:
-            den = pre.get(hist + (den_prefix,), 0)
-        if not den:
-            return 0.0
-        return pre.get(hist + (num_prefix,), 0) / den
+    @property
+    def observed_tags(self) -> list[Tag]:
+        tags = list(self.tables.tag_id)
+        return sorted({tags[t] for (_, _, t) in self.tables.tri}, key=tag_key)
 
     def _category_factor(self, order, hist, prefix) -> float:
         ncat = len(self.schema.categories)
-        if self.tables.ctx[order].get(hist, 0):
-            mle = self._raw_factor(order, hist, prefix, None)
-        else:
+        mle = self.tables.prefix_freq(order, hist, prefix)
+        if mle is None:
             # unseen history: escape to the category unigram
-            mle = self._raw_factor(1, (), prefix, None)
+            mle = self.tables.prefix_freq(1, (), prefix)
         return (1.0 - self.floor) * mle + self.floor / ncat
 
     def _feature_factor(self, order, hist, prefix, longer, keys) -> float:
         tb = self.tables
-        ckey, vkey, feature, ukey = keys
-        g_spec, g_cat, g_uni = self.chain_weights
-        levels = []
-        if tb.pre[order].get(hist + (prefix,), 0):
-            levels.append((g_spec, self._raw_factor(order, hist, longer, prefix)))
-        cden = tb.catfeat_ctx.get(ckey, 0)
-        if cden:
-            levels.append((g_cat, tb.catfeat.get(vkey, 0) / cden))
-        uden = tb.featuni_ctx.get(feature, 0)
-        if uden:
-            levels.append((g_uni, tb.featuni.get(ukey, 0) / uden))
-        nvals = len(self.schema.allowed_values(feature))
-        if not levels:
+        levels = (tb.prefix_freq(order, hist, longer, (prefix,)), *tb.feature_freqs(keys))
+        wsum = mixed = 0.0
+        for w, m in zip(self.chain_weights, levels):
+            if m is not None:
+                wsum += w
+                mixed += w * m
+        nvals = len(self.schema.allowed_values(keys[2]))
+        if not wsum:
             return 1.0 / nvals
-        wsum = sum(w for w, _ in levels)
-        mixed = sum(w * m for w, m in levels) / wsum
-        return (1.0 - self.floor) * mixed + self.floor / nvals
+        return (1.0 - self.floor) * (mixed / wsum) + self.floor / nvals
 
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
@@ -406,11 +428,12 @@ class TransitionStats:
             for j, keys in enumerate(features):
                 p *= self._feature_factor(order, hist, prefixes[j], prefixes[j + 1], keys)
             return p
-        p = self._raw_factor(order, hist, prefixes[0], None)
+        p = self.tables.prefix_freq(order, hist, prefixes[0]) or 0.0
         for j in range(len(features)):
             if p == 0.0:
                 return 0.0
-            p *= self._raw_factor(order, hist, prefixes[j + 1], prefixes[j])
+            # p > 0 means prefixes[j] was counted after hist: a denominator
+            p *= self.tables.prefix_freq(order, hist, prefixes[j + 1], (prefixes[j],))
         return p
 
 

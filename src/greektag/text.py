@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import FormatError, TagError
+from .errors import FormatError, TagError, open_utf8
 from .tags import Tag, TagSchema, format_tag
 
 #: Sentence-final punctuation: period, semicolon (ano teleia stand-in),
@@ -155,7 +155,7 @@ def write_annotated_corpus(stream, sequences) -> None:
 
 def load_annotated_corpus(path, schema: TagSchema,
                           strip_marks: frozenset[str] = frozenset()) -> list[Sequence]:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         return read_annotated_corpus(fh, schema, path=str(path), strip_marks=strip_marks)
 
 

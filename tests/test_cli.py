@@ -1,4 +1,5 @@
 import hashlib
+import io
 import shutil
 
 import pytest
@@ -211,6 +212,67 @@ def test_tag_rejects_bad_schema_line_at_its_file_line(workdir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prefix, replacement", [
+    ("feature case ", "feature case nom,,acc"),
+    ("category konj", "category konj nosuch"),
+], ids=["empty-value", "undeclared-feature"])
+def test_bad_schema_declaration_names_its_file_line(workdir, capsys, prefix, replacement):
+    # in the [schema] section of a model file
+    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
+    assert code == 1
+    assert f"bad.model: line {line}: " in err
+    assert "Traceback" not in err
+    # in a schema file
+    schema = workdir / "toy.schema"
+    lines = schema.read_text(encoding="utf-8").splitlines()
+    no = next(i for i, text in enumerate(lines) if text.startswith(prefix))
+    lines[no] = replacement
+    schema.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["count", str(workdir / "toy.corpus"), "--schema", str(schema),
+                 "--out", str(workdir / "c.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {schema}: line {no + 1}: ")
+    assert err.count("\n") == 1
+
+
+def _add_bad_byte(path) -> int:
+    """Insert a comment line holding the byte 0xff as line 2 of ``path``;
+    returns that line number."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + [b"# \xff\n"] + lines[1:]))
+    return 2
+
+
+@pytest.mark.parametrize("name", ["toy.corpus", "toy.schema", "toy.rules"])
+def test_train_rejects_non_utf8_input(workdir, capsys, name):
+    line = _add_bad_byte(workdir / name)
+    code = main([
+        "train", str(workdir / "toy.corpus"),
+        "--schema", str(workdir / "toy.schema"),
+        "--rules", str(workdir / "toy.rules"),
+        "--out", str(workdir / "toy.model"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / name}: line {line}: not valid UTF-8 (byte 0xff)\n")
+
+
+@pytest.mark.parametrize("name", ["text", "model", "stdin"])
+def test_tag_rejects_non_utf8_input(workdir, capsys, monkeypatch, name):
+    _train(workdir, capsys)
+    text, model = workdir / "texts" / "alpha.txt", workdir / "toy.model"
+    line = _add_bad_byte(model if name == "model" else text)
+    if name == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.read_bytes())))
+    code = main(["tag", "-" if name == "stdin" else str(text), "--model", str(model),
+                 "--out", str(workdir / "x")])
+    where = {"text": text, "model": model, "stdin": "<stdin>"}[name]
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {where}: line {line}: not valid UTF-8 (byte 0xff)\n")
+
+
 def test_count_sums_to_token_count(workdir, capsys):
     _train(workdir, capsys)
     tagged = workdir / "alpha.tagged"
@@ -291,6 +353,15 @@ def test_chisq_alpha_pattern(workdir, capsys):
     expected = (-0.124, -0.868, -0.124, -0.124, -0.868, 2.109)
     assert all(abs(g - w) <= 1e-3 for g, w in zip(values, expected))
     assert (workdir / "report.txt").exists()
+
+
+def test_chisq_rejects_non_utf8_counts(workdir, capsys):
+    counts_path = workdir / "pattern.csv"
+    _write_pattern_csv(counts_path, (7, 6, 7, 7, 6, 10))
+    line = _add_bad_byte(counts_path)
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "report")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {counts_path}: line {line}: not valid UTF-8 (byte 0xff)\n")
 
 
 def test_chisq_degenerate_exits_0(workdir, capsys):

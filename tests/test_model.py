@@ -1,12 +1,18 @@
+import copy
+import hashlib
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from greektag import Model, ModelError, Sequence, TagSchema, Token, train
+from greektag.cli import default_schema_path
 from greektag.errors import FormatError
-from greektag.model import NEG_INF, fit_interpolation
+from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
 from greektag.tags import BOUNDARY, Tag
+from greektag.text import read_annotated_corpus
 
 from genmodels import random_corpus
 from reference import fit_interpolation_reference
@@ -41,7 +47,7 @@ def test_lambdas_shift_down_when_trigrams_unique(abc_schema):
         [("w", "b"), ("w", "a"), ("w", "a"), ("w", "c")],
         [("w", "c"), ("w", "c"), ("w", "b"), ("w", "b")],
     ])
-    lambdas, _ = fit_interpolation([s.gold_tags for s in corpus])
+    lambdas, _ = fit_interpolation(*count_sequences([s.gold_tags for s in corpus]))
     assert lambdas[2] == 0.0
     assert abs(sum(lambdas) - 1.0) < 1e-12
 
@@ -53,7 +59,25 @@ def test_fit_interpolation_matches_reference(toy_corpus):
     corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(1000)]
     for corpus in corpora:
         seqs = [s.gold_tags for s in corpus]
-        assert fit_interpolation(seqs) == fit_interpolation_reference(seqs)
+        assert fit_interpolation(*count_sequences(seqs)) == fit_interpolation_reference(seqs)
+
+
+def test_training_counts_the_corpus_once(toy_corpus, toy_schema):
+    """``fit_interpolation`` hands back the tables of ``count_sequences``
+    exactly as it found them, so the same counts then score transitions;
+    and ``train``'s trigram counts are those of the gold tags."""
+    rng = np.random.default_rng(11)
+    cases = [(toy_schema, toy_corpus)]
+    cases += [(schema, corpus) for schema, _, corpus, _ in
+              (random_corpus(rng) for _ in range(200))]
+    for schema, corpus in cases:
+        seqs = [s.gold_tags for s in corpus]
+        tables, seq_counts = count_sequences(seqs)
+        before = copy.deepcopy(vars(tables))
+        fit_interpolation(tables, seq_counts)
+        assert vars(tables) == before
+        expected = Counter(inst for tags in seqs for inst in _instances(tags))
+        assert train(corpus, None, schema).stats.trigram_counts == expected
 
 
 def test_retraining_is_deterministic(toy_corpus, toy_rules, toy_schema):
@@ -181,15 +205,47 @@ def test_model_rejects_bad_lambdas(toy_model):
         Model(toy_model.schema, toy_model.stats, (0.5, 0.2, 0.2), toy_model.lexicon)
 
 
-def test_model_file_round_trip(toy_model, tmp_path):
+@pytest.mark.parametrize("smooth", [True, False], ids=["smoothed", "raw"])
+def test_model_file_round_trip(toy_corpus, toy_rules, toy_schema, smooth, tmp_path):
+    model = train(toy_corpus, toy_rules, toy_schema, smooth=smooth)
     p1 = tmp_path / "m1"
     p2 = tmp_path / "m2"
-    toy_model.save(p1)
+    model.save(p1)
     again = Model.load(p1)
     again.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert again.lambdas == toy_model.lambdas
-    assert again.stats.trigram_counts == toy_model.stats.trigram_counts
+    assert again.lambdas == model.lambdas
+    assert again.stats.trigram_counts == model.stats.trigram_counts
+
+
+#: sha256 of the model file trained on ``_deep_chain_corpus()`` with the
+#: built-in schema
+DEEP_CHAIN_MODEL_SHA256 = "468cac6c15bc29ffc0513a238d7ffba8d95ee978cd7fe7f79e9758ca775c9239"
+
+
+def _deep_chain_corpus(schema, seed=5, sequences=40):
+    """Seeded tagged text over the built-in schema's categories with the
+    longest feature chains (verf, part, pepn).  Each feature takes one of
+    its first two values, so chain prefixes of every depth recur."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(12)]
+    lines = []
+    for _ in range(sequences):
+        for _ in range(rng.randint(2, 7)):
+            cat = rng.choice(("verf", "part", "pepn"))
+            pairs = [f"{f}={rng.choice(schema.allowed_values(f)[:2])}"
+                     for f in schema.features_of(cat)]
+            lines.append(f"{rng.choice(words)}\t{cat}:{','.join(pairs)}")
+        lines.append("")
+    return lines
+
+
+def test_train_deep_chain_model_file_is_golden(tmp_path):
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    train(corpus, None, schema).save(tmp_path / "deep.model")
+    digest = hashlib.sha256((tmp_path / "deep.model").read_bytes()).hexdigest()
+    assert digest == DEEP_CHAIN_MODEL_SHA256
 
 
 def test_model_load_errors(tmp_path):

@@ -190,6 +190,23 @@ def test_chain_sum_over_schema_raw_at_most_one(chain_schema, chain_corpus):
         assert total <= 1.0 + 1e-9
 
 
+def test_feature_factor_with_only_zero_weight_levels_is_uniform():
+    """Fitted chain weights (1, 0, 0) leave an unseen history with only
+    zero-weight levels: the feature factor is then uniform, not 0/0."""
+    schema = TagSchema.from_lines(["feature f u,v", "category n f", "category k"])
+    corpus = _toy_sequences(schema, [
+        [("w", "k"), ("w", "n:f=u")], [("w", "k"), ("w", "n:f=u")],
+        [("w", "k"), ("w", "k"), ("w", "n:f=v")], [("w", "k"), ("w", "k"), ("w", "n:f=v")],
+    ])
+    model = train(corpus, None, schema)
+    assert model.stats.chain_weights == (1.0, 0.0, 0.0)
+    n_u, n_v = schema.parse("n:f=u"), schema.parse("n:f=v")
+    history = (n_u, n_u)  # never seen
+    assert model.stats.chain_prob(n_u, history) == model.stats.chain_prob(n_v, history)
+    total = sum(model.stats.chain_prob(t, history) for t in _all_schema_tags(schema))
+    assert abs(total - 1.0) <= 1e-9
+
+
 def test_tables_derive_bigrams_from_trigrams(chain_schema, chain_corpus):
     trigrams = {}
     for seq in chain_corpus:
@@ -206,4 +223,4 @@ def test_stats_require_counts(chain_schema):
     from greektag.errors import ModelError
 
     with pytest.raises(ModelError):
-        TransitionStats(chain_schema, {})
+        TransitionStats(chain_schema, _Tables({}))
