@@ -21,7 +21,6 @@ from .morph import (
     lexical_prob,
     segment,
     train_lexicon,
-    validate,
 )
 from .stylometry import (
     CategoryCounts,

@@ -23,6 +23,8 @@ from .text import Sequence, tokenize
 
 #: Upper bound on sequences the oracle will enumerate.
 ORACLE_LIMIT = 1_000_000
+#: Upper bound on the float64 increments of one sequence's trellis (80 MB).
+MAX_TRELLIS_CELLS = 10_000_000
 
 
 def _candidates(model: Model, norm: str) -> list[Tag]:
@@ -36,7 +38,9 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     """Highest-probability tag sequence for one token sequence.
 
     ``beam > 0`` keeps only the best ``beam`` trellis states per
-    position (approximate; exact ties at the cut survive).
+    position (approximate; exact ties at the cut survive).  A sequence
+    whose trellis would hold more than ``MAX_TRELLIS_CELLS`` increments
+    raises ``SearchSpaceError`` before anything is allocated.
     """
     K = len(tokens)
     if K == 0:
@@ -52,6 +56,11 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     for k in range(K):
         off[k] = total
         total += adims[k] * bdims[k] * counts[k]
+        if total > MAX_TRELLIS_CELLS:
+            raise SearchSpaceError(
+                f"token {k + 1} of the sequence ({tokens[k].surface!r}) takes the "
+                f"trellis past {MAX_TRELLIS_CELLS} cells"
+            )
 
     inc = np.empty(total, np.float64)
     pos = 0

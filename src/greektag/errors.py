@@ -31,7 +31,8 @@ class ModelError(GreektagError):
 
 
 class SearchSpaceError(GreektagError):
-    """Exhaustive enumeration was requested for an instance that is too large."""
+    """A search space exceeds its bound: the oracle's enumeration or a
+    sequence's trellis."""
 
 
 def decode_utf8(data: bytes, path) -> str:

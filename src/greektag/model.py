@@ -20,7 +20,6 @@ from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
     DEFAULT_CHAIN_WEIGHTS,
-    DEFAULT_FLOOR,
     Tag,
     TagSchema,
     TransitionStats,
@@ -298,14 +297,14 @@ class Model:
         return cls(schema, stats, lambdas, lexicon)
 
 
-def train(corpus, rules, schema, *, smooth=True, lambdas=None,
-          chain_weights=None, floor=DEFAULT_FLOOR) -> Model:
+def train(corpus, rules, schema, *, smooth=True, lambdas=None) -> Model:
     """Train on an annotated corpus.
 
     Counts tag trigrams over sequences padded with two boundary tags
-    once, fits the interpolation weights leave-one-sequence-out (unless
-    given) and scores transitions on those counts, and builds the
-    lexicon.  Deterministic: the same corpus yields the same model file.
+    once, fits the interpolation and chain weights leave-one-sequence-out
+    (``lambdas``, when given, replace the fitted interpolation weights)
+    and scores transitions on those counts, and builds the lexicon.
+    Deterministic: the same corpus yields the same model file.
     """
     if rules is None:
         rules = morph.RuleSet.empty()
@@ -321,12 +320,9 @@ def train(corpus, rules, schema, *, smooth=True, lambdas=None,
         raise ModelError("empty training corpus")
 
     tables, seq_counts = count_sequences(seq_tags)
-    if lambdas is None or chain_weights is None:
-        fit_l, fit_g = fit_interpolation(tables, seq_counts)
-        lambdas = fit_l if lambdas is None else lambdas
-        chain_weights = fit_g if chain_weights is None else chain_weights
+    fit_lambdas, chain_weights = fit_interpolation(tables, seq_counts)
+    lambdas = fit_lambdas if lambdas is None else lambdas
 
-    stats = TransitionStats(schema, tables, smoothed=smooth,
-                            chain_weights=chain_weights, floor=floor)
+    stats = TransitionStats(schema, tables, smoothed=smooth, chain_weights=chain_weights)
     lexicon = morph.train_lexicon(corpus, rules, schema)
     return Model(schema, stats, lambdas, lexicon)

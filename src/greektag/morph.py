@@ -40,6 +40,15 @@ def _weight(text: str) -> float:
     return value
 
 
+def _check_no_repeat(tags, path, line) -> None:
+    """FormatError unless every tag of a row is distinct."""
+    seen = set()
+    for tag in tags:
+        if tag in seen:
+            raise FormatError(f"tag {format_tag(tag)} given twice", path, line)
+        seen.add(tag)
+
+
 def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
     """Expand a finite pattern into its literal strings.
 
@@ -101,11 +110,6 @@ class SuffixRule:
     literals: tuple[str, ...]
     tag_probs: dict | None = None  # Tag -> prob, filled by training
 
-    def tag_prob(self, tag: Tag) -> float:
-        if self.tag_probs is not None:
-            return self.tag_probs.get(tag, 0.0)
-        return 1.0 / len(self.tags) if tag in self.tags else 0.0
-
 
 @dataclass(frozen=True)
 class PrefixRule:
@@ -114,30 +118,17 @@ class PrefixRule:
     literals: tuple[str, ...]
 
 
-class _ReverseTrie:
-    """End-anchored matching of suffix literals, walked from the word end."""
-
-    __slots__ = ("children", "rule_ids")
-
-    def __init__(self):
-        self.children: dict[str, _ReverseTrie] = {}
-        self.rule_ids: list[int] = []
-
-
 class RuleSet:
     def __init__(self, suffix_rules, prefix_rules):
         self.suffix_rules: tuple[SuffixRule, ...] = tuple(suffix_rules)
         self.prefix_rules: tuple[PrefixRule, ...] = tuple(prefix_rules)
-        self._root = _ReverseTrie()
-        self.has_empty_suffix_rule = False
+        suffix_ids = defaultdict(list)
         for idx, rule in enumerate(self.suffix_rules):
             for lit in rule.literals:
-                node = self._root
-                for ch in reversed(lit):
-                    node = node.children.setdefault(ch, _ReverseTrie())
-                node.rule_ids.append(idx)
-                if not lit:
-                    self.has_empty_suffix_rule = True
+                suffix_ids[lit].append(idx)
+        self._suffix_ids = {lit: tuple(ids) for lit, ids in suffix_ids.items()}
+        self._suffix_lengths = sorted({len(lit) for lit in self._suffix_ids}, reverse=True)
+        self.has_empty_suffix_rule = "" in self._suffix_ids
         self._prefix_literals = sorted(
             {lit for r in self.prefix_rules if r.strippable for lit in r.literals if lit},
             key=lambda s: (-len(s), s),
@@ -147,23 +138,19 @@ class RuleSet:
     def empty(cls) -> "RuleSet":
         return cls((), ())
 
-    def match_suffixes(self, word: str) -> list[tuple[str, list[int]]]:
+    def match_suffixes(self, word: str) -> list[tuple[str, tuple[int, ...]]]:
         """All (literal, rule indices) whose literal ends ``word``.
 
         The stem part must stay non-empty, so literals as long as the
         word itself never match.  Longest literals first.
         """
         found = []
-        node = self._root
-        if node.rule_ids:
-            found.append(("", list(node.rule_ids)))
-        for depth in range(1, len(word)):
-            node = node.children.get(word[-depth])
-            if node is None:
-                break
-            if node.rule_ids:
-                found.append((word[-depth:], list(node.rule_ids)))
-        found.reverse()
+        for n in self._suffix_lengths:
+            if n < len(word):
+                literal = word[len(word) - n:]
+                rule_ids = self._suffix_ids.get(literal)
+                if rule_ids:
+                    found.append((literal, rule_ids))
         return found
 
     def match_prefixes(self, word: str) -> list[str]:
@@ -233,6 +220,7 @@ class RuleSet:
                     weighted = True
             if not tags:
                 raise FormatError("rule lists no tags", path, no)
+            _check_no_repeat(tags, path, no)
             suffix_rules.append(
                 SuffixRule(pattern, klass, tuple(tags), literals,
                            probs if weighted else None)
@@ -247,20 +235,11 @@ class RuleSet:
 
 @dataclass(frozen=True)
 class LexiconEntry:
+    """A stem or full form with its conditional tag distribution."""
+
     form: str
-    kind: str  # "stem" or "fullform"
     paradigm_classes: frozenset[str]
     tag_probs: tuple[tuple[Tag, float], ...]
-
-    def prob(self, tag: Tag) -> float:
-        for t, p in self.tag_probs:
-            if t == tag:
-                return p
-        return 0.0
-
-    @property
-    def categories(self) -> frozenset[str]:
-        return frozenset(t.category for t, _ in self.tag_probs)
 
 
 @dataclass(frozen=True)
@@ -308,7 +287,7 @@ class Lexicon:
                          entry.tag_probs))
         for literal, probs in self.suffix_probs.items():
             items = sorted(probs.items(), key=lambda kv: tag_key(kv[0]))
-            rows.append((literal if literal else _EMPTY_PATTERN, "suffix",
+            rows.append((literal or _EMPTY_PATTERN, "suffix",
                          frozenset(), tuple(items)))
         rows.sort(key=lambda r: (r[1], r[0]))
         lines = []
@@ -324,6 +303,7 @@ class Lexicon:
         fullforms = []
         suffix_probs = {}
         hapax_prior = {}
+        seen = set()
         for no, raw in enumerate(lines, start=first_line):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -344,13 +324,18 @@ class Lexicon:
                     probs.append((schema.parse(tagstring), _weight(prob)))
                 except (GreektagError, ValueError) as exc:
                     raise FormatError(str(exc), path, no) from None
+            _check_no_repeat((t for t, _ in probs), path, no)
+            key = kind if kind == "prior" else (kind, form)
+            if key in seen:
+                raise FormatError(f"second {kind} entry for {form!r}", path, no)
+            seen.add(key)
             total = math.fsum(p for _, p in probs)
             if abs(total - 1.0) > _SUM_TOLERANCE:
                 raise FormatError(f"probabilities sum to {total!r}, not 1", path, no)
             if kind == "stem":
-                stems.append(LexiconEntry(form, "stem", classes, tuple(probs)))
+                stems.append(LexiconEntry(form, classes, tuple(probs)))
             elif kind == "fullform":
-                fullforms.append(LexiconEntry(form, "fullform", classes, tuple(probs)))
+                fullforms.append(LexiconEntry(form, classes, tuple(probs)))
             elif kind == "suffix":
                 literal = "" if form == _EMPTY_PATTERN else form
                 suffix_probs[literal] = dict(probs)
@@ -371,28 +356,49 @@ class Lexicon:
                 fh.write(line + "\n")
 
 
-def validate(stem_entry: LexiconEntry, rule: SuffixRule, tag: Tag) -> bool:
-    """True iff the stem, suffix rule, and tag may combine: the rule's
-    paradigm class is one of the stem's, the rule admits the tag, and
-    the stem has been seen with the tag's category."""
-    if rule.paradigm_class not in stem_entry.paradigm_classes:
-        return False
-    if tag not in rule.tags:
-        return False
-    return tag.category in stem_entry.categories
-
-
-def _suffix_tag_prob(lexicon: Lexicon, literal: str, rule: SuffixRule, tag: Tag) -> float:
-    """P(tag | suffix): trained literal table first, then the rule's
-    trained weights, then uniform over the rule's tags."""
-    probs = lexicon.suffix_probs.get(literal)
-    if probs is not None:
-        return probs.get(tag, 0.0)
-    return rule.tag_prob(tag)
-
-
 def _sorted_scores(scores: dict) -> tuple[tuple[Tag, float], ...]:
     return tuple(sorted(scores.items(), key=lambda kv: tag_key(kv[0])))
+
+
+def _splits(word: str, rules: RuleSet):
+    """(prefix, stem, suffix, rule ids) for every strippable prefix of
+    ``word`` (or none) and every suffix literal that ends the rest,
+    longest first.  Unless a rule has the empty suffix, the whole rest
+    comes first, as a bare stem with the empty suffix and no rule ids."""
+    for prefix in [""] + rules.match_prefixes(word):
+        rest = word[len(prefix):]
+        if not rules.has_empty_suffix_rule:
+            yield prefix, rest, "", ()
+        for literal, rule_ids in rules.match_suffixes(rest):
+            yield prefix, rest[: len(rest) - len(literal)], literal, rule_ids
+
+
+def _scores(lexicon: Lexicon, literal: str, rule_ids,
+            stem: LexiconEntry | None = None) -> tuple[tuple[Tag, float], ...]:
+    """Positive per-tag scores of one analysis, summed over its rules.
+
+    P(tag | suffix) is the trained table of ``literal``, else the rule's
+    trained weights, else uniform over the rule's tags.  A known stem
+    skips the rules outside its paradigm classes and multiplies each
+    score by P(tag | stem); with no rule ids it stands alone, the suffix
+    factor being 1."""
+    if not rule_ids:
+        return tuple((t, p) for t, p in stem.tag_probs if p > 0)
+    table = lexicon.suffix_probs.get(literal)
+    stem_probs = None if stem is None else dict(stem.tag_probs)
+    scores: dict[Tag, float] = defaultdict(float)
+    for rid in rule_ids:
+        rule = lexicon.rules.suffix_rules[rid]
+        if stem is not None and rule.paradigm_class not in stem.paradigm_classes:
+            continue
+        weights = table if table is not None else rule.tag_probs
+        for tag in rule.tags:
+            p = 1.0 / len(rule.tags) if weights is None else weights.get(tag, 0.0)
+            if stem_probs is not None:
+                p = stem_probs.get(tag, 0.0) * p
+            if p > 0:
+                scores[tag] += p
+    return _sorted_scores(scores)
 
 
 def segment(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
@@ -404,39 +410,18 @@ def segment(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
     with an empty suffix.  Ordered by descending suffix length, ties by
     descending stem length.
     """
-    rules = lexicon.rules
     analyses: list[MorphAnalysis] = []
-
     entry = lexicon.fullforms.get(word)
     if entry is not None:
-        probs = tuple((t, p) for t, p in entry.tag_probs if p > 0)
+        probs = _scores(lexicon, "", (), entry)  # like a bare stem
         if probs:
             analyses.append(MorphAnalysis("", word, "", probs))
-
-    for prefix in [""] + rules.match_prefixes(word):
-        rest = word[len(prefix):]
-        stem_entry = lexicon.stems.get(rest)
-        if stem_entry is not None and not rules.has_empty_suffix_rule:
-            # bare stem as a complete form; the suffix factor is 1
-            probs = tuple((t, p) for t, p in stem_entry.tag_probs if p > 0)
+    for prefix, stem, literal, rule_ids in _splits(word, lexicon.rules):
+        entry = lexicon.stems.get(stem)
+        if entry is not None:
+            probs = _scores(lexicon, literal, rule_ids, entry)
             if probs:
-                analyses.append(MorphAnalysis(prefix, rest, "", probs))
-        for literal, rule_ids in rules.match_suffixes(rest):
-            stem = rest[: len(rest) - len(literal)] if literal else rest
-            stem_entry = lexicon.stems.get(stem)
-            if stem_entry is None:
-                continue
-            scores: dict[Tag, float] = defaultdict(float)
-            for rid in rule_ids:
-                rule = rules.suffix_rules[rid]
-                for tag in rule.tags:
-                    if not validate(stem_entry, rule, tag):
-                        continue
-                    score = stem_entry.prob(tag) * _suffix_tag_prob(lexicon, literal, rule, tag)
-                    if score > 0:
-                        scores[tag] += score
-            if scores:
-                analyses.append(MorphAnalysis(prefix, stem, literal, _sorted_scores(scores)))
+                analyses.append(MorphAnalysis(prefix, stem, literal, probs))
 
     if not analyses:
         analyses = _unknown_analyses(word, lexicon)
@@ -452,16 +437,9 @@ def _unknown_analyses(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
     for literal, rule_ids in lexicon.rules.match_suffixes(word):
         if not literal:
             continue  # an empty suffix tells nothing about an unknown stem
-        scores: dict[Tag, float] = defaultdict(float)
-        for rid in rule_ids:
-            rule = lexicon.rules.suffix_rules[rid]
-            for tag in rule.tags:
-                p = _suffix_tag_prob(lexicon, literal, rule, tag)
-                if p > 0:
-                    scores[tag] += p
-        if scores:
-            out.append(MorphAnalysis("", word[: len(word) - len(literal)], literal,
-                                     _sorted_scores(scores)))
+        probs = _scores(lexicon, literal, rule_ids)
+        if probs:
+            out.append(MorphAnalysis("", word[: len(word) - len(literal)], literal, probs))
     if out:
         return out
     prior = _sorted_scores(lexicon.hapax_prior)
@@ -517,14 +495,10 @@ def train_lexicon(corpus: list[Sequence], rules: RuleSet,
                 ff_counts[word][gold] += 1
                 continue
             splits = []
-            for prefix in [""] + rules.match_prefixes(word):
-                rest = word[len(prefix):]
-                for literal, rule_ids in rules.match_suffixes(rest):
-                    admitting = [rid for rid in rule_ids
-                                 if gold in rules.suffix_rules[rid].tags]
-                    if admitting:
-                        stem = rest[: len(rest) - len(literal)] if literal else rest
-                        splits.append((prefix, stem, literal, admitting))
+            for prefix, stem, literal, rule_ids in _splits(word, rules):
+                admitting = [rid for rid in rule_ids if gold in rules.suffix_rules[rid].tags]
+                if admitting:
+                    splits.append((prefix, stem, literal, admitting))
             if not splits:
                 ff_counts[word][gold] += 1
                 log.append(
@@ -548,12 +522,11 @@ def train_lexicon(corpus: list[Sequence], rules: RuleSet,
         return tuple((t, n / total) for t, n in items)
 
     stems = [
-        LexiconEntry(form, "stem", frozenset(stem_classes[form]),
-                     distribution(counts))
+        LexiconEntry(form, frozenset(stem_classes[form]), distribution(counts))
         for form, counts in sorted(stem_counts.items())
     ]
     fullforms = [
-        LexiconEntry(form, "fullform", frozenset(), distribution(counts))
+        LexiconEntry(form, frozenset(), distribution(counts))
         for form, counts in sorted(ff_counts.items())
     ]
     suffix_probs = {

@@ -111,12 +111,6 @@ class TagSchema:
         except KeyError:
             raise TagError(f"unknown feature: {feature}") from None
 
-    def bare(self, category: str) -> Tag:
-        """The tag of an uninflected category."""
-        if self.features_of(category):
-            raise TagError(f"category {category} requires features")
-        return Tag(category)
-
     def validate(self, tag: Tag) -> None:
         """Raise TagError unless ``tag`` carries exactly its category's features."""
         feats = self.features_of(tag.category)

@@ -116,9 +116,9 @@ def test_morphology_fixtures(toy_schema):
     lexicon = Lexicon(
         toy_schema, rules,
         stems=[
-            LexiconEntry("παιδεύ", "stem", frozenset({"w-verb"}),
+            LexiconEntry("παιδεύ", frozenset({"w-verb"}),
                          ((part, 0.4), (verb, 0.6))),
-            LexiconEntry("λόγ", "stem", frozenset({"o-noun"}), ((noun, 1.0),)),
+            LexiconEntry("λόγ", frozenset({"o-noun"}), ((noun, 1.0),)),
         ],
         suffix_probs={"σαντος": {part: 1.0}, "ος": {noun: 1.0}},
         hapax_prior={noun: 1.0},

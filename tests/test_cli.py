@@ -205,6 +205,67 @@ def test_tag_rejects_bad_lexicon_row(workdir, capsys, prefix, replacement):
     assert "Traceback" not in err
 
 
+VERF_3SG = "verf:pers=3,num=sg,mood=ind,tense=pres,voice=act"
+PART_NOM = "part:case=nom,num=sg,tense=aor,voice=act,gend=masc"
+
+
+@pytest.mark.parametrize("prefix, replacement", [
+    ("δίκ\t", "δίκ\tstem\ta-noun\tsubs:case=acc,num=sg,gend=fem=0.2 "
+               "subs:case=acc,num=sg,gend=fem=0.8"),
+    ("ει\tsuffix\t", f"ει\tsuffix\t-\t{VERF_3SG}=0.3 {VERF_3SG}=0.7"),
+    ("__hapax__\t", "__hapax__\tprior\t-\tprae=0.3 prae=0.7"),
+    ("σας\t", f"σας\tw-verb\t{PART_NOM}=0.5 {PART_NOM}=0.5"),
+    ("σας\t", f"σας\tw-verb\t{PART_NOM} {PART_NOM}"),
+], ids=["stem", "suffix", "prior", "rule-weighted", "rule-bare"])
+def test_tag_rejects_tag_given_twice(workdir, capsys, prefix, replacement):
+    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
+    assert code == 1
+    assert f"bad.model: line {line}: " in err and "given twice" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prefix, second", [
+    ("καί\t", "καί\tfullform\t-\tkonj=1"),
+    ("δίκ\t", "δίκ\tstem\to-noun\tsubs:case=nom,num=sg,gend=masc=1"),
+    ("ει\tsuffix\t", f"ει\tsuffix\t-\t{VERF_3SG}=1"),
+    ("__hapax__\t", "__other__\tprior\t-\tprae=1"),
+], ids=["fullform", "stem", "suffix", "prior"])
+def test_tag_rejects_entry_given_twice(workdir, capsys, prefix, second):
+    def edit(lines):
+        no = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines.insert(no + 1, second)
+        edit.line = no + 2
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: second " in err
+    assert "Traceback" not in err
+
+
+def test_stem_and_fullform_may_share_a_form(workdir, capsys):
+    def edit(lines):
+        no = next(i for i, line in enumerate(lines) if line.startswith("καί\t"))
+        lines.insert(no + 1, "καί\tstem\t-\tkonj=1")
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 0, err
+
+
+def test_trellis_bound_exits_1(workdir, capsys, monkeypatch):
+    from greektag import decode
+
+    assert _train(workdir, capsys)[0] == 0
+    monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", 1)
+    code = main(["tag", str(workdir / "texts" / "alpha.txt"),
+                 "--model", str(workdir / "toy.model"), "--out", str(workdir / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: token 2 of the sequence ('παύει') takes the trellis past 1 cells" in err
+    assert "Traceback" not in err
+    # `greektag train` tags too, in cross-validation
+    assert _train(workdir, capsys)[0] == 1
+
+
 def test_tag_rejects_bad_schema_line_at_its_file_line(workdir, capsys):
     code, err, line = _replace_line(workdir, capsys, "feature case ", "feature case")
     assert code == 1

@@ -30,6 +30,21 @@ def test_single_token_point_mass(toy_model, toy_schema):
     assert tag_sequence(toy_model, [tok]) == [toy_schema.parse("konj")]
 
 
+def test_trellis_bound(toy_model, monkeypatch):
+    """A trellis of exactly ``MAX_TRELLIS_CELLS`` increments decodes; one
+    cell fewer raises, naming the token that crosses the bound."""
+    from greektag import decode
+
+    tokens = [Token(w, w, i) for i, w in enumerate(["παύει", "λόγους", "κωλύσαντος"])]
+    widths = [1, 1] + [len(toy_model.lexical_probs(t.norm)) for t in tokens]
+    cells = sum(widths[k] * widths[k + 1] * widths[k + 2] for k in range(len(tokens)))
+    monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", cells)
+    assert len(tag_sequence(toy_model, tokens)) == 3
+    monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", cells - 1)
+    with pytest.raises(SearchSpaceError, match="token 3 of the sequence .'κωλύσαντος'."):
+        tag_sequence(toy_model, tokens)
+
+
 def test_known_sentence(toy_model, toy_schema):
     seq = Sequence(tuple(Token(w, w, i) for i, w in enumerate(
         ["παιδεύομεν", "λόγους", "."])))

@@ -7,11 +7,9 @@ from greektag import (
     Lexicon,
     LexiconEntry,
     RuleSet,
-    SuffixRule,
     lexical_prob,
     segment,
     train_lexicon,
-    validate,
 )
 from greektag.morph import _expand_pattern
 from greektag.tags import Tag, format_tag
@@ -80,59 +78,57 @@ def test_prefix_matching(toy_rules):
     assert toy_rules.match_prefixes("ἐ") == []  # remainder must be non-empty
 
 
-# -- the stem/suffix validity check -----------------------------------------
+# -- which stem, suffix and tag combine ---------------------------------------
 
 
 def _entry(form, classes, tag_probs):
-    return LexiconEntry(form, "stem", frozenset(classes), tuple(tag_probs))
+    return LexiconEntry(form, frozenset(classes), tuple(tag_probs))
 
 
-def _rule(pattern, klass, tags):
-    return SuffixRule(pattern, klass, tuple(tags), _expand_pattern(pattern))
-
-
-def test_validate_matching_classes(toy_schema):
-    verb = toy_schema.parse(VERF_1PL)
-    stem = _entry("παιδευ", {"w-verb"}, [(verb, 1.0)])
-    rule = _rule("ομεν", "w-verb", [verb])
-    assert validate(stem, rule, verb) is True
-
-
-def test_validate_class_mismatch(toy_schema):
-    verb = toy_schema.parse(VERF_1PL)
-    stem = _entry("παιδευ", {"w-verb"}, [(verb, 1.0)])
-    rule = _rule("η", "a-noun", [toy_schema.parse(SUBS_NOM)])
-    for tag in (verb, toy_schema.parse(SUBS_NOM)):
-        assert validate(stem, rule, tag) is False
-
-
-def test_validate_truth_table(toy_schema):
-    """Exhaustive enumeration over a three-class toy lexicon."""
+def test_stem_suffix_truth_table(toy_schema):
+    """Exhaustive enumeration over a three-class toy lexicon: a stem, a
+    suffix rule and a tag combine exactly when the rule's paradigm class
+    is one of the stem's and the stem has been seen with the tag."""
     verb = toy_schema.parse(VERF_1PL)
     noun = toy_schema.parse(SUBS_NOM)
     part = toy_schema.parse(PART_GEN)
+    konj = toy_schema.parse("konj")
     stems = {
         "s_vw": _entry("sv", {"w-verb"}, [(verb, 1.0)]),
         "s_n": _entry("sn", {"o-noun"}, [(noun, 1.0)]),
         "s_mix": _entry("sm", {"w-verb", "a-noun"}, [(verb, 0.5), (part, 0.5)]),
     }
     rules = {
-        "r_w": _rule("ομεν", "w-verb", [verb, part]),
-        "r_o": _rule("ος", "o-noun", [noun]),
-        "r_a": _rule("η", "a-noun", [noun]),
+        "r_w": ("ομεν", "w-verb", [VERF_1PL, PART_GEN]),
+        "r_o": ("ος", "o-noun", [SUBS_NOM]),
+        "r_a": ("η", "a-noun", [SUBS_NOM]),
     }
     tags = {"verb": verb, "noun": noun, "part": part}
-    expected_true = {
+    expected = {
         ("s_vw", "r_w", "verb"),
         ("s_mix", "r_w", "verb"),
         ("s_mix", "r_w", "part"),
         ("s_n", "r_o", "noun"),
     }
+    ruleset = RuleSet.from_lines(
+        [f"{lit}\t{klass}\t{' '.join(ts)}" for lit, klass, ts in rules.values()],
+        toy_schema,
+    )
+    words = [stem.form + lit for stem in stems.values() for lit, _, _ in rules.values()]
+    lexicon = Lexicon(
+        toy_schema, ruleset, stems=stems.values(),
+        # a full form of every word keeps the suffix-only fallback out
+        fullforms=[_entry(w, (), [(konj, 1.0)]) for w in words],
+    )
     for sname, stem in stems.items():
-        for rname, rule in rules.items():
+        for rname, (lit, _, _) in rules.items():
+            scored = {
+                t for a in segment(stem.form + lit, lexicon)
+                if (a.stem, a.suffix) == (stem.form, lit)
+                for t, p in a.tag_probs if p > 0
+            }
             for tname, tag in tags.items():
-                got = validate(stem, rule, tag)
-                assert got == ((sname, rname, tname) in expected_true), (
+                assert (tag in scored) == ((sname, rname, tname) in expected), (
                     sname, rname, tname,
                 )
 
@@ -162,7 +158,7 @@ def paper_lexicon(toy_schema):
             _entry("παιδεύ", {"w-verb"}, [(part, 0.4), (verb, 0.6)]),
             _entry("λόγ", {"o-noun"}, [(noun, 1.0)]),
         ],
-        fullforms=[LexiconEntry("καί", "fullform", frozenset(), ((konj, 1.0),))],
+        fullforms=[LexiconEntry("καί", frozenset(), ((konj, 1.0),))],
         suffix_probs={"σαντος": {part: 1.0}, "ομεν": {verb: 1.0}, "ος": {noun: 1.0}},
         hapax_prior={konj: 1.0},
     )
@@ -352,3 +348,46 @@ def test_lexicon_file_errors(toy_schema):
         Lexicon.from_lines(["x\tbogus\t-\tkonj=1"], toy_schema, RuleSet.empty())
     with pytest.raises(FormatError):
         Lexicon.from_lines(["x\tstem\t-\tkonj"], toy_schema, RuleSet.empty())
+
+
+# -- golden lexical probabilities ------------------------------------------------
+
+#: sha256 of ``_lexical_digest`` over the toy model's lexicon
+LEXICAL_SHA256 = "f56d558b72213e21856c4bfdf644dd75a449b1b55d9bc8338d7697ca62cd9900"
+
+
+def _fixture_words(fixtures_dir):
+    """Normalized words of the toy texts and corpus, plus forms that add,
+    drop or prefix a letter, so the suffix-only and prior tiers run."""
+    from greektag.text import tokenize
+
+    words = set()
+    for path in sorted((fixtures_dir / "texts").glob("*.txt")):
+        for seq in tokenize(path.read_text(encoding="utf-8")):
+            words.update(tok.norm for tok in seq.tokens)
+    for line in (fixtures_dir / "toy.corpus").read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            words.add(line.split("\t")[0])
+    forms = set(words)
+    for w in words:
+        forms.update({w + "ς", w + "β", "ἐ" + w, "β" + w})
+        if len(w) > 1:
+            forms.add(w[:-1])
+    return sorted(forms)
+
+
+def _lexical_digest(lexicon, fixtures_dir):
+    import hashlib
+
+    lines = []
+    for word in _fixture_words(fixtures_dir):
+        probs = " ".join(f"{format_tag(t)}={p!r}" for t, p in lexical_prob(word, lexicon))
+        lines.append(f"{word}\t{probs}")
+        for a in segment(word, lexicon):
+            scores = " ".join(f"{format_tag(t)}={p!r}" for t, p in a.tag_probs)
+            lines.append(f"\t{a.prefix}|{a.stem}|{a.suffix}\t{scores}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def test_lexical_probabilities_are_golden(toy_model, fixtures_dir):
+    assert _lexical_digest(toy_model.lexicon, fixtures_dir) == LEXICAL_SHA256
