@@ -36,7 +36,6 @@ from .tags import (
     Tag,
     TagSchema,
     TransitionStats,
-    feature_chain_prob,
     format_tag,
 )
 from .text import (

@@ -20,6 +20,7 @@ from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
     DEFAULT_CHAIN_WEIGHTS,
+    ROOT,
     Tag,
     TagSchema,
     TransitionStats,
@@ -83,20 +84,18 @@ def fit_interpolation(tables, seq_counts):
     """
     freq = tables.prefix_freq
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
-    chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
+    chain_awards = [0.0, 0.0, 0.0]  # the levels of _Tables.feature_levels
     saw_features = False
 
     for c_s in seq_counts:
         tables.add(c_s, -1)
         for (a, b, t), n in c_s.items():
-            prefixes = tables.prefixes[t]
-            full = prefixes[-1]
-            _award(order_awards, n, 0,
-                   (freq(1, (), full), freq(2, (b,), full), freq(3, (a, b), full)))
-            for j, keys in enumerate(tables.features[t]):
+            full = tables.prefixes[t][-1]
+            _award(order_awards, n, 0, (freq(1, (), full, ROOT), freq(2, (b,), full, ROOT),
+                                        freq(3, (a, b), full, ROOT)))
+            for j in range(len(tables.features[t])):
                 saw_features = True
-                _award(chain_awards, n, 2, (freq(3, (a, b), prefixes[j + 1], (prefixes[j],)),
-                                            *tables.feature_freqs(keys)))
+                _award(chain_awards, n, 2, tables.feature_levels(3, (a, b), t, j))
         tables.add(c_s)
 
     total = sum(order_awards)
@@ -235,6 +234,8 @@ class Model:
             parts = lines[i].split()
             if len(parts) < 2:
                 raise FormatError(f"bad header line {lines[i]!r}", path, i + 1)
+            if parts[0] in header:
+                raise FormatError(f"header line {parts[0]} given twice", path, i + 1)
             header[parts[0]] = (i + 1, parts[1:])
             i += 1
         try:
@@ -255,6 +256,8 @@ class Model:
         for no, line in enumerate(lines[i:], start=i + 1):
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current in sections:
+                    raise FormatError(f"section {line} given twice", path, no)
                 sections[current] = []
                 starts[current] = no
             elif current is not None:
@@ -288,6 +291,8 @@ class Model:
                 raise FormatError(
                     f"trigram count {fields[3]!r} is not a non-negative integer", path, no
                 )
+            if key in trigram_counts:
+                raise FormatError("trigram given twice", path, no)
             trigram_counts[key] = int(fields[3])
 
         stats = TransitionStats(schema, _Tables(trigram_counts), smoothed=smoothed,

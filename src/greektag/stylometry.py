@@ -259,7 +259,10 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
     if not header or header[0] != "category":
         raise FormatError("counts CSV must start with a 'category' header", path, 1)
     texts = header[1:]
+    if len(set(texts)) != len(texts):
+        raise FormatError("a text id is given twice", path, 1)
     per_text: list[dict[str, int]] = [{} for _ in texts]
+    seen: set[str] = set()
     for no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -267,6 +270,11 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
             raise FormatError(
                 f"expected {len(header)} columns, got {len(row)}", path, no
             )
+        if not row[0]:
+            raise FormatError("empty category name", path, no)
+        if row[0] in seen:
+            raise FormatError(f"category {row[0]!r} given twice", path, no)
+        seen.add(row[0])
         for i, cell in enumerate(row[1:]):
             try:
                 value = int(cell)

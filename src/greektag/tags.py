@@ -235,9 +235,10 @@ class TagSchema:
 
 
 def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
-    """Nested prefixes (category, v1, .., vj) for j = 0..l."""
+    """Nested chain prefixes of ``tag``: the root (), then (category,
+    v1, .., vj) for j = 0..l."""
     prefix = (tag.category,)
-    out = [prefix]
+    out = [(), prefix]
     for fv in tag.features:
         prefix = prefix + (fv.value,)
         out.append(prefix)
@@ -246,41 +247,43 @@ def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
 
 def _feature_keys(tag: Tag) -> tuple:
     """Per feature-value pair of ``tag``, its keys in the category-local
-    and global tables: ((cat, f), (cat, f, v), f, (f, v))."""
+    and global tables: ((cat, f, v), f, (f, v))."""
     return tuple(
-        ((tag.category, fv.feature), (tag.category, fv.feature, fv.value),
-         fv.feature, (fv.feature, fv.value))
+        ((tag.category, fv.feature, fv.value), fv.feature, (fv.feature, fv.value))
         for fv in tag.features
     )
+
+
+#: Prefix id of the root chain prefix (), which every tag extends.
+ROOT = 0
 
 
 class _Tables:
     """Count tables derived from full-tag trigram counts, on integer keys.
 
-    Every tag in the counts is interned to a dense int (``tag_id``), and
-    every chain prefix (category, v1, .., vj) of such a tag to an int
-    (``prefix_id``); ``prefixes[i]`` holds the prefix ids of tag ``i``,
-    shortest first, and ``features[i]`` the string keys of its
-    feature-value pairs in the category-local and global tables.
-    ``tri`` maps id triples (h2, h1, t) to their counts.  ``pre[o]`` maps
-    (history tag ids..., prefix id) to a count at order ``o`` (history
-    length o-1); ``ctx[o]`` maps the history alone to the number of
-    positions carrying it.  ``catfeat``/``featuni`` hold the
-    category-local and global feature-value counts used as backoff
-    levels inside the chain.  Relative frequencies are read only through
-    ``prefix_freq`` and ``feature_freqs``.
+    Every tag is interned to a dense int (``tag_id``) when it is first
+    counted or scored, and every chain prefix of such a tag to an int
+    (``prefix_id``; the root prefix () is ``ROOT``); ``prefixes[i]`` holds the
+    prefix ids of tag ``i``, root first, and ``features[i]`` the string
+    keys of its feature-value pairs in the category-local and global
+    tables.  ``tri`` maps id triples (h2, h1, t) to their counts.
+    ``pre[o]`` maps (history tag ids..., prefix id) to a count at order
+    ``o`` (history length o-1), so the root entry counts the positions
+    that carry the history.  ``catfeat``/``featuni`` hold the
+    category-local and global feature-value counts used as backoff levels
+    inside the chain; every counted tag carries all the features of its
+    category, so a category's count is its local denominator.  A tag
+    with no counts reads zero everywhere.
     """
 
     def __init__(self, trigram_counts):
         self.tag_id: dict[Tag, int] = {}
-        self.prefix_id: dict[tuple[str, ...], int] = {}
+        self.prefix_id: dict[tuple[str, ...], int] = {(): ROOT}
         self.prefixes: list[tuple[int, ...]] = []
         self.features: list[tuple] = []
         self.tri = defaultdict(int)
         self.pre = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
-        self.ctx = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
         self.catfeat = defaultdict(int)
-        self.catfeat_ctx = defaultdict(int)
         self.featuni = defaultdict(int)
         self.featuni_ctx = defaultdict(int)
         self.add({tuple(map(self.intern, key)): n for key, n in trigram_counts.items()})
@@ -296,53 +299,41 @@ class _Tables:
             self.features.append(_feature_keys(tag))
         return i
 
-    def resolve(self, tag: Tag):
-        """(prefix ids, feature keys) of ``tag`` as ``prefixes``/``features``
-        hold them for counted tags; a prefix never counted has id None."""
-        i = self.tag_id.get(tag)
-        if i is not None:
-            return self.prefixes[i], self.features[i]
-        return tuple(map(self.prefix_id.get, _tag_prefixes(tag))), _feature_keys(tag)
-
     def add(self, counts, sign: int = 1) -> None:
         """Add ``sign`` times the id-keyed trigram counts ``{(a, b, t): n}``
         to every table; ``sign=-1`` takes them out again."""
         pre1, pre2, pre3 = self.pre[1], self.pre[2], self.pre[3]
-        ctx1, ctx2, ctx3 = self.ctx[1], self.ctx[2], self.ctx[3]
-        catfeat, catfeat_ctx = self.catfeat, self.catfeat_ctx
-        featuni, featuni_ctx = self.featuni, self.featuni_ctx
+        catfeat, featuni, featuni_ctx = self.catfeat, self.featuni, self.featuni_ctx
         for (a, b, t), n in counts.items():
             n *= sign
             self.tri[(a, b, t)] += n
-            ctx3[(a, b)] += n
-            ctx2[(b,)] += n
-            ctx1[()] += n
             for p in self.prefixes[t]:
                 pre3[(a, b, p)] += n
                 pre2[(b, p)] += n
                 pre1[(p,)] += n
-            for ckey, vkey, feature, ukey in self.features[t]:
+            for vkey, feature, ukey in self.features[t]:
                 catfeat[vkey] += n
-                catfeat_ctx[ckey] += n
                 featuni[ukey] += n
                 featuni_ctx[feature] += n
 
-    def prefix_freq(self, order, hist, prefix, given=()):
-        """Relative frequency of chain prefix id ``prefix`` after history ids
-        ``hist`` at ``order``, given ``(one-shorter prefix id,)`` or, if
-        ``given=()``, the history alone; None on a zero denominator (an id
-        None counts zero)."""
+    def prefix_freq(self, order, hist, prefix, parent):
+        """Relative frequency of chain prefix id ``prefix`` after history
+        ids ``hist`` at ``order``, given its parent prefix id ``parent``;
+        None on a zero denominator."""
         pre = self.pre[order]
-        den = pre.get(hist + given, 0) if given else self.ctx[order].get(hist, 0)
+        den = pre.get(hist + (parent,), 0)
         return pre.get(hist + (prefix,), 0) / den if den else None
 
-    def feature_freqs(self, keys):
-        """Relative frequencies of one feature value of a tag (``keys``,
-        its entry in ``features``) within the tag's category and over all
-        categories; each None when no counted tag has the feature there."""
-        ckey, vkey, feature, ukey = keys
-        cden, uden = self.catfeat_ctx.get(ckey, 0), self.featuni_ctx.get(feature, 0)
-        return (self.catfeat.get(vkey, 0) / cden if cden else None,
+    def feature_levels(self, order, hist, t, j):
+        """The (specific, category-local, global) relative frequencies of
+        feature value ``j`` of tag id ``t``: after history ids ``hist``
+        given the part of the tag before it, within the tag's category,
+        and over all categories; each None on a zero denominator."""
+        prefixes = self.prefixes[t]
+        vkey, feature, ukey = self.features[t][j]
+        cden, uden = self.pre[1].get((prefixes[1],), 0), self.featuni_ctx.get(feature, 0)
+        return (self.prefix_freq(order, hist, prefixes[j + 2], prefixes[j + 1]),
+                self.catfeat.get(vkey, 0) / cden if cden else None,
                 self.featuni.get(ukey, 0) / uden if uden else None)
 
 
@@ -377,7 +368,7 @@ class TransitionStats:
         self.smoothed = smoothed
         self.chain_weights = tuple(chain_weights)
         self.floor = floor if smoothed else 0.0
-        if not tables.ctx[1].get((), 0):
+        if not tables.pre[1].get((ROOT,), 0):
             raise ModelError("no trigram statistics (untrained model)")
 
     @property
@@ -392,21 +383,19 @@ class TransitionStats:
 
     def _category_factor(self, order, hist, prefix) -> float:
         ncat = len(self.schema.categories)
-        mle = self.tables.prefix_freq(order, hist, prefix)
+        mle = self.tables.prefix_freq(order, hist, prefix, ROOT)
         if mle is None:
             # unseen history: escape to the category unigram
-            mle = self.tables.prefix_freq(1, (), prefix)
+            mle = self.tables.prefix_freq(1, (), prefix, ROOT)
         return (1.0 - self.floor) * mle + self.floor / ncat
 
-    def _feature_factor(self, order, hist, prefix, longer, keys) -> float:
-        tb = self.tables
-        levels = (tb.prefix_freq(order, hist, longer, (prefix,)), *tb.feature_freqs(keys))
+    def _feature_factor(self, order, hist, t, j) -> float:
         wsum = mixed = 0.0
-        for w, m in zip(self.chain_weights, levels):
+        for w, m in zip(self.chain_weights, self.tables.feature_levels(order, hist, t, j)):
             if m is not None:
                 wsum += w
                 mixed += w * m
-        nvals = len(self.schema.allowed_values(keys[2]))
+        nvals = len(self.schema.allowed_values(self.tables.features[t][j][1]))
         if not wsum:
             return 1.0 / nvals
         return (1.0 - self.floor) * (mixed / wsum) + self.floor / nvals
@@ -414,28 +403,20 @@ class TransitionStats:
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
         order = len(history) + 1
-        # a history tag never counted gets id None, which is in no key
-        hist = tuple(map(self.tables.tag_id.get, history))
-        prefixes, features = self.tables.resolve(tag)
+        tb = self.tables
+        hist = tuple(map(tb.intern, history))
+        t = tb.intern(tag)
+        prefixes = tb.prefixes[t]
         if self.smoothed:
-            p = self._category_factor(order, hist, prefixes[0])
-            for j, keys in enumerate(features):
-                p *= self._feature_factor(order, hist, prefixes[j], prefixes[j + 1], keys)
+            p = self._category_factor(order, hist, prefixes[1])
+            for j in range(len(prefixes) - 2):
+                p *= self._feature_factor(order, hist, t, j)
             return p
-        p = self.tables.prefix_freq(order, hist, prefixes[0]) or 0.0
-        for j in range(len(features)):
+        p = 1.0
+        for parent, prefix in zip(prefixes, prefixes[1:]):
+            # the first link reads None after an unseen history; past it,
+            # p > 0 means the parent was counted after hist: a denominator
+            p *= tb.prefix_freq(order, hist, prefix, parent) or 0.0
             if p == 0.0:
                 return 0.0
-            # p > 0 means prefixes[j] was counted after hist: a denominator
-            p *= self.tables.prefix_freq(order, hist, prefixes[j + 1], (prefixes[j],))
         return p
-
-
-def feature_chain_prob(model, t: Tag, h2: Tag, h1: Tag) -> float:
-    """Trigram probability of ``t`` after ``h2 h1``, factored over the
-    category and feature-value pairs of ``t``.
-
-    Raw (unsmoothed) statistics make the product exactly the joint
-    relative frequency of the trigram whenever the history was observed.
-    """
-    return model.stats.chain_prob(t, (h2, h1))

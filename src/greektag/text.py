@@ -1,8 +1,7 @@
 """Tokenization, word-form normalization, and the annotated corpus format.
 
-Normalization canonically composes (NFC), lowercases, and optionally
-removes a configurable set of combining marks.  By default no marks are
-removed: the lexicon keeps accent variants as distinct entries, so
+Normalization canonically composes (NFC) and lowercases; it removes no
+marks: the lexicon keeps accent variants as distinct entries, so
 normalization must not merge them.
 """
 
@@ -17,10 +16,6 @@ from .tags import Tag, TagSchema, format_tag
 #: Sentence-final punctuation: period, semicolon (ano teleia stand-in),
 #: Greek question mark (U+037E), interrogation mark.
 DEFAULT_BOUNDARY = frozenset({".", ";", ";", "?"})
-
-#: Combining marks removed when accent stripping is requested:
-#: acute (tonos/oxia), grave (varia), circumflex (perispomeni).
-GREEK_ACCENTS = frozenset({"́", "̀", "͂"})
 
 #: Reserved category for punctuation tokens.
 PUNCT_CATEGORY = "punct"
@@ -48,13 +43,9 @@ class Sequence:
         return len(self.tokens)
 
 
-def normalize(surface: str, strip_marks: frozenset[str] = frozenset()) -> str:
-    """NFC + lowercase + optional combining-mark removal. Idempotent."""
-    s = unicodedata.normalize("NFC", surface).lower()
-    if strip_marks:
-        decomposed = unicodedata.normalize("NFD", s)
-        s = "".join(c for c in decomposed if c not in strip_marks)
-    return unicodedata.normalize("NFC", s)
+def normalize(surface: str) -> str:
+    """NFC + lowercase, composed again after lowercasing. Idempotent."""
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", surface).lower())
 
 
 def is_punct(s: str) -> bool:
@@ -76,12 +67,11 @@ def _split_punct(chunk: str) -> list[str]:
     return lead + ([chunk] if chunk else []) + trail
 
 
-def tokenize(text: str, boundary: frozenset[str] = DEFAULT_BOUNDARY,
-             strip_marks: frozenset[str] = frozenset()) -> list[Sequence]:
+def tokenize(text: str) -> list[Sequence]:
     """Split text into sequences of tokens.
 
     Whitespace separates tokens; leading/trailing punctuation becomes
-    separate single-character tokens; a token from the ``boundary`` set
+    separate single-character tokens; a token from ``DEFAULT_BOUNDARY``
     closes the current sequence.  Every non-whitespace character of the
     input lands in exactly one token.
     """
@@ -95,8 +85,8 @@ def tokenize(text: str, boundary: frozenset[str] = DEFAULT_BOUNDARY,
 
     for chunk in text.split():
         for piece in _split_punct(chunk):
-            current.append(Token(piece, normalize(piece, strip_marks), len(current)))
-            if piece in boundary:
+            current.append(Token(piece, normalize(piece), len(current)))
+            if piece in DEFAULT_BOUNDARY:
                 close()
     close()
     return sequences
@@ -108,8 +98,7 @@ def tokenize(text: str, boundary: frozenset[str] = DEFAULT_BOUNDARY,
 # `#` starts a comment line.
 
 
-def read_annotated_corpus(stream, schema: TagSchema, path=None,
-                          strip_marks: frozenset[str] = frozenset()) -> list[Sequence]:
+def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence]:
     sequences: list[Sequence] = []
     tokens: list[Token] = []
     tags: list[Tag] = []
@@ -137,7 +126,7 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None,
             tag = schema.parse(tagstring)
         except TagError as exc:
             raise FormatError(f"bad tag {tagstring!r}: {exc}", path, no) from None
-        tokens.append(Token(surface, normalize(surface, strip_marks), len(tokens)))
+        tokens.append(Token(surface, normalize(surface), len(tokens)))
         tags.append(tag)
     close()
     return sequences
@@ -153,10 +142,9 @@ def write_annotated_corpus(stream, sequences) -> None:
         stream.write("\n")
 
 
-def load_annotated_corpus(path, schema: TagSchema,
-                          strip_marks: frozenset[str] = frozenset()) -> list[Sequence]:
+def load_annotated_corpus(path, schema: TagSchema) -> list[Sequence]:
     with open_utf8(path) as fh:
-        return read_annotated_corpus(fh, schema, path=str(path), strip_marks=strip_marks)
+        return read_annotated_corpus(fh, schema, path=str(path))
 
 
 def save_annotated_corpus(path, sequences) -> None:

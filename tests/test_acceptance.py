@@ -2,9 +2,13 @@
 PASS line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from greektag import (
     Token,
     brute_force_best,
     chi_square_cell,
-    feature_chain_prob,
     run_test,
     segment,
     tag_sequence,
@@ -96,7 +99,7 @@ def test_feature_chain_rule_identity():
     checked = 0
     for (a, b, t), n in model.stats.trigram_counts.items():
         direct = n / contexts[(a, b)]
-        factored = feature_chain_prob(model, t, a, b)
+        factored = model.stats.chain_prob(t, (a, b))
         assert math.isclose(factored, direct, rel_tol=1e-12), (format_tag(t), factored, direct)
         checked += 1
     assert checked > 20
@@ -200,6 +203,33 @@ def test_end_to_end_pipeline_determinism(tmp_path, fixtures_dir):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), (a.name, b.name)
     _ok(f"end-to-end pipeline determinism ({len(first)} artifacts byte-identical)")
+
+
+def test_pipeline_is_byte_identical_across_hash_seeds(tmp_path, fixtures_dir):
+    """The same pipeline in two fresh processes whose string hashing
+    differs writes the same bytes: no output depends on set or dict
+    iteration order, nor on the order in which tags first get ids."""
+    script = ("import sys\nfrom pathlib import Path\n"
+              "from test_acceptance import _run_pipeline\n"
+              "for p in _run_pipeline(Path(sys.argv[1]), Path(sys.argv[2])):\n"
+              "    print('output', p.relative_to(sys.argv[1]))\n")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script, str(workdir), str(fixtures_dir)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        runs.append((workdir, [line.split()[1] for line in done.stdout.splitlines()
+                               if line.startswith("output ")]))
+    (first, names), (second, names2) = runs
+    assert names == names2 and len(names) == 10
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    _ok(f"pipeline byte-identical across hash seeds ({len(names)} artifacts)")
 
 
 def test_round_trips(toy_model, toy_corpus, toy_schema, tmp_path):

@@ -242,6 +242,38 @@ def test_tag_rejects_entry_given_twice(workdir, capsys, prefix, second):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("repeat", ["lambdas", "[schema]", "[rules]", "[trigrams]", "[lexicon]"])
+def test_tag_rejects_header_or_section_given_twice(workdir, capsys, repeat):
+    """A second header line goes right after the first; a second (empty)
+    section goes at the end of the file."""
+    def edit(lines):
+        if repeat.startswith("["):
+            lines.append(repeat)
+            edit.line = len(lines)
+        else:
+            no = next(i for i, line in enumerate(lines) if line.startswith(repeat + " "))
+            lines.insert(no + 1, lines[no])
+            edit.line = no + 2
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: " in err and "given twice" in err
+    assert "Traceback" not in err
+
+
+def test_tag_rejects_trigram_given_twice(workdir, capsys):
+    def edit(lines):
+        no = lines.index("[trigrams]") + 1
+        first = lines[no].rsplit("\t", 1)[0]
+        lines.insert(no + 1, first + "\t7")
+        edit.line = no + 2
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: trigram given twice" in err
+    assert "Traceback" not in err
+
+
 def test_stem_and_fullform_may_share_a_form(workdir, capsys):
     def edit(lines):
         no = next(i for i, line in enumerate(lines) if line.startswith("καί\t"))
@@ -423,6 +455,24 @@ def test_chisq_rejects_non_utf8_counts(workdir, capsys):
     assert main(["chisq", str(counts_path), "--out", str(workdir / "report")]) == 1
     assert capsys.readouterr().err == (
         f"error: {counts_path}: line {line}: not valid UTF-8 (byte 0xff)\n")
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda rows: rows.insert(2, rows[1]), 3, "given twice"),
+    (lambda rows: rows.insert(2, "," + rows[1].split(",", 1)[1]), 3, "empty category name"),
+    (lambda rows: rows.__setitem__(0, rows[0].replace("t1", "t0")), 1, "given twice"),
+], ids=["category", "empty-category", "text"])
+def test_chisq_rejects_repeated_counts_rows(workdir, capsys, edit, line, message):
+    counts_path = workdir / "pattern.csv"
+    _write_pattern_csv(counts_path, (7, 6, 7, 7, 6, 10))
+    rows = counts_path.read_text(encoding="utf-8").splitlines()
+    edit(rows)
+    counts_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "report")]) == 1
+    err = capsys.readouterr().err
+    assert f"{counts_path}: line {line}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (workdir / "report.txt").exists()
 
 
 def test_chisq_degenerate_exits_0(workdir, capsys):

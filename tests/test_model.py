@@ -7,12 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from greektag import Model, ModelError, Sequence, TagSchema, Token, train
+from greektag import Model, ModelError, Sequence, TagSchema, Token, tag_corpus, train
 from greektag.cli import default_schema_path
 from greektag.errors import FormatError
 from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
 from greektag.tags import BOUNDARY, Tag
-from greektag.text import read_annotated_corpus
+from greektag.text import read_annotated_corpus, tokenize
 
 from genmodels import random_corpus
 from reference import fit_interpolation_reference
@@ -257,3 +257,52 @@ def test_model_load_errors(tmp_path):
     truncated.write_text("greektag-model 1\nlambdas 1.0 0.0 0.0\n")
     with pytest.raises(FormatError):
         Model.load(truncated)
+
+
+def _transition_lines(model):
+    """``repr`` of ``Model.transition_prob`` and of ``chain_prob`` at
+    orders 1-3, for every toy schema tag after histories over BOUNDARY,
+    the observed tags and one schema tag that was never counted; each
+    history pair scores every eleventh tag, in turn, to keep it quick."""
+    tags = _schema_tags(model.schema)
+    observed = model.stats.observed_tags
+    uncounted = next(t for t in reversed(tags) if t not in observed)
+    hist_tags = [BOUNDARY, *observed, uncounted]
+    stats = model.stats
+    lines = [repr(stats.chain_prob(t, ())) for t in tags]
+    pairs = [(h2, h1) for h2 in hist_tags for h1 in hist_tags]
+    for i, (h2, h1) in enumerate(pairs):
+        for t in tags[i % 11::11]:
+            lines.append(" ".join(map(repr, (
+                model.transition_prob(t, h1, h2),
+                stats.chain_prob(t, (h2, h1)),
+                stats.chain_prob(t, (h1,)),
+            ))))
+    return lines
+
+
+#: sha256 of ``_transition_lines`` over the toy model, smoothed then raw
+TOY_TRANSITION_SHA256 = "cc2b8e4a33623e834cf5b6dbd63492eb0ff6db7006784cd29ccfa7209f095b5d"
+
+
+def test_transition_probabilities_are_golden(toy_model, toy_corpus, toy_rules, toy_schema):
+    raw = train(toy_corpus, toy_rules, toy_schema, smooth=False)
+    lines = _transition_lines(toy_model) + _transition_lines(raw)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TOY_TRANSITION_SHA256
+
+
+def test_scoring_leaves_the_model_file_unchanged(toy_corpus, toy_rules, toy_schema,
+                                                 fixtures_dir):
+    """Tagging text and scoring tags the corpus never carried changes
+    nothing that the model file holds."""
+    model = train(toy_corpus, toy_rules, toy_schema)
+    before = model.to_lines()
+    for path in sorted((fixtures_dir / "texts").glob("*.txt")):
+        tag_corpus(model, tokenize(path.read_text(encoding="utf-8")))
+    tags = _schema_tags(toy_schema)
+    for t in tags:
+        model.transition_prob(t, tags[-1], BOUNDARY)
+        model.transition_prob(t, t, tags[0])
+    assert len(model.stats.tables.tag_id) == len(tags) + 1  # BOUNDARY too
+    assert model.to_lines() == before

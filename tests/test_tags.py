@@ -10,11 +10,10 @@ from greektag import (
     TagError,
     TagSchema,
     Token,
-    feature_chain_prob,
     format_tag,
     train,
 )
-from greektag.tags import BOUNDARY, Tag, TransitionStats, _Tables
+from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.model import _instances
 
 VERB = "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act"
@@ -139,7 +138,7 @@ def test_chain_rule_identity_unsmoothed(chain_schema, chain_corpus):
         ctx[(a, b)] = ctx.get((a, b), 0) + n
     for (a, b, t), n in counts.items():
         direct = n / ctx[(a, b)]
-        chained = feature_chain_prob(model, t, a, b)
+        chained = model.stats.chain_prob(t, (a, b))
         assert math.isclose(chained, direct, rel_tol=1e-12)
 
 
@@ -148,10 +147,10 @@ def test_chain_empty_features_reduces_to_category_prob(chain_schema, chain_corpu
     k = chain_schema.parse("k")
     # featureless tag: the chain is the bare category trigram probability;
     # 2 of the 5 sequences open with k
-    assert feature_chain_prob(model, k, BOUNDARY, BOUNDARY) == 0.4
+    assert model.stats.chain_prob(k, (BOUNDARY, BOUNDARY)) == 0.4
     v_sg = chain_schema.parse("v:num=sg")
     # v:num=sg never follows (BOUNDARY, k)
-    assert feature_chain_prob(model, v_sg, BOUNDARY, k) == 0.0
+    assert model.stats.chain_prob(v_sg, (BOUNDARY, k)) == 0.0
 
 
 def _all_schema_tags(schema):
@@ -167,7 +166,7 @@ def test_chain_prob_in_unit_interval(chain_schema, chain_corpus):
     for h1 in histories[:4]:
         for h2 in histories[:4]:
             for t in _all_schema_tags(chain_schema):
-                p = feature_chain_prob(model, t, h2, h1)
+                p = model.stats.chain_prob(t, (h2, h1))
                 assert 0.0 <= p <= 1.0
 
 
@@ -213,10 +212,10 @@ def test_tables_derive_bigrams_from_trigrams(chain_schema, chain_corpus):
         for key in _instances(seq.gold_tags):
             trigrams[key] = trigrams.get(key, 0) + 1
     tables = _Tables(trigrams)
-    # order-2 context of a tag == its total occurrences as predecessor
+    # the root prefix after a tag counts its occurrences as predecessor
     v_sg = chain_schema.parse("v:num=sg")
     occurrences = sum(n for (a, b, t), n in trigrams.items() if b == v_sg)
-    assert tables.ctx[2][(tables.tag_id[v_sg],)] == occurrences
+    assert tables.pre[2][(tables.tag_id[v_sg], ROOT)] == occurrences
 
 
 def test_stats_require_counts(chain_schema):

@@ -12,7 +12,6 @@ from greektag import (
     tokenize,
     write_annotated_corpus,
 )
-from greektag.text import GREEK_ACCENTS
 
 
 def test_tokenize_empty():
@@ -43,11 +42,6 @@ def test_tokenize_greek_question_mark_is_boundary():
     assert [len(s) for s in seqs] == [2, 1]
 
 
-def test_tokenize_custom_boundary():
-    seqs = tokenize("a. b!", boundary=frozenset({"!"}))
-    assert [len(s) for s in seqs] == [4]
-
-
 def test_token_indices_are_contiguous():
     for seq in tokenize("ἡ μὲν οὖν. ὁ δέ."):
         assert [t.index for t in seq.tokens] == list(range(len(seq)))
@@ -67,23 +61,10 @@ def test_normalize_keeps_accents_by_default():
     assert normalize("λόγος") == "λόγος"
 
 
-def test_normalize_accent_stripping():
-    assert normalize("λόγος", strip_marks=GREEK_ACCENTS) == "λογος"
-    assert normalize("τοῦ", strip_marks=GREEK_ACCENTS) == "του"
-    # breathing marks are not accents and survive
-    assert normalize("ἐν", strip_marks=GREEK_ACCENTS) == "ἐν"
-
-
 @given(st.text())
 def test_normalize_idempotent(s):
     once = normalize(s)
     assert normalize(once) == once
-
-
-@given(st.text())
-def test_normalize_idempotent_with_stripping(s):
-    once = normalize(s, strip_marks=GREEK_ACCENTS)
-    assert normalize(once, strip_marks=GREEK_ACCENTS) == once
 
 
 def test_norm_nonempty_for_lettered_surface():
