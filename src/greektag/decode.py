@@ -12,26 +12,21 @@ instance small enough to enumerate.
 from __future__ import annotations
 
 import itertools
+from array import array
+from operator import add
 
 import numpy as np
 
 from . import _viterbi
-from .errors import ModelError, SearchSpaceError
+from .errors import SearchSpaceError
 from .model import NEG_INF, Model
-from .tags import BOUNDARY, Tag
+from .tags import Tag
 from .text import Sequence, tokenize
 
 #: Upper bound on sequences the oracle will enumerate.
 ORACLE_LIMIT = 1_000_000
 #: Upper bound on the float64 increments of one sequence's trellis (80 MB).
 MAX_TRELLIS_CELLS = 10_000_000
-
-
-def _candidates(model: Model, norm: str) -> list[Tag]:
-    probs = model.lexical_probs(norm)
-    if not probs:
-        raise ModelError(f"no candidate tags for {norm!r} (empty lexicon?)")
-    return [t for t, _ in probs]  # sorted by canonical tag string
 
 
 def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
@@ -45,12 +40,11 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     K = len(tokens)
     if K == 0:
         return []
-    cands = [_candidates(model, tok.norm) for tok in tokens]
-    emis = [model.log_emissions(tok.norm) for tok in tokens]
+    cands = [model.candidates(tok.norm) for tok in tokens]
 
-    counts = np.array([len(c) for c in cands], np.int64)
-    adims = np.array([len(cands[k - 2]) if k >= 2 else 1 for k in range(K)], np.int64)
-    bdims = np.array([len(cands[k - 1]) if k >= 1 else 1 for k in range(K)], np.int64)
+    counts = np.array([len(c[0]) for c in cands], np.int64)
+    adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
+    bdims = np.array([counts[k - 1] if k >= 1 else 1 for k in range(K)], np.int64)
     off = np.zeros(K, np.int64)
     total = 0
     for k in range(K):
@@ -62,21 +56,18 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
                 f"trellis past {MAX_TRELLIS_CELLS} cells"
             )
 
-    inc = np.empty(total, np.float64)
-    pos = 0
-    boundary = [BOUNDARY]
+    inc = array("d")  # raw doubles: 8 bytes a cell, as the bound assumes
+    boundary = [model.boundary_id]
     for k in range(K):
-        prev2 = cands[k - 2] if k >= 2 else boundary
-        prev1 = cands[k - 1] if k >= 1 else boundary
-        table = emis[k]
+        prev2 = cands[k - 2][1] if k >= 2 else boundary
+        prev1 = cands[k - 1][1] if k >= 1 else boundary
+        _, ids, emis = cands[k]
         for a in prev2:
             for b in prev1:
-                for t in cands[k]:
-                    inc[pos] = model.log_transition(t, b, a) + table.get(t, NEG_INF)
-                    pos += 1
+                inc.extend(map(add, model.transition_row(a, b, ids), emis))
 
-    path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
-    return [cands[k][path[k]] for k in range(K)]
+    path = _viterbi.viterbi(counts, adims, bdims, off, np.frombuffer(inc, np.float64), beam)
+    return [cands[k][0][path[k]] for k in range(K)]
 
 
 def brute_force_best(model: Model, tokens, limit: int = ORACLE_LIMIT) -> list[Tag]:
@@ -89,7 +80,7 @@ def brute_force_best(model: Model, tokens, limit: int = ORACLE_LIMIT) -> list[Ta
     K = len(tokens)
     if K == 0:
         return []
-    cands = [_candidates(model, tok.norm) for tok in tokens]
+    cands = [model.candidates(tok.norm)[0] for tok in tokens]
     size = 1
     for c in cands:
         size *= len(c)

@@ -108,11 +108,21 @@ def fit_interpolation(tables, seq_counts):
     return lambdas, chain_weights
 
 
+def _header_fields(header, name, path) -> tuple[int, list[str]]:
+    """(file line, fields) of model header line ``name``."""
+    if name not in header:
+        raise FormatError(f"missing header line {name}", path)
+    return header[name]
+
+
 def _header_numbers(header, name, count, path) -> tuple[float, ...]:
     """The ``count`` numbers of model header line ``name``, each finite
     and non-negative."""
-    no, fields = header[name]
-    values = tuple(float(x) for x in fields)
+    no, fields = _header_fields(header, name, path)
+    try:
+        values = tuple(float(x) for x in fields)
+    except ValueError:
+        values = ()
     if len(values) != count or not all(math.isfinite(v) and v >= 0.0 for v in values):
         raise FormatError(
             f"{name} needs {count} finite non-negative number(s), got {' '.join(fields)}",
@@ -133,32 +143,58 @@ class Model:
         if abs(sum(self.lambdas) - 1.0) > 1e-12 or any(l < 0 for l in self.lambdas):
             raise ModelError(f"bad interpolation weights {self.lambdas}")
         self.lexicon = lexicon
-        self._log_trans: dict = {}
+        self._intern = stats.tables.intern
+        #: tag id of the boundary padding before a sequence's first tag
+        self.boundary_id = self._intern(BOUNDARY)
+        self._rows: dict = {}  # (h2 id, h1 id) -> {t id: log P(t | h1, h2)}
+        self._order1: dict = {}  # t id -> order-1 chain value
+        self._order2: dict = {}  # (h1 id, t id) -> order-2 chain value
         self._lex: dict = {}
-        self._log_emis: dict = {}
+        self._cands: dict = {}
 
     # -- probabilities ------------------------------------------------------
 
-    def transition_prob(self, t: Tag, h1: Tag, h2: Tag) -> float:
-        """P(t | h1, h2) with h1 the immediately preceding tag."""
+    def _id_prob(self, t: int, h1: int, h2: int) -> float:
+        """``transition_prob`` on tag ids."""
         l1, l2, l3 = self.lambdas
+        chain = self.stats.id_chain_prob
         p = 0.0
         if l3:
-            p += l3 * self.stats.chain_prob(t, (h2, h1))
+            p += l3 * chain(t, (h2, h1))
         if l2:
-            p += l2 * self.stats.chain_prob(t, (h1,))
+            c = self._order2.get((h1, t))
+            if c is None:
+                c = self._order2[(h1, t)] = chain(t, (h1,))
+            p += l2 * c
         if l1:
-            p += l1 * self.stats.chain_prob(t, ())
+            c = self._order1.get(t)
+            if c is None:
+                c = self._order1[t] = chain(t, ())
+            p += l1 * c
         return p
 
+    def transition_prob(self, t: Tag, h1: Tag, h2: Tag) -> float:
+        """P(t | h1, h2) with h1 the immediately preceding tag."""
+        return self._id_prob(self._intern(t), self._intern(h1), self._intern(h2))
+
+    def transition_row(self, a: int, b: int, ids) -> list[float]:
+        """log P(t | b, a) for each tag id t of ``ids``, after the tag ids
+        a (h2) and b (h1); ``-inf`` where the probability is 0."""
+        row = self._rows.get((a, b))
+        if row is None:
+            row = self._rows[(a, b)] = {}
+        try:
+            return [row[t] for t in ids]
+        except KeyError:
+            for t in ids:
+                if t not in row:
+                    p = self._id_prob(t, b, a)
+                    row[t] = math.log(p) if p > 0.0 else NEG_INF
+            return [row[t] for t in ids]
+
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
-        key = (t, h1, h2)
-        v = self._log_trans.get(key)
-        if v is None:
-            p = self.transition_prob(t, h1, h2)
-            v = math.log(p) if p > 0.0 else NEG_INF
-            self._log_trans[key] = v
-        return v
+        intern = self._intern
+        return self.transition_row(intern(h2), intern(h1), [intern(t)])[0]
 
     def lexical_probs(self, norm: str) -> list[tuple[Tag, float]]:
         probs = self._lex.get(norm)
@@ -167,25 +203,37 @@ class Model:
             self._lex[norm] = probs
         return probs
 
-    def log_emissions(self, norm: str) -> dict[Tag, float]:
-        table = self._log_emis.get(norm)
-        if table is None:
-            table = {t: math.log(p) for t, p in self.lexical_probs(norm) if p > 0.0}
-            self._log_emis[norm] = table
-        return table
+    def candidates(self, norm: str) -> tuple[list[Tag], list[int], list[float]]:
+        """The candidate tags of a word in ``tag_key`` order, with their
+        ids and log emission probabilities (``-inf`` for 0).  Raises
+        ``ModelError`` when the word has none."""
+        cands = self._cands.get(norm)
+        if cands is None:
+            probs = self.lexical_probs(norm)
+            if not probs:
+                raise ModelError(f"no candidate tags for {norm!r} (empty lexicon?)")
+            tags = [t for t, _ in probs]  # sorted by canonical tag string
+            cands = self._cands[norm] = (
+                tags, [self._intern(t) for t in tags],
+                [math.log(p) if p > 0.0 else NEG_INF for _, p in probs],
+            )
+        return cands
 
     def sequence_log_prob(self, tokens, tags) -> float:
         """Log joint probability of a tag sequence for the tokens;
-        ``-inf`` when any factor vanishes."""
+        ``-inf`` when any factor vanishes.  Raises ``ModelError`` for a
+        token without candidate tags, as the decoder does."""
         if len(tokens) != len(tags):
             raise ModelError(
                 f"{len(tags)} tags for {len(tokens)} tokens"
             )
         total = 0.0
-        a, b = BOUNDARY, BOUNDARY
-        for token, t in zip(tokens, tags):
-            emis = self.log_emissions(token.norm).get(t, NEG_INF)
-            inc = self.log_transition(t, b, a) + emis
+        a = b = self.boundary_id
+        for token, tag in zip(tokens, tags):
+            _, ids, log_emis = self.candidates(token.norm)
+            t = self._intern(tag)
+            emis = log_emis[ids.index(t)] if t in ids else NEG_INF
+            inc = self.transition_row(a, b, [t])[0] + emis
             total += inc
             a, b = b, t
         return total
@@ -238,13 +286,13 @@ class Model:
                 raise FormatError(f"header line {parts[0]} given twice", path, i + 1)
             header[parts[0]] = (i + 1, parts[1:])
             i += 1
-        try:
-            lambdas = _header_numbers(header, "lambdas", 3, path)
-            chain_weights = _header_numbers(header, "chain", 3, path)
-            (floor,) = _header_numbers(header, "floor", 1, path)
-            smoothed = bool(int(header["smoothed"][1][0]))
-        except (KeyError, ValueError, IndexError) as exc:
-            raise FormatError(f"bad model header: {exc}", path) from None
+        lambdas = _header_numbers(header, "lambdas", 3, path)
+        chain_weights = _header_numbers(header, "chain", 3, path)
+        (floor,) = _header_numbers(header, "floor", 1, path)
+        no, fields = _header_fields(header, "smoothed", path)
+        if fields not in (["0"], ["1"]):
+            raise FormatError(f"smoothed needs 0 or 1, got {' '.join(fields)}", path, no)
+        smoothed = fields == ["1"]
         if not sum(chain_weights):
             raise FormatError("chain weights are all zero", path, header["chain"][0])
         if floor > 1.0:

@@ -402,10 +402,13 @@ class TransitionStats:
 
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
-        order = len(history) + 1
         tb = self.tables
-        hist = tuple(map(tb.intern, history))
-        t = tb.intern(tag)
+        return self.id_chain_prob(tb.intern(tag), tuple(map(tb.intern, history)))
+
+    def id_chain_prob(self, t: int, hist: tuple[int, ...]) -> float:
+        """``chain_prob`` of tag id ``t`` after the history ids ``hist``."""
+        order = len(hist) + 1
+        tb = self.tables
         prefixes = tb.prefixes[t]
         if self.smoothed:
             p = self._category_factor(order, hist, prefixes[1])

@@ -12,14 +12,20 @@ over the instance layout of ``greektag._viterbi.viterbi``.  It copies
 every state's whole best path at each position and breaks exact ties by
 comparing those paths element by element, the most literal reading of
 the lexicographic tie-break, beam pruning included.
+
+``reference_increments`` fills a sequence's trellis cell by cell on
+``Tag`` objects: ``Model.log_transition`` of each (h2, h1, t) plus the
+``math.log`` of the word's lexical probability of t, in the increment
+layout of ``greektag._viterbi.viterbi``.
 """
 
+import math
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from greektag.model import _instances
-from greektag.tags import DEFAULT_CHAIN_WEIGHTS, _tag_prefixes
+from greektag.model import NEG_INF, _instances
+from greektag.tags import BOUNDARY, DEFAULT_CHAIN_WEIGHTS, _tag_prefixes
 
 
 class _TagTables:
@@ -226,3 +232,19 @@ def _viterbi_loops(counts, adims, bdims, off, inc, beam):
     for i in range(K):
         out[i] = paths[bu, bv, i]
     return out
+
+
+def reference_increments(model, tokens):
+    """float64 trellis increments of ``tokens``, one cell at a time."""
+    cands = [model.lexical_probs(tok.norm) for tok in tokens]
+    boundary = [(BOUNDARY, 1.0)]
+    inc = []
+    for k in range(len(tokens)):
+        prev2 = cands[k - 2] if k >= 2 else boundary
+        prev1 = cands[k - 1] if k >= 1 else boundary
+        for a, _ in prev2:
+            for b, _ in prev1:
+                for t, p in cands[k]:
+                    emis = math.log(p) if p > 0.0 else NEG_INF
+                    inc.append(model.log_transition(t, b, a) + emis)
+    return np.array(inc, np.float64)

@@ -68,6 +68,24 @@ def test_train_model_file_is_golden(workdir, capsys):
     assert digest == TOY_MODEL_SHA256
 
 
+#: sha256 of ``greektag tag`` output on the six fixture texts with the toy
+#: model, exact search and then ``--beam 4``
+TOY_TAGGED_SHA256 = "380c3770d1d06631d19d7236fc7029c45a00c382b38a82a2f785fd82bd48bccd"
+
+
+def test_tag_output_is_golden(workdir, capsys):
+    _train(workdir, capsys)
+    digest = hashlib.sha256()
+    for beam in ("0", "4"):
+        for path in sorted((workdir / "texts").glob("*.txt")):
+            out = workdir / f"{path.stem}.b{beam}.tagged"
+            assert main(["tag", str(path), "--model", str(workdir / "toy.model"),
+                         "--out", str(out), "--beam", beam]) == 0
+            digest.update(f"{path.name} beam {beam}\n".encode())
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == TOY_TAGGED_SHA256
+
+
 def test_train_missing_schema_exits_2(workdir, capsys):
     code = main([
         "train", str(workdir / "toy.corpus"),
@@ -147,6 +165,10 @@ def _tag_with_edited_model(workdir, capsys, edit):
     "chain 0 0 0",
     "floor inf",
     "floor 7",
+    "floor x",
+    "smoothed 5",
+    "smoothed 1 0",
+    "smoothed x",
 ])
 def test_tag_rejects_bad_model_header(workdir, capsys, replacement):
     name = replacement.split()[0]
@@ -159,6 +181,17 @@ def test_tag_rejects_bad_model_header(workdir, capsys, replacement):
     code, err = _tag_with_edited_model(workdir, capsys, edit)
     assert code == 1
     assert f"bad.model: line {edit.line}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["lambdas", "chain", "floor", "smoothed"])
+def test_tag_rejects_missing_model_header_line(workdir, capsys, name):
+    def edit(lines):
+        lines.remove(next(line for line in lines if line.startswith(name + " ")))
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: missing header line {name}" in err
     assert "Traceback" not in err
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from greektag import (
+    Model,
+    ModelError,
     Sequence,
     SearchSpaceError,
     TagSchema,
@@ -12,11 +14,14 @@ from greektag import (
     train,
 )
 from greektag import _viterbi
+from greektag.cli import default_schema_path
 from greektag.decode import tag_corpus
 from greektag.tags import format_tag
+from greektag.text import read_annotated_corpus, tokenize
 
-from genmodels import random_instance, symmetric_tie_instance
-from reference import _viterbi_loops
+from genmodels import random_corpus, random_instance, symmetric_tie_instance
+from reference import _viterbi_loops, reference_increments
+from test_model import _deep_chain_corpus
 
 
 def test_empty_input(toy_model):
@@ -190,3 +195,90 @@ def _kernel_instances(seed, trials, max_len):
 def test_kernel_matches_reference_loops():
     for args in _kernel_instances(99, 600, 30):
         assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
+
+
+def _check_increments(monkeypatch, make_model, texts, warm_text):
+    """The increments ``tag_sequence`` hands the kernel for each token
+    list of ``texts`` equal ``reference_increments`` byte for byte
+    (``-inf`` cells included), on a fresh model and on one whose caches
+    were warmed by tagging ``warm_text`` first."""
+    captured = []
+    kernel = _viterbi.viterbi
+
+    def spy(counts, adims, bdims, off, inc, beam=0):
+        captured.append(inc.tobytes())
+        return kernel(counts, adims, bdims, off, inc, beam)
+
+    monkeypatch.setattr(_viterbi, "viterbi", spy)
+    reference = make_model()
+    warm = make_model()
+    for tokens in warm_text:
+        tag_sequence(warm, tokens)
+    for model in (make_model(), warm):
+        for tokens in texts:
+            captured.clear()
+            tag_sequence(model, tokens)
+            assert captured == [reference_increments(reference, tokens).tobytes()]
+
+
+def test_increments_match_reference_on_fixture_texts(monkeypatch, fixtures_dir, toy_corpus,
+                                                     toy_rules, toy_schema):
+    texts = [seq.tokens for path in sorted((fixtures_dir / "texts").glob("*.txt"))
+             for seq in tokenize(path.read_text(encoding="utf-8"))]
+    _check_increments(monkeypatch, lambda: train(toy_corpus, toy_rules, toy_schema),
+                      texts, [seq.tokens for seq in toy_corpus])
+
+
+def test_increments_match_reference_with_zero_emissions(monkeypatch, tmp_path, toy_corpus,
+                                                        toy_rules, toy_schema):
+    """A hapax-prior tag of probability 0 gives an unknown word without a
+    matching suffix a zero emission, so its cells are ``-inf``."""
+    path = tmp_path / "zero.model"
+    lines = train(toy_corpus, toy_rules, toy_schema).to_lines()
+    no = next(i for i, line in enumerate(lines) if line.startswith("__hapax__\t"))
+    lines[no] += " konj=0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = Model.load(path)
+    assert dict(model.lexical_probs("ζζζ"))[toy_schema.parse("konj")] == 0.0
+    texts = [[Token(w, w, i) for i, w in enumerate(["καί", "ζζζ", "λόγος", "ζζζ", "."])]]
+    _check_increments(monkeypatch, lambda: Model.load(path), texts,
+                      [seq.tokens for seq in toy_corpus])
+
+
+def test_word_without_candidates_raises(tmp_path, toy_model):
+    """Without a hapax prior, a word that matches no lexicon entry and no
+    suffix has no candidate tags: decoding and scoring it fail loudly."""
+    path = tmp_path / "noprior.model"
+    lines = [line for line in toy_model.to_lines() if not line.startswith("__hapax__\t")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = Model.load(path)
+    tokens = [Token(w, w, i) for i, w in enumerate(["καί", "ζζζ"])]
+    for run in (lambda: tag_sequence(model, tokens), lambda: brute_force_best(model, tokens),
+                lambda: model.sequence_log_prob(tokens, [toy_model.schema.parse("konj")] * 2)):
+        with pytest.raises(ModelError, match="no candidate tags for 'ζζζ'"):
+            run()
+
+
+def test_increments_match_reference_on_deep_chains(monkeypatch):
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    other = read_annotated_corpus(_deep_chain_corpus(schema, seed=6, sequences=3), schema)
+    texts = [seq.tokens for seq in other]
+    texts.append(tuple(Token(w, w, i) for i, w in enumerate(["w1", "unseen", "w2", "w1"])))
+    _check_increments(monkeypatch, lambda: train(corpus, None, schema), texts,
+                      [seq.tokens for seq in corpus])
+
+
+def test_increments_match_reference_on_random_models(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        schema, rules, sequences, vocab = random_corpus(rng)
+        smooth = rng.random() < 0.8
+        texts = []
+        for _ in range(2):
+            words = [vocab[int(rng.integers(0, len(vocab)))] if rng.random() < 0.85
+                     else f"oov{int(rng.integers(0, 3))}"
+                     for _ in range(int(rng.integers(1, 7)))]
+            texts.append([Token(w, w, i) for i, w in enumerate(words)])
+        _check_increments(monkeypatch, lambda: train(sequences, rules, schema, smooth=smooth),
+                          texts, [seq.tokens for seq in sequences])
