@@ -84,18 +84,20 @@ def fit_interpolation(tables, seq_counts):
     """
     freq = tables.prefix_freq
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
-    chain_awards = [0.0, 0.0, 0.0]  # the levels of _Tables.feature_levels
+    chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
     saw_features = False
 
     for c_s in seq_counts:
         tables.add(c_s, -1)
         for (a, b, t), n in c_s.items():
-            full = tables.prefixes[t][-1]
-            _award(order_awards, n, 0, (freq(1, (), full, ROOT), freq(2, (b,), full, ROOT),
-                                        freq(3, (a, b), full, ROOT)))
+            prefixes = tables.prefixes[t]
+            full = prefixes[-1]
+            _award(order_awards, n, 0, (freq((), full, ROOT), freq((b,), full, ROOT),
+                                        freq((a, b), full, ROOT)))
             for j in range(len(tables.features[t])):
                 saw_features = True
-                _award(chain_awards, n, 2, tables.feature_levels(3, (a, b), t, j))
+                _award(chain_awards, n, 2, (freq((a, b), prefixes[j + 2], prefixes[j + 1]),
+                                            *tables.backoff_levels(t, j)))
         tables.add(c_s)
 
     total = sum(order_awards)
@@ -335,10 +337,14 @@ class Model:
                 key = (parse_tag(fields[0]), parse_tag(fields[1]), parse_tag(fields[2]))
             except TagError as exc:
                 raise FormatError(str(exc), path, no) from None
-            if not (fields[3].isascii() and fields[3].isdigit()):
-                raise FormatError(
-                    f"trigram count {fields[3]!r} is not a non-negative integer", path, no
-                )
+            if not (fields[3].isascii() and fields[3].isdigit() and int(fields[3])):
+                raise FormatError(f"trigram count {fields[3]!r} is not a positive integer",
+                                  path, no)
+            # the boundary tag only pads the start of a sequence: never
+            # the scored tag, and as h1 only after another boundary
+            if key[2] == BOUNDARY or (key[1] == BOUNDARY and key[0] != BOUNDARY):
+                raise FormatError(f"{BOUNDARY_CATEGORY} out of place in trigram "
+                                  f"{' '.join(fields[:3])}", path, no)
             if key in trigram_counts:
                 raise FormatError("trigram given twice", path, no)
             trigram_counts[key] = int(fields[3])

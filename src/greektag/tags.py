@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import FormatError, ModelError, TagError, open_utf8
 
@@ -257,6 +258,14 @@ def _feature_keys(tag: Tag) -> tuple:
 #: Prefix id of the root chain prefix (), which every tag extends.
 ROOT = 0
 
+#: The prefix counts of a history that was never counted; read-only, so
+#: scoring an unseen history inserts nothing.
+_NO_COUNTS = MappingProxyType({})
+
+
+def _prefix_counts():
+    return defaultdict(int)
+
 
 class _Tables:
     """Count tables derived from full-tag trigram counts, on integer keys.
@@ -267,13 +276,14 @@ class _Tables:
     prefix ids of tag ``i``, root first, and ``features[i]`` the string
     keys of its feature-value pairs in the category-local and global
     tables.  ``tri`` maps id triples (h2, h1, t) to their counts.
-    ``pre[o]`` maps (history tag ids..., prefix id) to a count at order
-    ``o`` (history length o-1), so the root entry counts the positions
-    that carry the history.  ``catfeat``/``featuni`` hold the
-    category-local and global feature-value counts used as backoff levels
-    inside the chain; every counted tag carries all the features of its
-    category, so a category's count is its local denominator.  A tag
-    with no counts reads zero everywhere.
+    ``pre[o]`` maps a history of o-1 tag ids to its prefix counts
+    ``{prefix id: count}`` at order ``o`` (order 1 is ``pre[1][()]``), so
+    the root entry counts the positions that carry the history.
+    ``catfeat``/``featuni`` hold the category-local and global
+    feature-value counts used as backoff levels inside the chain; every
+    counted tag carries all the features of its category, so a
+    category's count is its local denominator.  A tag with no counts
+    reads zero everywhere.
     """
 
     def __init__(self, trigram_counts):
@@ -282,7 +292,7 @@ class _Tables:
         self.prefixes: list[tuple[int, ...]] = []
         self.features: list[tuple] = []
         self.tri = defaultdict(int)
-        self.pre = {1: defaultdict(int), 2: defaultdict(int), 3: defaultdict(int)}
+        self.pre = {o: defaultdict(_prefix_counts) for o in (1, 2, 3)}
         self.catfeat = defaultdict(int)
         self.featuni = defaultdict(int)
         self.featuni_ctx = defaultdict(int)
@@ -302,38 +312,44 @@ class _Tables:
     def add(self, counts, sign: int = 1) -> None:
         """Add ``sign`` times the id-keyed trigram counts ``{(a, b, t): n}``
         to every table; ``sign=-1`` takes them out again."""
-        pre1, pre2, pre3 = self.pre[1], self.pre[2], self.pre[3]
+        pre2, pre3 = self.pre[2], self.pre[3]
+        d1 = self.pre[1][()]
         catfeat, featuni, featuni_ctx = self.catfeat, self.featuni, self.featuni_ctx
         for (a, b, t), n in counts.items():
             n *= sign
             self.tri[(a, b, t)] += n
+            d3, d2 = pre3[(a, b)], pre2[(b,)]
             for p in self.prefixes[t]:
-                pre3[(a, b, p)] += n
-                pre2[(b, p)] += n
-                pre1[(p,)] += n
+                d3[p] += n
+                d2[p] += n
+                d1[p] += n
             for vkey, feature, ukey in self.features[t]:
                 catfeat[vkey] += n
                 featuni[ukey] += n
                 featuni_ctx[feature] += n
 
-    def prefix_freq(self, order, hist, prefix, parent):
-        """Relative frequency of chain prefix id ``prefix`` after history
-        ids ``hist`` at ``order``, given its parent prefix id ``parent``;
-        None on a zero denominator."""
-        pre = self.pre[order]
-        den = pre.get(hist + (parent,), 0)
-        return pre.get(hist + (prefix,), 0) / den if den else None
+    def counts_after(self, hist):
+        """The prefix counts ``{prefix id: count}`` after the history ids
+        ``hist`` (order len(hist)+1); empty for an unseen history."""
+        return self.pre[len(hist) + 1].get(hist, _NO_COUNTS)
 
-    def feature_levels(self, order, hist, t, j):
-        """The (specific, category-local, global) relative frequencies of
-        feature value ``j`` of tag id ``t``: after history ids ``hist``
-        given the part of the tag before it, within the tag's category,
-        and over all categories; each None on a zero denominator."""
-        prefixes = self.prefixes[t]
+    def prefix_freq(self, hist, prefix, parent):
+        """Relative frequency of chain prefix id ``prefix`` after history
+        ids ``hist``, given its parent prefix id ``parent``; None on a
+        zero denominator."""
+        counts = self.counts_after(hist)
+        den = counts.get(parent, 0)
+        return counts.get(prefix, 0) / den if den else None
+
+    def backoff_levels(self, t, j):
+        """The (category-local, global) relative frequencies of feature
+        value ``j`` of tag id ``t``: within the tag's category and over
+        all categories; each None on a zero denominator.  Neither depends
+        on a history."""
         vkey, feature, ukey = self.features[t][j]
-        cden, uden = self.pre[1].get((prefixes[1],), 0), self.featuni_ctx.get(feature, 0)
-        return (self.prefix_freq(order, hist, prefixes[j + 2], prefixes[j + 1]),
-                self.catfeat.get(vkey, 0) / cden if cden else None,
+        cden = self.counts_after(()).get(self.prefixes[t][1], 0)
+        uden = self.featuni_ctx.get(feature, 0)
+        return (self.catfeat.get(vkey, 0) / cden if cden else None,
                 self.featuni.get(ukey, 0) / uden if uden else None)
 
 
@@ -358,7 +374,9 @@ class TransitionStats:
     ``chain_weights`` (levels with empty conditioning counts are dropped
     and the weights renormalized; with no weight left, uniform) and every
     factor mixes in ``floor`` mass spread uniformly over the schema-allowed
-    values.  The counts are read off ``tables``, of which it keeps no copy.
+    values.  The counts are read off ``tables``, of which it keeps no copy;
+    they must not change while it scores, since the history-free parts of
+    each tag's chain are memoized by tag id on first use.
     """
 
     def __init__(self, schema, tables: _Tables, *, smoothed=True,
@@ -368,8 +386,18 @@ class TransitionStats:
         self.smoothed = smoothed
         self.chain_weights = tuple(chain_weights)
         self.floor = floor if smoothed else 0.0
-        if not tables.pre[1].get((ROOT,), 0):
+        if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("no trigram statistics (untrained model)")
+        if not sum(self.chain_weights):
+            raise ModelError("chain weights are all zero")
+        self._keep = 1.0 - self.floor
+        self._category_floor = self.floor / len(schema.categories)
+        # raw scoring is the smoothed walk with weights (1, 0, 0), no floor
+        # and a zero category factor after an unseen history: the specific
+        # level is then the whole factor, and one is dropped only after a
+        # zero factor
+        self._weights = self.chain_weights if smoothed else (1.0, 0.0, 0.0)
+        self._chains: dict = {}  # tag id -> _chain_constants
 
     @property
     def trigram_counts(self) -> dict:
@@ -381,24 +409,41 @@ class TransitionStats:
         tags = list(self.tables.tag_id)
         return sorted({tags[t] for (_, _, t) in self.tables.tri}, key=tag_key)
 
-    def _category_factor(self, order, hist, prefix) -> float:
-        ncat = len(self.schema.categories)
-        mle = self.tables.prefix_freq(order, hist, prefix, ROOT)
-        if mle is None:
-            # unseen history: escape to the category unigram
-            mle = self.tables.prefix_freq(1, (), prefix, ROOT)
-        return (1.0 - self.floor) * mle + self.floor / ncat
-
-    def _feature_factor(self, order, hist, t, j) -> float:
-        wsum = mixed = 0.0
-        for w, m in zip(self.chain_weights, self.tables.feature_levels(order, hist, t, j)):
-            if m is not None:
-                wsum += w
-                mixed += w * m
-        nvals = len(self.schema.allowed_values(self.tables.features[t][j][1]))
-        if not wsum:
-            return 1.0 / nvals
-        return (1.0 - self.floor) * (mixed / wsum) + self.floor / nvals
+    def _chain_constants(self, t: int):
+        """The history-free parts of the chain of tag id ``t``: its
+        category prefix id, its whole chain after an unseen history, and
+        per feature value, its prefix id, w2·m2 and w3·m3 (m2, m3 the
+        category-local and global levels; 0.0 when dropped), the weight
+        sum with the specific level present, the whole factor with it
+        absent, and the floor share."""
+        tb = self.tables
+        prefixes = tb.prefixes[t]
+        keep, floor = self._keep, self.floor
+        w1, w2, w3 = self._weights
+        unseen = 0.0
+        if self.smoothed:  # escape to the category unigram
+            unseen = keep * tb.prefix_freq((), prefixes[1], ROOT) + self._category_floor
+        links = []
+        for j, prefix in enumerate(prefixes[2:]):
+            m2, m3 = tb.backoff_levels(t, j)
+            nvals = len(self.schema.allowed_values(tb.features[t][j][1]))
+            share = floor / nvals
+            c2 = c3 = mixed = wsum = 0.0
+            wspec = w1
+            if m2 is not None:
+                c2 = w2 * m2
+                mixed += c2
+                wsum += w2
+                wspec += w2
+            if m3 is not None:
+                c3 = w3 * m3
+                mixed += c3
+                wsum += w3
+                wspec += w3
+            absent = keep * (mixed / wsum) + share if wsum else 1.0 / nvals
+            links.append((prefix, c2, c3, wspec, absent, share))
+            unseen *= absent  # an unseen history drops every specific level
+        return prefixes[1], unseen, tuple(links)
 
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
@@ -406,20 +451,23 @@ class TransitionStats:
         return self.id_chain_prob(tb.intern(tag), tuple(map(tb.intern, history)))
 
     def id_chain_prob(self, t: int, hist: tuple[int, ...]) -> float:
-        """``chain_prob`` of tag id ``t`` after the history ids ``hist``."""
-        order = len(hist) + 1
-        tb = self.tables
-        prefixes = tb.prefixes[t]
-        if self.smoothed:
-            p = self._category_factor(order, hist, prefixes[1])
-            for j in range(len(prefixes) - 2):
-                p *= self._feature_factor(order, hist, t, j)
-            return p
-        p = 1.0
-        for parent, prefix in zip(prefixes, prefixes[1:]):
-            # the first link reads None after an unseen history; past it,
-            # p > 0 means the parent was counted after hist: a denominator
-            p *= tb.prefix_freq(order, hist, prefix, parent) or 0.0
-            if p == 0.0:
-                return 0.0
+        """``chain_prob`` of tag id ``t`` after the history ids ``hist``:
+        one prefix count per link, whose parent's count is the previous
+        link's."""
+        chain = self._chains.get(t)
+        if chain is None:
+            chain = self._chains[t] = self._chain_constants(t)
+        category, unseen, links = chain
+        counts = self.tables.counts_after(hist)
+        den = counts.get(ROOT, 0)
+        if not den:
+            return unseen
+        keep, w1 = self._keep, self._weights[0]
+        c = counts.get(category, 0)
+        p = keep * (c / den) + self._category_floor
+        for prefix, c2, c3, wspec, absent, share in links:
+            den, c = c, counts.get(prefix, 0)
+            # with the specific level c/den present, the factor mixes it
+            # with the backoff levels; without it, it is history-free
+            p *= keep * ((w1 * (c / den) + c2 + c3) / wspec) + share if den else absent
         return p

@@ -122,6 +122,9 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
                 f"expected 2 tab-separated fields, got {len(fields)}", path, no
             )
         surface, tagstring = fields
+        if surface.split() != [surface]:
+            # ``tokenize`` never yields such a token, so none could use it
+            raise FormatError(f"surface {surface!r} is empty or holds whitespace", path, no)
         try:
             tag = schema.parse(tagstring)
         except TagError as exc:

@@ -7,6 +7,13 @@ from that sequence alone and subtracted from the global one.  The awards
 are summed in the same order and with the same arithmetic as the
 library's in-place version, so both must return exactly equal weights.
 
+``reference_chain_prob`` is ``TransitionStats.chain_prob`` computed
+factor by factor on the ``Tag``-keyed tables below: the category factor
+with its escape to the category unigram after an unseen history, and per
+feature value its three levels, dropping a level whose denominator is 0,
+renormalizing the weights left (uniform with none left) and mixing in
+the floor; without smoothing, the product of raw relative frequencies.
+
 ``_viterbi_loops`` is the trigram Viterbi search written as plain loops
 over the instance layout of ``greektag._viterbi.viterbi``.  It copies
 every state's whole best path at each position and breaks exact ties by
@@ -54,6 +61,46 @@ class _TagTables:
                 self.catfeat_ctx[(cat, fv.feature)] += n
                 self.featuni[(fv.feature, fv.value)] += n
                 self.featuni_ctx[fv.feature] += n
+
+
+def reference_chain_prob(tables, schema, tag, history, *, smoothed,
+                         chain_weights, floor):
+    """P(tag | history) on the ``_TagTables`` ``tables``."""
+    hist = tuple(history)
+    pre = tables.pre[len(hist) + 1]
+    den = tables.ctx[len(hist) + 1].get(hist, 0)
+    prefix = (tag.category,)
+    if not smoothed:
+        p = 1.0
+        for parent, child in zip(_tag_prefixes(tag), _tag_prefixes(tag)[1:]):
+            d = pre.get(hist + (parent,), 0)
+            p *= pre.get(hist + (child,), 0) / d if d else 0.0
+        return p
+    if den:
+        mle = pre.get(hist + (prefix,), 0) / den
+    else:  # unseen history: the category unigram
+        mle = tables.pre[1].get((prefix,), 0) / tables.ctx[1][()]
+    p = (1.0 - floor) * mle + floor / len(schema.categories)
+    cat = tag.category
+    for fv in tag.features:
+        f, v = fv.feature, fv.value
+        d_spec = pre.get(hist + (prefix,), 0)
+        d_cat = tables.catfeat_ctx.get((cat, f), 0)
+        d_uni = tables.featuni_ctx.get(f, 0)
+        levels = (
+            pre.get(hist + (prefix + (v,),), 0) / d_spec if d_spec else None,
+            tables.catfeat.get((cat, f, v), 0) / d_cat if d_cat else None,
+            tables.featuni.get((f, v), 0) / d_uni if d_uni else None,
+        )
+        wsum = mixed = 0.0
+        for w, m in zip(chain_weights, levels):
+            if m is not None:
+                wsum += w
+                mixed += w * m
+        nvals = len(schema.allowed_values(f))
+        p *= (1.0 - floor) * (mixed / wsum) + floor / nvals if wsum else 1.0 / nvals
+        prefix = prefix + (v,)
+    return p
 
 
 def fit_interpolation_reference(seq_tag_lists):

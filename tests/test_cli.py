@@ -108,6 +108,19 @@ def test_train_malformed_corpus_exits_1(workdir, capsys):
     assert "nosuchtag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["\tnega", "a b\tnega"], ids=["empty", "space"])
+def test_train_rejects_surface_no_token_has(workdir, capsys, line):
+    bad = workdir / "bad.corpus"
+    bad.write_text(f"οὐ\tnega\n{line}\n", encoding="utf-8")
+    code = main(["train", str(bad), "--schema", str(workdir / "toy.schema"),
+                 "--out", str(workdir / "m")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "bad.corpus: line 2: surface" in err
+    assert "Traceback" not in err
+    assert not (workdir / "m").exists()
+
+
 def test_tag_empty_input(workdir, capsys):
     _train(workdir, capsys)
     empty = workdir / "empty.txt"
@@ -291,6 +304,23 @@ def test_tag_rejects_header_or_section_given_twice(workdir, capsys, repeat):
     code, err = _tag_with_edited_model(workdir, capsys, edit)
     assert code == 1
     assert f"bad.model: line {edit.line}: " in err and "given twice" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nega\tnega\t<s>\t3", "<s> out of place"),
+    ("nega\t<s>\tnega\t3", "<s> out of place"),
+    ("nega\tnega\tnega\t0", "not a positive integer"),
+], ids=["boundary-scored", "boundary-after-tag", "zero-count"])
+def test_tag_rejects_trigram_no_sequence_produces(workdir, capsys, row, message):
+    def edit(lines):
+        no = lines.index("[trigrams]") + 1
+        lines.insert(no, row)
+        edit.line = no + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: " in err and message in err
     assert "Traceback" not in err
 
 

@@ -11,7 +11,7 @@ from greektag import Model, ModelError, Sequence, TagSchema, Token, tag_corpus, 
 from greektag.cli import default_schema_path
 from greektag.errors import FormatError
 from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
-from greektag.tags import BOUNDARY, Tag
+from greektag.tags import BOUNDARY, FeatureValue, Tag
 from greektag.text import read_annotated_corpus, tokenize
 
 from genmodels import random_corpus
@@ -259,20 +259,19 @@ def test_model_load_errors(tmp_path):
         Model.load(truncated)
 
 
-def _transition_lines(model):
+def _transition_lines(model, tags, uncounted, stride=11):
     """``repr`` of ``Model.transition_prob`` and of ``chain_prob`` at
-    orders 1-3, for every toy schema tag after histories over BOUNDARY,
-    the observed tags and one schema tag that was never counted; each
-    history pair scores every eleventh tag, in turn, to keep it quick."""
-    tags = _schema_tags(model.schema)
+    orders 1-3, for every tag of ``tags`` after histories over BOUNDARY,
+    the observed tags and ``uncounted``, a schema tag that was never
+    counted; each history pair scores every ``stride``-th tag, in turn,
+    to keep it quick."""
     observed = model.stats.observed_tags
-    uncounted = next(t for t in reversed(tags) if t not in observed)
     hist_tags = [BOUNDARY, *observed, uncounted]
     stats = model.stats
     lines = [repr(stats.chain_prob(t, ())) for t in tags]
     pairs = [(h2, h1) for h2 in hist_tags for h1 in hist_tags]
     for i, (h2, h1) in enumerate(pairs):
-        for t in tags[i % 11::11]:
+        for t in tags[i % stride::stride]:
             lines.append(" ".join(map(repr, (
                 model.transition_prob(t, h1, h2),
                 stats.chain_prob(t, (h2, h1)),
@@ -281,15 +280,57 @@ def _transition_lines(model):
     return lines
 
 
+def _toy_transition_lines(model):
+    """``_transition_lines`` over every toy schema tag."""
+    tags = _schema_tags(model.schema)
+    observed = model.stats.observed_tags
+    return _transition_lines(model, tags, next(t for t in reversed(tags) if t not in observed))
+
+
 #: sha256 of ``_transition_lines`` over the toy model, smoothed then raw
 TOY_TRANSITION_SHA256 = "cc2b8e4a33623e834cf5b6dbd63492eb0ff6db7006784cd29ccfa7209f095b5d"
 
 
 def test_transition_probabilities_are_golden(toy_model, toy_corpus, toy_rules, toy_schema):
     raw = train(toy_corpus, toy_rules, toy_schema, smooth=False)
-    lines = _transition_lines(toy_model) + _transition_lines(raw)
+    lines = _toy_transition_lines(toy_model) + _toy_transition_lines(raw)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TOY_TRANSITION_SHA256
+
+
+def _partly_counted_verf(schema, observed):
+    """The first of the ``tag_key``-sorted ``observed`` ``verf`` tags with
+    its last feature set to its last value: a deep-chain tag never
+    counted, whose chain is counted up to its last link."""
+    verf = next(t for t in observed if t.category == "verf")
+    last = verf.features[-1]
+    tag = Tag("verf", verf.features[:-1] + (
+        FeatureValue(last.feature, schema.allowed_values(last.feature)[-1]),))
+    assert tag not in observed
+    return tag
+
+
+def _deep_transition_lines(model):
+    """``_transition_lines`` over the observed tags of a deep-chain model
+    plus ``_partly_counted_verf``."""
+    observed = model.stats.observed_tags
+    uncounted = _partly_counted_verf(model.schema, observed)
+    return _transition_lines(model, [*observed, uncounted], uncounted, stride=29)
+
+
+#: sha256 of ``_deep_transition_lines`` over the model trained on
+#: ``_deep_chain_corpus()`` with the built-in schema, smoothed then raw
+DEEP_TRANSITION_SHA256 = "fa4a3c9e0e9d098c2fa4a8c31d46f92614d3c54c8950a26f0a27be8ca4ce73a2"
+
+
+def test_deep_chain_transition_probabilities_are_golden():
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    lines = []
+    for smooth in (True, False):
+        lines += _deep_transition_lines(train(corpus, None, schema, smooth=smooth))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DEEP_TRANSITION_SHA256
 
 
 def test_scoring_leaves_the_model_file_unchanged(toy_corpus, toy_rules, toy_schema,

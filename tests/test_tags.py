@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +14,14 @@ from greektag import (
     format_tag,
     train,
 )
+from greektag.cli import default_schema_path
 from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.model import _instances
+from greektag.text import read_annotated_corpus
+
+from genmodels import random_corpus
+from reference import _TagTables, reference_chain_prob
+from test_model import _deep_chain_corpus, _partly_counted_verf
 
 VERB = "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act"
 
@@ -215,7 +222,7 @@ def test_tables_derive_bigrams_from_trigrams(chain_schema, chain_corpus):
     # the root prefix after a tag counts its occurrences as predecessor
     v_sg = chain_schema.parse("v:num=sg")
     occurrences = sum(n for (a, b, t), n in trigrams.items() if b == v_sg)
-    assert tables.pre[2][(tables.tag_id[v_sg], ROOT)] == occurrences
+    assert tables.pre[2][(tables.tag_id[v_sg],)][ROOT] == occurrences
 
 
 def test_stats_require_counts(chain_schema):
@@ -223,3 +230,60 @@ def test_stats_require_counts(chain_schema):
 
     with pytest.raises(ModelError):
         TransitionStats(chain_schema, _Tables({}))
+
+
+def test_stats_reject_all_zero_chain_weights(chain_schema, chain_corpus):
+    from greektag.errors import ModelError
+
+    tables = train(chain_corpus, None, chain_schema).stats.tables
+    with pytest.raises(ModelError, match="chain weights"):
+        TransitionStats(chain_schema, tables, chain_weights=(0.0, 0.0, 0.0))
+
+
+def _chain_oracle_cases():
+    """(schema, corpus, tags to score, stride) for 200 random corpora,
+    scoring every schema tag, and for the deep-chain corpus, scoring its
+    observed tags plus a ``verf`` tag counted up to its last link and a
+    tag of a category never counted; each history scores every
+    stride-th tag, in turn."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        schema, _, corpus, _ = random_corpus(rng)
+        yield schema, corpus, _all_schema_tags(schema), 3
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    observed = sorted({t for seq in corpus for t in seq.gold_tags}, key=format_tag)
+    partial = _partly_counted_verf(schema, observed)
+    subs = schema.parse("subs:case=nom,num=sg,gend=masc")
+    yield schema, corpus, observed + [partial, subs], 37
+
+
+def test_chain_prob_matches_reference():
+    """The one-lookup-per-link chain walk returns exactly the literal
+    factor-by-factor product, smoothed (fitted weights, weights (1, 0, 0)
+    and (0, 1, 0), floor 0) and raw, at orders 1-3, after unseen
+    histories and for tags never counted."""
+    for schema, corpus, tags, stride in _chain_oracle_cases():
+        for smooth in (True, False):
+            model = train(corpus, None, schema, smooth=smooth)
+            stats = model.stats
+            ref = _TagTables(stats.trigram_counts)
+            uncounted = [t for t in tags if t not in stats.observed_tags]
+            hist_tags = [BOUNDARY, *stats.observed_tags, *uncounted[-1:]]
+            histories = [()] + [(h,) for h in hist_tags]
+            histories += [(h2, h1) for h2 in hist_tags for h1 in hist_tags]
+            variants = [stats]
+            if smooth:
+                variants += [
+                    TransitionStats(schema, stats.tables, chain_weights=(1.0, 0.0, 0.0)),
+                    TransitionStats(schema, stats.tables, chain_weights=(0.0, 1.0, 0.0)),
+                    TransitionStats(schema, stats.tables, chain_weights=stats.chain_weights,
+                                    floor=0.0),
+                ]
+            for v in variants:
+                for i, history in enumerate(histories):
+                    for t in tags[i % stride::stride]:
+                        assert v.chain_prob(t, history) == reference_chain_prob(
+                            ref, schema, t, history, smoothed=v.smoothed,
+                            chain_weights=v.chain_weights, floor=v.floor,
+                        ), (format_tag(t), history, v.chain_weights, v.floor)

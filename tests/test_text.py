@@ -107,6 +107,14 @@ def test_read_reports_bad_tag_string(toy_schema):
         read_annotated_corpus(io.StringIO("a\tnosuch\n"), toy_schema)
 
 
+@pytest.mark.parametrize("surface", ["", "a b", " a", "a\u00a0b"],
+                         ids=["empty", "space", "leading-space", "nbsp"])
+def test_read_rejects_surface_no_token_has(toy_schema, surface):
+    """``tokenize`` never yields an empty token or one with whitespace."""
+    with pytest.raises(FormatError, match="line 2: surface"):
+        read_annotated_corpus(io.StringIO(f"a\tkonj\n{surface}\tnega\n"), toy_schema)
+
+
 def test_read_skips_comments_and_extra_blank_lines(toy_schema):
     text = "# c\n\n\na\tkonj\n\n\n# c2\nb\tkonj\n"
     seqs = read_annotated_corpus(io.StringIO(text), toy_schema)
