@@ -32,7 +32,6 @@ from .stylometry import (
 )
 from .tags import (
     BOUNDARY,
-    FeatureValue,
     Tag,
     TagSchema,
     TransitionStats,

@@ -8,6 +8,7 @@ byte-identical output files.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from importlib import resources
@@ -146,6 +147,19 @@ def cmd_chisq(args) -> int:
     return EXIT_OK
 
 
+def _ranged(convert, ok, what):
+    """An argparse type: ``convert`` the string, rejecting values not ``ok``."""
+    def parse(s):
+        try:
+            value = convert(s)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{s!r} is not {what}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greektag",
@@ -167,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="text file to tag, or - for stdin")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--out", required=True, help="tagged output file")
-    p.add_argument("--beam", type=int, default=0,
+    p.add_argument("--beam", default=0,
+                   type=_ranged(int, lambda n: n >= 0, "a non-negative integer"),
                    help="beam width (0 = exact search)")
     p.set_defaults(func=cmd_tag)
 
@@ -181,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chisq", help="chi-square deviation test over counts")
     p.add_argument("counts", help="counts CSV")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", default=DEFAULT_THRESHOLD,
+                   type=_ranged(float, lambda x: math.isfinite(x) and x > 0,
+                                "a finite positive number"),
                    help="per-category chi-square significance cutoff")
     p.add_argument("--exclude-self", action="store_true",
                    help="pool each text against the others only")

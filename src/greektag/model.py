@@ -26,7 +26,6 @@ from .tags import (
     TransitionStats,
     _Tables,
     format_tag,
-    tag_key,
 )
 
 NEG_INF = float("-inf")
@@ -206,9 +205,9 @@ class Model:
         return probs
 
     def candidates(self, norm: str) -> tuple[list[Tag], list[int], list[float]]:
-        """The candidate tags of a word in ``tag_key`` order, with their
-        ids and log emission probabilities (``-inf`` for 0).  Raises
-        ``ModelError`` when the word has none."""
+        """The candidate tags of a word in canonical tag string order,
+        with their ids and log emission probabilities (``-inf`` for 0).
+        Raises ``ModelError`` when the word has none."""
         cands = self._cands.get(norm)
         if cands is None:
             probs = self.lexical_probs(norm)
@@ -295,6 +294,9 @@ class Model:
         if fields not in (["0"], ["1"]):
             raise FormatError(f"smoothed needs 0 or 1, got {' '.join(fields)}", path, no)
         smoothed = fields == ["1"]
+        if abs(sum(lambdas) - 1.0) > 1e-12:
+            raise FormatError(f"lambdas sum to {sum(lambdas)!r}, not 1",
+                              path, header["lambdas"][0])
         if not sum(chain_weights):
             raise FormatError("chain weights are all zero", path, header["chain"][0])
         if floor > 1.0:

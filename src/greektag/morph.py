@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import FormatError, GreektagError, open_utf8
-from .tags import Tag, TagSchema, format_tag, tag_key
+from .tags import Tag, TagSchema, format_tag
 from .text import PUNCT_CATEGORY, Sequence, is_punct
 
 _EMPTY_PATTERN = "-"
@@ -280,13 +280,13 @@ class Lexicon:
             rows.append((entry.form, "fullform", entry.paradigm_classes,
                          entry.tag_probs))
         if self.hapax_prior:
-            items = sorted(self.hapax_prior.items(), key=lambda kv: tag_key(kv[0]))
+            items = sorted(self.hapax_prior.items(), key=lambda kv: format_tag(kv[0]))
             rows.append((_PRIOR_FORM, "prior", frozenset(), tuple(items)))
         for entry in self.stems.values():
             rows.append((entry.form, "stem", entry.paradigm_classes,
                          entry.tag_probs))
         for literal, probs in self.suffix_probs.items():
-            items = sorted(probs.items(), key=lambda kv: tag_key(kv[0]))
+            items = sorted(probs.items(), key=lambda kv: format_tag(kv[0]))
             rows.append((literal or _EMPTY_PATTERN, "suffix",
                          frozenset(), tuple(items)))
         rows.sort(key=lambda r: (r[1], r[0]))
@@ -357,7 +357,7 @@ class Lexicon:
 
 
 def _sorted_scores(scores: dict) -> tuple[tuple[Tag, float], ...]:
-    return tuple(sorted(scores.items(), key=lambda kv: tag_key(kv[0])))
+    return tuple(sorted(scores.items(), key=lambda kv: format_tag(kv[0])))
 
 
 def _splits(word: str, rules: RuleSet):
@@ -454,7 +454,7 @@ def lexical_prob(word: str, lexicon: Lexicon) -> list[tuple[Tag, float]]:
     for analysis in segment(word, lexicon):
         for tag, score in analysis.tag_probs:
             scores[tag] += score
-    items = sorted(scores.items(), key=lambda kv: tag_key(kv[0]))
+    items = sorted(scores.items(), key=lambda kv: format_tag(kv[0]))
     total = 0.0
     for _, s in items:
         total += s
@@ -518,7 +518,7 @@ def train_lexicon(corpus: list[Sequence], rules: RuleSet,
 
     def distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
         total = sum(counter.values())
-        items = sorted(counter.items(), key=lambda kv: tag_key(kv[0]))
+        items = sorted(counter.items(), key=lambda kv: format_tag(kv[0]))
         return tuple((t, n / total) for t, n in items)
 
     stems = [

@@ -15,6 +15,7 @@ floor so that every schema-valid tag keeps positive mass.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -29,15 +30,12 @@ _FORBIDDEN = set(" \t\n,:=|#<>")
 
 
 @dataclass(frozen=True)
-class FeatureValue:
-    feature: str
-    value: str
-
-
-@dataclass(frozen=True)
 class Tag:
+    """A category plus its ``(feature, value)`` string pairs, in the
+    schema's canonical feature order."""
+
     category: str
-    features: tuple[FeatureValue, ...] = ()
+    features: tuple[tuple[str, str], ...] = ()
 
 
 #: History padding used before the first and second token of a sequence.
@@ -48,13 +46,8 @@ def format_tag(tag: Tag) -> str:
     """Canonical string form: ``category`` or ``category:f=v,f=v,...``."""
     if not tag.features:
         return tag.category
-    inner = ",".join(f"{fv.feature}={fv.value}" for fv in tag.features)
+    inner = ",".join(f"{f}={v}" for f, v in tag.features)
     return f"{tag.category}:{inner}"
-
-
-def tag_key(tag: Tag) -> str:
-    """Sort key used for every deterministic tie-break in the package."""
-    return format_tag(tag)
 
 
 def _check_ident(name: str, what: str) -> str:
@@ -115,18 +108,16 @@ class TagSchema:
     def validate(self, tag: Tag) -> None:
         """Raise TagError unless ``tag`` carries exactly its category's features."""
         feats = self.features_of(tag.category)
-        seen = [fv.feature for fv in tag.features]
+        seen = [f for f, _ in tag.features]
         if len(set(seen)) != len(seen):
             raise TagError(f"duplicate feature in tag: {format_tag(tag)}")
-        for fv in tag.features:
-            if fv.feature not in self.feature_values:
-                raise TagError(f"unknown feature: {fv.feature}")
-            if fv.feature not in feats:
-                raise TagError(
-                    f"feature {fv.feature} not allowed for category {tag.category}"
-                )
-            if fv.value not in self.feature_values[fv.feature]:
-                raise TagError(f"unknown value {fv.value} for feature {fv.feature}")
+        for f, v in tag.features:
+            if f not in self.feature_values:
+                raise TagError(f"unknown feature: {f}")
+            if f not in feats:
+                raise TagError(f"feature {f} not allowed for category {tag.category}")
+            if v not in self.feature_values[f]:
+                raise TagError(f"unknown value {v} for feature {f}")
         missing = [f for f in feats if f not in seen]
         if missing:
             raise TagError(
@@ -149,33 +140,18 @@ class TagSchema:
                 if not eq or not feat or not value:
                     raise TagError(f"malformed feature-value pair {item!r} in {s!r}")
                 pairs.append((feat, value))
-        feats = self.features_of(category)
-        order = {f: i for i, f in enumerate(feats)}
-        for feat, _ in pairs:
-            if feat not in self.feature_values:
-                raise TagError(f"unknown feature: {feat}")
-            if feat not in order:
-                raise TagError(f"feature {feat} not allowed for category {category}")
-        pairs.sort(key=lambda fv: order[fv[0]])
-        tag = Tag(category, tuple(FeatureValue(f, v) for f, v in pairs))
+        order = {f: i for i, f in enumerate(self.features_of(category))}
+        # a feature foreign to the category sorts first; validate rejects it
+        pairs.sort(key=lambda fv: order.get(fv[0], -1))
+        tag = Tag(category, tuple(pairs))
         self.validate(tag)
         return tag
 
     def iter_tags(self, category: str):
         """Yield every schema-valid tag of a category (value product)."""
         feats = self.features_of(category)
-        if not feats:
-            yield Tag(category)
-            return
-        stack = [()]
-        for f in feats:
-            stack = [
-                prefix + (FeatureValue(f, v),)
-                for prefix in stack
-                for v in self.feature_values[f]
-            ]
-        for combo in stack:
-            yield Tag(category, combo)
+        for values in itertools.product(*(self.feature_values[f] for f in feats)):
+            yield Tag(category, tuple(zip(feats, values)))
 
     # -- schema file format -------------------------------------------------
 
@@ -240,8 +216,8 @@ def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
     v1, .., vj) for j = 0..l."""
     prefix = (tag.category,)
     out = [(), prefix]
-    for fv in tag.features:
-        prefix = prefix + (fv.value,)
+    for _, v in tag.features:
+        prefix = prefix + (v,)
         out.append(prefix)
     return out
 
@@ -249,10 +225,7 @@ def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
 def _feature_keys(tag: Tag) -> tuple:
     """Per feature-value pair of ``tag``, its keys in the category-local
     and global tables: ((cat, f, v), f, (f, v))."""
-    return tuple(
-        ((tag.category, fv.feature, fv.value), fv.feature, (fv.feature, fv.value))
-        for fv in tag.features
-    )
+    return tuple(((tag.category, f, v), f, (f, v)) for f, v in tag.features)
 
 
 #: Prefix id of the root chain prefix (), which every tag extends.
@@ -407,7 +380,7 @@ class TransitionStats:
     @property
     def observed_tags(self) -> list[Tag]:
         tags = list(self.tables.tag_id)
-        return sorted({tags[t] for (_, _, t) in self.tables.tri}, key=tag_key)
+        return sorted({tags[t] for (_, _, t) in self.tables.tri}, key=format_tag)
 
     def _chain_constants(self, t: int):
         """The history-free parts of the chain of tag id ``t``: its

@@ -125,6 +125,11 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
         if surface.split() != [surface]:
             # ``tokenize`` never yields such a token, so none could use it
             raise FormatError(f"surface {surface!r} is empty or holds whitespace", path, no)
+        if len(surface) > 1 and (unicodedata.category(surface[0]).startswith("P")
+                                 or unicodedata.category(surface[-1]).startswith("P")):
+            # ``tokenize`` splits such punctuation off into tokens of its own
+            raise FormatError(f"surface {surface!r} starts or ends with punctuation",
+                              path, no)
         try:
             tag = schema.parse(tagstring)
         except TagError as exc:

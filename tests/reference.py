@@ -56,11 +56,11 @@ class _TagTables:
                 for p in prefixes:
                     pre[hist + (p,)] += n
             cat = t.category
-            for fv in t.features:
-                self.catfeat[(cat, fv.feature, fv.value)] += n
-                self.catfeat_ctx[(cat, fv.feature)] += n
-                self.featuni[(fv.feature, fv.value)] += n
-                self.featuni_ctx[fv.feature] += n
+            for f, v in t.features:
+                self.catfeat[(cat, f, v)] += n
+                self.catfeat_ctx[(cat, f)] += n
+                self.featuni[(f, v)] += n
+                self.featuni_ctx[f] += n
 
 
 def reference_chain_prob(tables, schema, tag, history, *, smoothed,
@@ -82,8 +82,7 @@ def reference_chain_prob(tables, schema, tag, history, *, smoothed,
         mle = tables.pre[1].get((prefix,), 0) / tables.ctx[1][()]
     p = (1.0 - floor) * mle + floor / len(schema.categories)
     cat = tag.category
-    for fv in tag.features:
-        f, v = fv.feature, fv.value
+    for f, v in tag.features:
         d_spec = pre.get(hist + (prefix,), 0)
         d_cat = tables.catfeat_ctx.get((cat, f), 0)
         d_uni = tables.featuni_ctx.get(f, 0)
@@ -153,24 +152,24 @@ def fit_interpolation_reference(seq_tag_lists):
 
             hist = (a, b)
             prefix = (t.category,)
-            for fv in t.features:
+            for f, v in t.features:
                 saw_features = True
                 key_den = hist + (prefix,)
-                key_num = hist + (prefix + (fv.value,),)
+                key_num = hist + (prefix + (v,),)
                 d_spec = tables_g.pre[3].get(key_den, 0) - tables_s.pre[3].get(key_den, 0)
                 c_spec = (
                     (tables_g.pre[3].get(key_num, 0) - tables_s.pre[3].get(key_num, 0)) / d_spec
                     if d_spec else 0.0
                 )
-                ckey = (t.category, fv.feature)
+                ckey = (t.category, f)
                 d_cat = tables_g.catfeat_ctx.get(ckey, 0) - tables_s.catfeat_ctx.get(ckey, 0)
-                vkey = (t.category, fv.feature, fv.value)
+                vkey = (t.category, f, v)
                 c_cat = (
                     (tables_g.catfeat.get(vkey, 0) - tables_s.catfeat.get(vkey, 0)) / d_cat
                     if d_cat else 0.0
                 )
-                d_uni = tables_g.featuni_ctx.get(fv.feature, 0) - tables_s.featuni_ctx.get(fv.feature, 0)
-                ukey = (fv.feature, fv.value)
+                d_uni = tables_g.featuni_ctx.get(f, 0) - tables_s.featuni_ctx.get(f, 0)
+                ukey = (f, v)
                 c_uni = (
                     (tables_g.featuni.get(ukey, 0) - tables_s.featuni.get(ukey, 0)) / d_uni
                     if d_uni else 0.0
@@ -182,7 +181,7 @@ def fit_interpolation_reference(seq_tag_lists):
                     winners = [i for i, c in ((0, c_spec), (1, c_cat), (2, c_uni)) if c == best]
                     for i in winners:
                         chain_awards[i] += n / len(winners)
-                prefix = prefix + (fv.value,)
+                prefix = prefix + (v,)
 
     total = sum(order_awards)
     lambdas = tuple(a / total for a in order_awards) if total else (1.0, 0.0, 0.0)

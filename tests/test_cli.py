@@ -108,7 +108,8 @@ def test_train_malformed_corpus_exits_1(workdir, capsys):
     assert "nosuchtag" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["\tnega", "a b\tnega"], ids=["empty", "space"])
+@pytest.mark.parametrize("line", ["\tnega", "a b\tnega", "λόγος,\tsubs:case=nom,num=sg,gend=masc"],
+                         ids=["empty", "space", "trailing-punct"])
 def test_train_rejects_surface_no_token_has(workdir, capsys, line):
     bad = workdir / "bad.corpus"
     bad.write_text(f"οὐ\tnega\n{line}\n", encoding="utf-8")
@@ -174,6 +175,7 @@ def _tag_with_edited_model(workdir, capsys, edit):
     "lambdas nan nan nan",
     "lambdas 0.5 0.5",
     "lambdas 1.5 -0.25 -0.25",
+    "lambdas 0.5 0.5 0.5",
     "chain -5 3 3",
     "chain 0 0 0",
     "floor inf",
@@ -556,6 +558,23 @@ def test_chisq_too_few_texts_exits_1(workdir, capsys):
     save_counts_csv(counts_path,
                     [CategoryCounts(f"t{i}", {"a": 5, "b": 5}) for i in range(2)])
     assert main(["chisq", str(counts_path), "--out", str(workdir / "rep")]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["tag", "in.txt", "--model", "m", "--beam", "-3"],
+    ["chisq", "c.csv", "--threshold", "nan"],
+    ["chisq", "c.csv", "--threshold", "-1"],
+    ["chisq", "c.csv", "--threshold", "inf"],
+    ["chisq", "c.csv", "--threshold", "0"],
+], ids=["beam-negative", "threshold-nan", "threshold-negative", "threshold-inf",
+        "threshold-zero"])
+def test_out_of_range_number_is_usage_error(workdir, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(workdir / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {args[-2]}: {args[-1]!r} is not a" in err
+    assert not (workdir / "out").exists()
 
 
 def test_chisq_threshold_monotonicity(workdir, capsys):

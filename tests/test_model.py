@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import math
 import random
 from collections import Counter
@@ -11,8 +12,8 @@ from greektag import Model, ModelError, Sequence, TagSchema, Token, tag_corpus, 
 from greektag.cli import default_schema_path
 from greektag.errors import FormatError
 from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
-from greektag.tags import BOUNDARY, FeatureValue, Tag
-from greektag.text import read_annotated_corpus, tokenize
+from greektag.tags import BOUNDARY, Tag
+from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
 from genmodels import random_corpus
 from reference import fit_interpolation_reference
@@ -299,13 +300,12 @@ def test_transition_probabilities_are_golden(toy_model, toy_corpus, toy_rules, t
 
 
 def _partly_counted_verf(schema, observed):
-    """The first of the ``tag_key``-sorted ``observed`` ``verf`` tags with
+    """The first of the ``format_tag``-sorted ``observed`` ``verf`` tags with
     its last feature set to its last value: a deep-chain tag never
     counted, whose chain is counted up to its last link."""
     verf = next(t for t in observed if t.category == "verf")
-    last = verf.features[-1]
-    tag = Tag("verf", verf.features[:-1] + (
-        FeatureValue(last.feature, schema.allowed_values(last.feature)[-1]),))
+    last, _ = verf.features[-1]
+    tag = Tag("verf", verf.features[:-1] + ((last, schema.allowed_values(last)[-1]),))
     assert tag not in observed
     return tag
 
@@ -347,3 +347,31 @@ def test_scoring_leaves_the_model_file_unchanged(toy_corpus, toy_rules, toy_sche
         model.transition_prob(t, t, tags[0])
     assert len(model.stats.tables.tag_id) == len(tags) + 1  # BOUNDARY too
     assert model.to_lines() == before
+
+
+#: sha256 of the tagged output of ``_deep_chain_text`` with the smoothed
+#: and the raw model trained on ``_deep_chain_corpus()`` and the built-in
+#: schema, each with exact search and then ``beam=4``
+DEEP_CHAIN_TAGGED_SHA256 = "f635ed059aa06c0d504480773cb0992219a505713cf462569ab1febda7ead553"
+
+
+def _deep_chain_text():
+    """Every word of ``_deep_chain_corpus`` in a fixed order, with an
+    unknown word among them, whose candidates are the whole hapax prior."""
+    words = [f"w{(7 * i) % 12}" for i in range(12)]
+    return " ".join(words[:5]) + " ξένος " + " ".join(words[5:]) + " w3 w3 ."
+
+
+def test_deep_chain_tagged_output_is_golden():
+    """Candidate order and the tie-break among multi-feature tags decide
+    this output: the raw model scores exact ties on the unknown word."""
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    digest = hashlib.sha256()
+    for smooth in (True, False):
+        model = train(corpus, None, schema, smooth=smooth)
+        for beam in (0, 4):
+            out = io.StringIO()
+            write_annotated_corpus(out, tag_corpus(model, tokenize(_deep_chain_text()), beam))
+            digest.update(f"smoothed {smooth} beam {beam}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == DEEP_CHAIN_TAGGED_SHA256

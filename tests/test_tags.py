@@ -35,7 +35,7 @@ def test_parse_bare_category(toy_schema):
 def test_parse_five_feature_verb(toy_schema):
     tag = toy_schema.parse(VERB)
     assert tag.category == "verf"
-    assert [(fv.feature, fv.value) for fv in tag.features] == [
+    assert list(tag.features) == [
         ("pers", "1"), ("num", "pl"), ("mood", "ind"),
         ("tense", "pres"), ("voice", "act"),
     ]

@@ -107,12 +107,21 @@ def test_read_reports_bad_tag_string(toy_schema):
         read_annotated_corpus(io.StringIO("a\tnosuch\n"), toy_schema)
 
 
-@pytest.mark.parametrize("surface", ["", "a b", " a", "a\u00a0b"],
-                         ids=["empty", "space", "leading-space", "nbsp"])
+@pytest.mark.parametrize("surface", ["", "a b", " a", "a\u00a0b", "λόγος,", "«a", "..."],
+                         ids=["empty", "space", "leading-space", "nbsp",
+                              "trailing-punct", "leading-punct", "punct-run"])
 def test_read_rejects_surface_no_token_has(toy_schema, surface):
-    """``tokenize`` never yields an empty token or one with whitespace."""
+    """``tokenize`` never yields an empty token, one with whitespace, or
+    one longer than a character that starts or ends with punctuation."""
     with pytest.raises(FormatError, match="line 2: surface"):
         read_annotated_corpus(io.StringIO(f"a\tkonj\n{surface}\tnega\n"), toy_schema)
+
+
+def test_read_accepts_surface_tokenize_yields(toy_schema):
+    """A lone punctuation character and inner punctuation stay one token."""
+    assert [t.surface for t in tokenize("ἀλλ'οὐ ;")[0].tokens] == ["ἀλλ'οὐ", ";"]
+    seqs = read_annotated_corpus(io.StringIO("ἀλλ'οὐ\tnega\n;\tpunct\n"), toy_schema)
+    assert [t.surface for t in seqs[0].tokens] == ["ἀλλ'οὐ", ";"]
 
 
 def test_read_skips_comments_and_extra_blank_lines(toy_schema):
