@@ -17,7 +17,7 @@ from pathlib import Path
 from . import stylometry
 from .decode import tag_corpus, tag_sequence
 from .errors import GreektagError, decode_utf8
-from .model import Model, train
+from .model import Model, _fold_models, train
 from .morph import RuleSet
 from .stylometry import (
     DEFAULT_EXCLUDED,
@@ -48,18 +48,16 @@ def _load_schema(path) -> TagSchema:
 def cross_validation(corpus, rules, schema, folds=CV_FOLDS, seed=DEFAULT_SEED):
     """Held-out tagging accuracy, averaged over up to ``folds`` folds of
     whole sequences.  None when the corpus is too small to split."""
-    if len(corpus) < 2:
+    k = min(folds, len(corpus))
+    if len(corpus) < 2 or k < 1:
         return None
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
-    k = min(folds, len(corpus))
     correct = 0
     total = 0
-    for fold in range(k):
-        held = set(order[fold::k])
-        fold_train = [corpus[i] for i in range(len(corpus)) if i not in held]
-        fold_model = train(fold_train, rules, schema)
-        for i in sorted(held):
+    held_out = [sorted(order[fold::k]) for fold in range(k)]
+    for held, fold_model in _fold_models(corpus, rules, schema, held_out):
+        for i in held:
             seq = corpus[i]
             predicted = tag_sequence(fold_model, seq.tokens)
             correct += sum(p == g for p, g in zip(predicted, seq.gold_tags))
@@ -111,6 +109,11 @@ def cmd_tag(args) -> int:
 def cmd_count(args) -> int:
     schema = _load_schema(args.schema)
     exclude = tuple(args.exclude_category) if args.exclude_category else DEFAULT_EXCLUDED
+    for category in args.exclude_category or ():
+        if category not in schema.category_features:
+            print(f"error: --exclude-category {category}: the schema declares no "
+                  "such category", file=sys.stderr)
+            return EXIT_USAGE
     group = []
     seen = set()
     for path in args.tagged:

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 
 from . import morph
-from .errors import FormatError, ModelError, TagError, open_utf8
+from .errors import FormatError, GreektagError, ModelError, TagError, open_utf8
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -25,6 +25,7 @@ from .tags import (
     TagSchema,
     TransitionStats,
     _Tables,
+    _freq,
     format_tag,
 )
 
@@ -81,21 +82,23 @@ def fit_interpolation(tables, seq_counts):
     to; the awards are read off the remaining counts, and the counts are
     added back, so the tables end as they began.
     """
-    freq = tables.prefix_freq
+    after = tables.counts_after
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
     chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
     saw_features = False
 
     for c_s in seq_counts:
         tables.add(c_s, -1)
+        uni = after(())
         for (a, b, t), n in c_s.items():
             prefixes = tables.prefixes[t]
             full = prefixes[-1]
-            _award(order_awards, n, 0, (freq((), full, ROOT), freq((b,), full, ROOT),
-                                        freq((a, b), full, ROOT)))
+            tri = after((a, b))
+            _award(order_awards, n, 0, (_freq(uni, full, ROOT), _freq(after((b,)), full, ROOT),
+                                        _freq(tri, full, ROOT)))
             for j in range(len(tables.features[t])):
                 saw_features = True
-                _award(chain_awards, n, 2, (freq((a, b), prefixes[j + 2], prefixes[j + 1]),
+                _award(chain_awards, n, 2, (_freq(tri, prefixes[j + 2], prefixes[j + 1]),
                                             *tables.backoff_levels(t, j)))
         tables.add(c_s)
 
@@ -358,6 +361,24 @@ class Model:
         return cls(schema, stats, lambdas, lexicon)
 
 
+def _check_gold(seq, schema) -> None:
+    """Raise what ``train`` raises for ``seq`` of its corpus: a
+    ``ModelError`` without gold tags, a ``TagError`` for an invalid one."""
+    if seq.gold_tags is None:
+        raise ModelError("training corpus must carry gold tags")
+    for t in seq.gold_tags:
+        schema.validate(t)
+
+
+def _fitted_model(schema, tables, seq_counts, lexicon, smooth=True, lambdas=None) -> Model:
+    """The model on the counted ``tables``, with the weights fitted on
+    the per-sequence counts ``seq_counts`` (``lambdas``, when given,
+    replace the fitted interpolation weights)."""
+    fit_lambdas, chain_weights = fit_interpolation(tables, seq_counts)
+    stats = TransitionStats(schema, tables, smoothed=smooth, chain_weights=chain_weights)
+    return Model(schema, stats, fit_lambdas if lambdas is None else lambdas, lexicon)
+
+
 def train(corpus, rules, schema, *, smooth=True, lambdas=None) -> Model:
     """Train on an annotated corpus.
 
@@ -369,21 +390,64 @@ def train(corpus, rules, schema, *, smooth=True, lambdas=None) -> Model:
     """
     if rules is None:
         rules = morph.RuleSet.empty()
-    seq_tags = []
     for seq in corpus:
-        if seq.gold_tags is None:
-            raise ModelError("training corpus must carry gold tags")
-        for t in seq.gold_tags:
-            schema.validate(t)
-        if seq.gold_tags:
-            seq_tags.append(seq.gold_tags)
+        _check_gold(seq, schema)
+    seq_tags = [seq.gold_tags for seq in corpus if seq.gold_tags]
     if not seq_tags:
         raise ModelError("empty training corpus")
-
     tables, seq_counts = count_sequences(seq_tags)
-    fit_lambdas, chain_weights = fit_interpolation(tables, seq_counts)
-    lambdas = fit_lambdas if lambdas is None else lambdas
-
-    stats = TransitionStats(schema, tables, smoothed=smooth, chain_weights=chain_weights)
     lexicon = morph.train_lexicon(corpus, rules, schema)
-    return Model(schema, stats, lambdas, lexicon)
+    return _fitted_model(schema, tables, seq_counts, lexicon, smooth, lambdas)
+
+
+def _fold_models(corpus, rules, schema, folds):
+    """Yield ``(held, model)`` for each fold of ``folds``, sorted lists
+    of corpus indices that partition the corpus; ``model`` is what
+    ``train`` makes of the rest of the corpus, with the same model file
+    and the same errors, in fold order.  Its lexicon carries no training
+    log.
+
+    The corpus is counted once: its trigram tables, and the lexicon
+    counts of each fold, summed.  For each fold, the fold's counts are
+    taken out of both, the weights are fitted and the model built on
+    what is left, and the counts go back when the caller asks for the
+    next fold.  A fold model reads the shared tables, so it is valid
+    only until then.
+    """
+    if rules is None:
+        rules = morph.RuleSet.empty()
+    if sorted(i for held in folds for i in held) != list(range(len(corpus))):
+        raise ValueError("folds must partition the corpus indices")
+    bad = []  # (index, error) of the sequences train would reject
+    for i, seq in enumerate(corpus):
+        try:
+            _check_gold(seq, schema)
+        except GreektagError as exc:
+            bad.append((i, exc))
+    skip = {i for i, _ in bad}
+    tables, seq_counts = count_sequences(
+        [() if i in skip else seq.gold_tags for i, seq in enumerate(corpus)])
+    fold_lexicons = [
+        morph.count_lexicon([corpus[i] for i in held if i not in skip], rules, schema)
+        for held in folds
+    ]
+    lexicon_counts = morph.LexiconCounts()
+    for counts in fold_lexicons:
+        lexicon_counts.add(counts)
+
+    for held, held_lexicon in zip(folds, fold_lexicons):
+        held_set = set(held)
+        for i, exc in bad:
+            if i not in held_set:
+                raise exc
+        for i in held:
+            tables.add(seq_counts[i], -1)
+        if not tables.counts_after(()).get(ROOT, 0):
+            raise ModelError("empty training corpus")
+        lexicon_counts.add(held_lexicon, -1)
+        lexicon = lexicon_counts.to_lexicon(rules, schema)
+        lexicon_counts.add(held_lexicon)
+        kept = [c for i, c in enumerate(seq_counts) if i not in held_set]
+        yield held, _fitted_model(schema, tables, kept, lexicon)
+        for i in held:
+            tables.add(seq_counts[i])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import FormatError, GreektagError, open_utf8
 from .tags import Tag, TagSchema, format_tag
@@ -463,92 +464,163 @@ def lexical_prob(word: str, lexicon: Lexicon) -> list[tuple[Tag, float]]:
     return [(t, s / total) for t, s in items]
 
 
-def train_lexicon(corpus: list[Sequence], rules: RuleSet,
-                  schema: TagSchema) -> Lexicon:
-    """Build the lexicon from a gold-tagged corpus.
+class LexiconCounts:
+    """The additive counts behind a trained lexicon.
 
-    Tokens of uninflected categories become full forms.  Inflected
-    tokens are split using the suffix rules that admit the gold tag,
-    preferring the longest suffix (then the longest stem); tokens no
-    rule can segment are stored as full forms and reported in the
-    training log.  Counts become conditional distributions by relative
-    frequency, including the per-literal suffix table, per-rule tag
-    weights, and the prior over hapax legomena.
+    ``stems``, ``fullforms``, ``suffixes`` and ``rules`` map a form, a
+    suffix literal or a suffix rule index to a ``Counter`` of gold tags.
+    ``classes`` counts (stem, paradigm class) pairs, a class for each
+    rule that admitted a token of the stem, and ``words`` counts (word,
+    gold tag) pairs, which give each word's frequency for the hapax
+    prior.  ``log`` is the training log of the corpus ``count_lexicon``
+    counted, in corpus order; a log does not subtract, so ``add``
+    leaves it alone.
     """
-    stem_counts: dict[str, Counter] = defaultdict(Counter)
-    stem_classes: dict[str, set] = defaultdict(set)
-    ff_counts: dict[str, Counter] = defaultdict(Counter)
-    suffix_counts: dict[str, Counter] = defaultdict(Counter)
-    rule_counts: dict[int, Counter] = defaultdict(Counter)
-    word_freq: Counter = Counter()
-    observations: list[tuple[str, Tag]] = []
-    log: list[str] = []
 
+    BY_KEY = ("stems", "fullforms", "suffixes", "rules")
+
+    def __init__(self):
+        for name in self.BY_KEY:
+            setattr(self, name, defaultdict(Counter))
+        self.classes = Counter()
+        self.words = Counter()
+        self.log: list[str] = []
+
+    def add(self, other: "LexiconCounts", sign: int = 1) -> None:
+        """Add ``sign`` times the counts of ``other``; ``sign=-1`` takes
+        them out again.  A count or key that falls to 0 is removed, so
+        the counts of a corpus less those of part of it are the counts
+        of the rest."""
+        for name in self.BY_KEY:
+            dst = getattr(self, name)
+            for key, counts in getattr(other, name).items():
+                target = dst.get(key)
+                if target is None:
+                    target = dst[key] = Counter()
+                _add_counts(target, counts, sign)
+                if not target:
+                    del dst[key]
+        _add_counts(self.classes, other.classes, sign)
+        _add_counts(self.words, other.words, sign)
+
+    def to_lexicon(self, rules: RuleSet, schema: TagSchema) -> "Lexicon":
+        """Normalize the counts into a lexicon: every table becomes
+        conditional distributions by relative frequency, including the
+        per-rule tag weights and the prior over hapax legomena (over
+        all tokens when no word occurs once)."""
+        dist = partial(_distribution, names=_TagNames())
+        classes = defaultdict(set)
+        for stem, klass in self.classes:
+            classes[stem].add(klass)
+        stems = [LexiconEntry(form, frozenset(classes[form]), dist(counts))
+                 for form, counts in sorted(self.stems.items())]
+        fullforms = [LexiconEntry(form, frozenset(), dist(counts))
+                     for form, counts in sorted(self.fullforms.items())]
+        suffix_probs = {literal: dict(dist(counts))
+                        for literal, counts in sorted(self.suffixes.items())}
+        tags_of = Counter(word for word, _ in self.words)
+        hapax = Counter(gold for (word, gold), n in self.words.items()
+                        if n == 1 and tags_of[word] == 1)
+        if not hapax:
+            for (_, gold), n in self.words.items():
+                hapax[gold] += n
+        prior = dict(dist(hapax)) if hapax else {}
+        trained_rules = RuleSet(
+            [
+                SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
+                           dict(dist(self.rules[idx])) if idx in self.rules
+                           else rule.tag_probs)
+                for idx, rule in enumerate(rules.suffix_rules)
+            ],
+            rules.prefix_rules,
+        )
+        return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
+                       prior, self.log)
+
+
+class _TagNames(dict):
+    """Tag -> canonical tag string, filled on first use."""
+
+    def __missing__(self, tag: Tag) -> str:
+        name = self[tag] = format_tag(tag)
+        return name
+
+
+def _distribution(counter: Counter, names: _TagNames) -> tuple[tuple[Tag, float], ...]:
+    """Relative frequencies of a ``Counter`` of tags, in canonical tag
+    string order."""
+    total = sum(counter.values())
+    items = sorted(counter.items(), key=lambda kv: names[kv[0]])
+    return tuple((t, n / total) for t, n in items)
+
+
+def _add_counts(dst: Counter, src, sign: int) -> None:
+    """``dst += sign * src``, removing every count that falls to 0."""
+    for item, n in src.items():
+        total = dst.get(item, 0) + sign * n
+        if total:
+            dst[item] = total
+        else:
+            del dst[item]
+
+
+def _training_split(word: str, gold: Tag, rules: RuleSet):
+    """The split training counts ``word`` with inflected tag ``gold``
+    under: (stem, suffix literal, ids of the rules admitting ``gold``),
+    the longest suffix first and, at equal suffix length, the stripped
+    prefix, so augmented forms share their bare stem.  None when no
+    rule admits ``gold``."""
+    best = None
+    for prefix, stem, literal, rule_ids in _splits(word, rules):
+        admitting = [rid for rid in rule_ids if gold in rules.suffix_rules[rid].tags]
+        if admitting and (best is None or (len(literal), len(prefix)) > best[0]):
+            best = ((len(literal), len(prefix)), (stem, literal, admitting))
+    return None if best is None else best[1]
+
+
+def count_lexicon(corpus: list[Sequence], rules: RuleSet,
+                  schema: TagSchema) -> LexiconCounts:
+    """Count a gold-tagged corpus for its lexicon.
+
+    Tokens of uninflected categories count as full forms.  Inflected
+    tokens count under the split of ``_training_split``; tokens no rule
+    can segment count as full forms and are reported in the training
+    log.  Each distinct (word, tag) pair is split once.
+    """
+    counts = LexiconCounts()
+    pairs = counts.words
     for seq in corpus:
         if seq.gold_tags is None:
             raise GreektagError("training corpus must carry gold tags")
-        for token, gold in zip(seq.tokens, seq.gold_tags):
-            word = token.norm
-            word_freq[word] += 1
-            observations.append((word, gold))
-            if not schema.features_of(gold.category):
-                ff_counts[word][gold] += 1
-                continue
-            splits = []
-            for prefix, stem, literal, rule_ids in _splits(word, rules):
-                admitting = [rid for rid in rule_ids if gold in rules.suffix_rules[rid].tags]
-                if admitting:
-                    splits.append((prefix, stem, literal, admitting))
-            if not splits:
-                ff_counts[word][gold] += 1
-                log.append(
-                    f"no segmentation for {word!r} with tag "
-                    f"{format_tag(gold)}; stored as full form"
-                )
-                continue
-            # longest suffix first; at equal suffix length prefer the
-            # stripped prefix so augmented forms share their bare stem
-            splits.sort(key=lambda s: (-len(s[2]), -len(s[0])))
-            prefix, stem, literal, admitting = splits[0]
-            stem_counts[stem][gold] += 1
-            suffix_counts[literal][gold] += 1
-            for rid in admitting:
-                stem_classes[stem].add(rules.suffix_rules[rid].paradigm_class)
-                rule_counts[rid][gold] += 1
+        pairs.update(zip([token.norm for token in seq.tokens], seq.gold_tags))
+    unsegmented = set()
+    for (word, gold), n in pairs.items():
+        split = None
+        if schema.features_of(gold.category):
+            split = _training_split(word, gold, rules)
+            if split is None:
+                unsegmented.add((word, gold))
+        if split is None:
+            counts.fullforms[word][gold] += n
+            continue
+        stem, literal, admitting = split
+        counts.stems[stem][gold] += n
+        counts.suffixes[literal][gold] += n
+        for rid in admitting:
+            counts.classes[(stem, rules.suffix_rules[rid].paradigm_class)] += n
+            counts.rules[rid][gold] += n
+    if unsegmented:
+        counts.log = [
+            f"no segmentation for {token.norm!r} with tag {format_tag(gold)}; "
+            "stored as full form"
+            for seq in corpus for token, gold in zip(seq.tokens, seq.gold_tags)
+            if (token.norm, gold) in unsegmented
+        ]
+    return counts
 
-    def distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
-        total = sum(counter.values())
-        items = sorted(counter.items(), key=lambda kv: format_tag(kv[0]))
-        return tuple((t, n / total) for t, n in items)
 
-    stems = [
-        LexiconEntry(form, frozenset(stem_classes[form]), distribution(counts))
-        for form, counts in sorted(stem_counts.items())
-    ]
-    fullforms = [
-        LexiconEntry(form, frozenset(), distribution(counts))
-        for form, counts in sorted(ff_counts.items())
-    ]
-    suffix_probs = {
-        literal: dict(distribution(counts))
-        for literal, counts in sorted(suffix_counts.items())
-    }
-
-    hapax = Counter()
-    for word, gold in observations:
-        if word_freq[word] == 1:
-            hapax[gold] += 1
-    if not hapax:  # no hapax legomena: fall back to the overall tag distribution
-        hapax = Counter(gold for _, gold in observations)
-    prior = dict(distribution(hapax)) if hapax else {}
-
-    trained_rules = RuleSet(
-        [
-            SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
-                       dict(distribution(rule_counts[idx])) if rule_counts.get(idx) else rule.tag_probs)
-            for idx, rule in enumerate(rules.suffix_rules)
-        ],
-        rules.prefix_rules,
-    )
-    return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
-                   prior, log)
+def train_lexicon(corpus: list[Sequence], rules: RuleSet,
+                  schema: TagSchema) -> Lexicon:
+    """Build the lexicon from a gold-tagged corpus: ``count_lexicon``,
+    then ``LexiconCounts.to_lexicon``."""
+    return count_lexicon(corpus, rules, schema).to_lexicon(rules, schema)

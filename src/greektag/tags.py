@@ -240,6 +240,13 @@ def _prefix_counts():
     return defaultdict(int)
 
 
+def _freq(counts, prefix, parent):
+    """``counts[prefix] / counts[parent]`` over the prefix counts of one
+    history; None on a zero denominator."""
+    den = counts.get(parent, 0)
+    return counts.get(prefix, 0) / den if den else None
+
+
 class _Tables:
     """Count tables derived from full-tag trigram counts, on integer keys.
 
@@ -310,9 +317,7 @@ class _Tables:
         """Relative frequency of chain prefix id ``prefix`` after history
         ids ``hist``, given its parent prefix id ``parent``; None on a
         zero denominator."""
-        counts = self.counts_after(hist)
-        den = counts.get(parent, 0)
-        return counts.get(prefix, 0) / den if den else None
+        return _freq(self.counts_after(hist), prefix, parent)
 
     def backoff_levels(self, t, j):
         """The (category-local, global) relative frequencies of feature
@@ -349,7 +354,11 @@ class TransitionStats:
     factor mixes in ``floor`` mass spread uniformly over the schema-allowed
     values.  The counts are read off ``tables``, of which it keeps no copy;
     they must not change while it scores, since the history-free parts of
-    each tag's chain are memoized by tag id on first use.
+    each tag's chain are memoized by tag id on first use.  A count of 0
+    reads as absent: ``trigram_counts`` and ``observed_tags`` skip it.
+    Cross-validation builds each fold's stats on the corpus tables with
+    the fold's counts taken out, so such stats are valid only until the
+    counts are added back.
     """
 
     def __init__(self, schema, tables: _Tables, *, smoothed=True,
@@ -375,12 +384,14 @@ class TransitionStats:
     @property
     def trigram_counts(self) -> dict:
         tags = list(self.tables.tag_id)
-        return {(tags[a], tags[b], tags[t]): n for (a, b, t), n in self.tables.tri.items()}
+        return {(tags[a], tags[b], tags[t]): n
+                for (a, b, t), n in self.tables.tri.items() if n}
 
     @property
     def observed_tags(self) -> list[Tag]:
         tags = list(self.tables.tag_id)
-        return sorted({tags[t] for (_, _, t) in self.tables.tri}, key=format_tag)
+        return sorted({tags[t] for (_, _, t), n in self.tables.tri.items() if n},
+                      key=format_tag)
 
     def _chain_constants(self, t: int):
         """The history-free parts of the chain of tag id ``t``: its

@@ -20,6 +20,16 @@ every state's whole best path at each position and breaks exact ties by
 comparing those paths element by element, the most literal reading of
 the lexicographic tie-break, beam pruning included.
 
+``cross_validation_reference`` is ``greektag.cli.cross_validation``
+trained from scratch: each fold's model is ``train`` on the sequences
+the fold keeps, so it must give exactly the same accuracy, or raise the
+same error.
+
+``train_lexicon_reference`` is ``greektag.morph.train_lexicon`` token
+by token: it splits every token of the corpus on its own, counts it
+once, and logs it where it stands; ``train_lexicon`` splits each
+distinct (word, tag) pair once and counts it as often as it occurs.
+
 ``reference_increments`` fills a sequence's trellis cell by cell on
 ``Tag`` objects: ``Model.log_transition`` of each (h2, h1, t) plus the
 ``math.log`` of the word's lexical probability of t, in the increment
@@ -27,12 +37,22 @@ layout of ``greektag._viterbi.viterbi``.
 """
 
 import math
+import random
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from greektag.model import NEG_INF, _instances
-from greektag.tags import BOUNDARY, DEFAULT_CHAIN_WEIGHTS, _tag_prefixes
+from greektag.cli import CV_FOLDS, DEFAULT_SEED
+from greektag.decode import tag_sequence
+from greektag.model import NEG_INF, _instances, train
+from greektag.morph import (
+    Lexicon,
+    LexiconEntry,
+    RuleSet,
+    SuffixRule,
+    _splits,
+)
+from greektag.tags import BOUNDARY, DEFAULT_CHAIN_WEIGHTS, _tag_prefixes, format_tag
 
 
 class _TagTables:
@@ -191,6 +211,89 @@ def fit_interpolation_reference(seq_tag_lists):
     else:
         chain_weights = tuple(a / ctotal for a in chain_awards)
     return lambdas, chain_weights
+
+
+def cross_validation_reference(corpus, rules, schema, folds=CV_FOLDS, seed=DEFAULT_SEED):
+    """Held-out tagging accuracy over up to ``folds`` folds, training
+    each fold's model from scratch."""
+    if len(corpus) < 2:
+        return None
+    order = list(range(len(corpus)))
+    random.Random(seed).shuffle(order)
+    k = min(folds, len(corpus))
+    correct = 0
+    total = 0
+    for fold in range(k):
+        held = set(order[fold::k])
+        fold_train = [corpus[i] for i in range(len(corpus)) if i not in held]
+        fold_model = train(fold_train, rules, schema)
+        for i in sorted(held):
+            seq = corpus[i]
+            predicted = tag_sequence(fold_model, seq.tokens)
+            correct += sum(p == g for p, g in zip(predicted, seq.gold_tags))
+            total += len(seq)
+    return correct / total if total else None
+
+
+def train_lexicon_reference(corpus, rules, schema):
+    """The lexicon of a gold-tagged corpus, counted token by token."""
+    stem_counts = defaultdict(Counter)
+    stem_classes = defaultdict(set)
+    ff_counts = defaultdict(Counter)
+    suffix_counts = defaultdict(Counter)
+    rule_counts = defaultdict(Counter)
+    word_freq = Counter()
+    observations = []
+    log = []
+    for seq in corpus:
+        for token, gold in zip(seq.tokens, seq.gold_tags):
+            word = token.norm
+            word_freq[word] += 1
+            observations.append((word, gold))
+            if not schema.features_of(gold.category):
+                ff_counts[word][gold] += 1
+                continue
+            splits = []
+            for prefix, stem, literal, rule_ids in _splits(word, rules):
+                admitting = [rid for rid in rule_ids if gold in rules.suffix_rules[rid].tags]
+                if admitting:
+                    splits.append((prefix, stem, literal, admitting))
+            if not splits:
+                ff_counts[word][gold] += 1
+                log.append(f"no segmentation for {word!r} with tag "
+                           f"{format_tag(gold)}; stored as full form")
+                continue
+            splits.sort(key=lambda s: (-len(s[2]), -len(s[0])))
+            prefix, stem, literal, admitting = splits[0]
+            stem_counts[stem][gold] += 1
+            suffix_counts[literal][gold] += 1
+            for rid in admitting:
+                stem_classes[stem].add(rules.suffix_rules[rid].paradigm_class)
+                rule_counts[rid][gold] += 1
+
+    def distribution(counter):
+        total = sum(counter.values())
+        items = sorted(counter.items(), key=lambda kv: format_tag(kv[0]))
+        return tuple((t, n / total) for t, n in items)
+
+    hapax = Counter(gold for word, gold in observations if word_freq[word] == 1)
+    if not hapax:
+        hapax = Counter(gold for _, gold in observations)
+    trained_rules = RuleSet(
+        [SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
+                    dict(distribution(rule_counts[i])) if rule_counts.get(i) else rule.tag_probs)
+         for i, rule in enumerate(rules.suffix_rules)],
+        rules.prefix_rules,
+    )
+    return Lexicon(
+        schema, trained_rules,
+        [LexiconEntry(f, frozenset(stem_classes[f]), distribution(c))
+         for f, c in sorted(stem_counts.items())],
+        [LexiconEntry(f, frozenset(), distribution(c)) for f, c in sorted(ff_counts.items())],
+        {lit: dict(distribution(c)) for lit, c in sorted(suffix_counts.items())},
+        dict(distribution(hapax)) if hapax else {},
+        log,
+    )
 
 
 def _viterbi_loops(counts, adims, bdims, off, inc, beam):

@@ -475,6 +475,25 @@ def test_count_duplicate_text_id_exits_1(workdir, capsys):
     assert code == 1
 
 
+def test_count_rejects_undeclared_exclude_category(workdir, capsys):
+    """A category the schema does not declare is a usage error, not a
+    silent replacement of the default punct exclusion."""
+    _train(workdir, capsys)
+    tagged = workdir / "alpha.tagged"
+    main(["tag", str(workdir / "texts" / "alpha.txt"),
+          "--model", str(workdir / "toy.model"), "--out", str(tagged)])
+    capsys.readouterr()
+    code = main(["count", str(tagged), "--schema", str(workdir / "toy.schema"),
+                 "--exclude-category", "konj", "--exclude-category", "nosuch",
+                 "--out", str(workdir / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "konj" not in err
+    assert not (workdir / "c.csv").exists()
+    assert main(["count", str(tagged), "--schema", str(workdir / "toy.schema"),
+                 "--exclude-category", "konj", "--out", str(workdir / "c.csv")]) == 0
+
+
 def test_count_input_order_does_not_change_cells(workdir, capsys):
     _train(workdir, capsys)
     tagged = []

@@ -1,0 +1,242 @@
+"""Cross-validation by subtraction: the corpus is counted once, and each
+fold's model is built on the counts less the fold's.  The oracles are
+``train`` on the sequences a fold keeps and ``cross_validation_reference``,
+which trains every fold from scratch."""
+
+import re
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from greektag import RuleSet, Sequence, Tag, TagSchema, Token, train
+from greektag import decode
+from greektag.cli import cross_validation
+from greektag.errors import GreektagError
+from greektag.model import _fitted_model, _fold_models, _instances, count_sequences
+from greektag.morph import count_lexicon, train_lexicon
+from greektag.tags import TransitionStats, format_tag
+
+from genmodels import random_corpus
+from reference import cross_validation_reference
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the oracle may raise anything
+        return type(exc), str(exc)
+
+
+def _check_folds(corpus, rules, schema, folds):
+    """Each model ``_fold_models`` yields writes the file of ``train`` on
+    the sequences its fold keeps, and a fold ``train`` rejects raises
+    the same error."""
+    models = _fold_models(corpus, rules, schema, folds)
+    for held in folds:
+        held_set = set(held)
+        rest = [seq for i, seq in enumerate(corpus) if i not in held_set]
+        try:
+            want = train(rest, rules, schema).to_lines()
+        except GreektagError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                next(models)
+            return
+        got_held, model = next(models)
+        assert got_held == held
+        assert model.to_lines() == want
+        assert model.lexicon.log == ()
+    assert next(models, None) is None
+
+
+def _two_folds(n, first):
+    """``first`` (sorted) and the other indices of ``n``, if any."""
+    rest = [i for i in range(n) if i not in first]
+    return [sorted(first), rest] if rest else [sorted(first)]
+
+
+def _seq(schema, row):
+    tokens = tuple(Token(w, w, i) for i, (w, _) in enumerate(row))
+    return Sequence(tokens, tuple(schema.parse(t) for _, t in row))
+
+
+@pytest.fixture(scope="module")
+def abc_schema():
+    return TagSchema.from_lines(["category a", "category b", "category c"])
+
+
+def test_cross_validation_matches_reference_on_fixture(toy_corpus, toy_rules, toy_schema):
+    for seed in range(8):
+        got = cross_validation(toy_corpus, toy_rules, toy_schema, seed=seed)
+        assert got == cross_validation_reference(toy_corpus, toy_rules, toy_schema, seed=seed)
+    for folds in (-1, 0, 1, 2, 3, len(toy_corpus), 50):
+        got = _outcome(lambda: cross_validation(toy_corpus, toy_rules, toy_schema,
+                                                folds=folds))
+        assert got == _outcome(lambda: cross_validation_reference(toy_corpus, toy_rules,
+                                                                  toy_schema, folds=folds))
+
+
+def _spoil(rng, schema, corpus):
+    """A copy of ``corpus`` with one fault that ``train`` or tagging
+    rejects, or none: a sequence without gold tags, a tag of an
+    undeclared category, or every sequence but one emptied."""
+    corpus = list(corpus)
+    kind = int(rng.integers(0, 4))
+    i = int(rng.integers(0, len(corpus)))
+    if kind == 1:
+        corpus[i] = Sequence(corpus[i].tokens, None)
+    elif kind == 2:
+        tags = list(corpus[i].gold_tags)
+        tags[-1] = Tag("nosuch")
+        corpus[i] = Sequence(corpus[i].tokens, tuple(tags))
+    elif kind == 3:
+        corpus = [seq if j == i else Sequence((), ()) for j, seq in enumerate(corpus)]
+    return corpus
+
+
+def test_cross_validation_matches_reference_on_random_corpora():
+    """Equal accuracy, or the same error, on 200 random corpora, a third
+    of them spoiled."""
+    rng = np.random.default_rng(5)
+    for n in range(200):
+        schema, rules, corpus, _ = random_corpus(rng)
+        if n % 3 == 0:
+            corpus = _spoil(rng, schema, corpus)
+        seed = int(rng.integers(0, 100))
+        got = _outcome(lambda: cross_validation(corpus, rules, schema, seed=seed))
+        assert got == _outcome(lambda: cross_validation_reference(corpus, rules, schema,
+                                                                   seed=seed))
+
+
+def test_cross_validation_keeps_the_trellis_bound(toy_corpus, toy_rules, toy_schema,
+                                                  monkeypatch):
+    monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", 40)
+    got = _outcome(lambda: cross_validation(toy_corpus, toy_rules, toy_schema))
+    assert got[0] is decode.SearchSpaceError
+    assert got == _outcome(lambda: cross_validation_reference(toy_corpus, toy_rules,
+                                                              toy_schema))
+
+
+def test_fold_models_match_training_on_the_rest(toy_corpus, toy_rules, toy_schema):
+    """On the fixture at several fold seeds and on 200 random corpora
+    (a third spoiled), split into up to 10 folds."""
+    cases = [(toy_schema, toy_rules, toy_corpus, seed) for seed in range(4)]
+    rng = np.random.default_rng(17)
+    for n in range(200):
+        schema, rules, corpus, _ = random_corpus(rng)
+        if n % 3 == 0:
+            corpus = _spoil(rng, schema, corpus)
+        cases.append((schema, rules, corpus, n))
+    for schema, rules, corpus, seed in cases:
+        order = np.random.default_rng(seed).permutation(len(corpus)).tolist()
+        k = min(10, len(corpus))
+        _check_folds(corpus, rules, schema, [sorted(order[f::k]) for f in range(k)])
+
+
+def test_fold_holding_every_occurrence(toy_corpus, toy_rules, toy_schema):
+    """A fold that holds every occurrence of a tag, of a stem or of a
+    word seen once: the fold model has none of it, and still writes the
+    file of ``train`` on the rest."""
+    model = train(toy_corpus, toy_rules, toy_schema)
+    per_seq = [count_lexicon([seq], toy_rules, toy_schema) for seq in toy_corpus]
+    tag = min(model.stats.observed_tags, key=lambda t: sum(t in s.gold_tags for s in toy_corpus))
+    stem = sorted(model.lexicon.stems)[0]
+    freq = Counter(tok.norm for seq in toy_corpus for tok in seq.tokens)
+    hapax = min(w for w, n in freq.items() if n == 1 and w in model.lexicon.fullforms)
+    cases = {
+        "tag": [i for i, s in enumerate(toy_corpus) if tag in s.gold_tags],
+        "stem": [i for i, c in enumerate(per_seq) if stem in c.stems],
+        "hapax": [i for i, s in enumerate(toy_corpus)
+                  if hapax in {tok.norm for tok in s.tokens}],
+    }
+    for what, held in cases.items():
+        folds = _two_folds(len(toy_corpus), held)
+        _check_folds(toy_corpus, toy_rules, toy_schema, folds)
+        _, fold_model = next(_fold_models(toy_corpus, toy_rules, toy_schema, folds))
+        if what == "tag":
+            assert tag not in fold_model.stats.observed_tags
+            assert all(tag not in key for key in fold_model.stats.trigram_counts)
+        elif what == "stem":
+            assert stem not in fold_model.lexicon.stems
+        else:
+            assert hapax not in fold_model.lexicon.fullforms
+
+
+def test_fold_changes_the_hapax_prior(abc_schema):
+    """Holding out a sequence turns a word seen twice into a hapax, and
+    holding out the only hapax leaves the prior over every token."""
+    corpus = [
+        _seq(abc_schema, [("x", "a"), ("y", "b")]),
+        _seq(abc_schema, [("z", "c")]),
+        _seq(abc_schema, [("x", "a"), ("y", "b")]),
+    ]
+    for held in ([0], [1], [2], [0, 2]):
+        _check_folds(corpus, None, abc_schema, _two_folds(len(corpus), held))
+    _, without_z = next(_fold_models(corpus, None, abc_schema, [[1], [0, 2]]))
+    # x, y, x, y: no word is seen once, so the prior is over all four tokens
+    a, b = abc_schema.parse("a"), abc_schema.parse("b")
+    assert without_z.lexicon.hapax_prior == {a: 0.5, b: 0.5}
+
+
+def test_folds_must_partition_the_corpus(toy_corpus, toy_rules, toy_schema):
+    for folds in ([[0]], [[0, 1], [1, *range(2, len(toy_corpus))]]):
+        with pytest.raises(ValueError):
+            next(_fold_models(toy_corpus, toy_rules, toy_schema, folds))
+
+
+def test_subtraction_round_trip(toy_corpus, toy_schema):
+    """Taking a fold's trigram counts out of the tables leaves the counts
+    of the rest, with no zero-count row; adding them back restores the
+    tables, and the model built on them is the one built before."""
+    rng = np.random.default_rng(3)
+    cases = [(toy_schema, toy_corpus)] + [(s, c) for s, _, c, _ in
+                                          (random_corpus(rng) for _ in range(100))]
+    for schema, corpus in cases:
+        seqs = [s.gold_tags for s in corpus]
+        tables, seq_counts = count_sequences(seqs)
+        lexicon = train_lexicon(corpus, RuleSet.empty(), schema)
+
+        def built():
+            model = _fitted_model(schema, tables, seq_counts, lexicon)
+            return model.to_lines(), model.stats.trigram_counts, model.stats.observed_tags
+
+        before = built()
+        held = set(range(0, len(seqs), 3))
+        rest = [t for i, t in enumerate(seqs) if i not in held]
+        for i in held:
+            tables.add(seq_counts[i], -1)
+        if rest:
+            fold = TransitionStats(schema, tables)
+            assert fold.trigram_counts == Counter(x for t in rest for x in _instances(t))
+            assert fold.observed_tags == sorted({t for tags in rest for t in tags},
+                                                key=format_tag)
+            assert 0 not in fold.trigram_counts.values()
+        for i in held:
+            tables.add(seq_counts[i])
+        assert built() == before
+        assert 0 not in tables.tri.values()
+
+
+def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
+    """The lexicon counts of a corpus less those of a fold normalize to
+    ``train_lexicon`` of the rest, byte for byte, with no zero count
+    left; adding the fold back gives the corpus's lexicon again."""
+    rng = np.random.default_rng(8)
+    cases = [(toy_schema, toy_rules, toy_corpus)] + [
+        (s, r or RuleSet.empty(), c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
+    for schema, rules, corpus in cases:
+        whole = train_lexicon(corpus, rules, schema).to_lines()
+        counts = count_lexicon(corpus, rules, schema)
+        for start in range(min(3, len(corpus))):
+            held = set(range(start, len(corpus), 3))
+            rest = [seq for i, seq in enumerate(corpus) if i not in held]
+            fold = count_lexicon([corpus[i] for i in sorted(held)], rules, schema)
+            counts.add(fold, -1)
+            assert counts.to_lexicon(rules, schema).to_lines() == \
+                train_lexicon(rest, rules, schema).to_lines()
+            for name in counts.BY_KEY:
+                assert all(c and 0 not in c.values() for c in getattr(counts, name).values())
+            assert 0 not in counts.words.values() and 0 not in counts.classes.values()
+            counts.add(fold)
+            assert counts.to_lexicon(rules, schema).to_lines() == whole

@@ -299,6 +299,37 @@ def test_train_lexicon_fullform_fallback(toy_schema):
     assert any("no segmentation" in line for line in lexicon.log)
 
 
+def test_train_lexicon_matches_reference(toy_corpus, toy_rules, toy_schema):
+    """Splitting each distinct (word, tag) pair once gives the lexicon
+    file and the training log of splitting every token, on the fixture
+    and 200 random corpora; the log keeps one line per unsegmented token,
+    in corpus order."""
+    import numpy as np
+
+    from genmodels import random_corpus
+    from greektag.text import Sequence, Token
+    from reference import train_lexicon_reference
+
+    nom = toy_schema.parse(SUBS_NOM)
+    konj = toy_schema.parse("konj")
+    words = ["x", "λόγος", "y", "x", "καί", "x"]
+    tags = [nom, nom, nom, nom, konj, nom]
+    logged = Sequence(tuple(Token(w, w, i) for i, w in enumerate(words)), tuple(tags))
+    cases = [(toy_schema, toy_rules, toy_corpus),
+             (toy_schema, toy_rules, [logged, *toy_corpus, logged])]
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        schema, rules, corpus, _ = random_corpus(rng)
+        cases.append((schema, rules or RuleSet.empty(), corpus))
+    for schema, rules, corpus in cases:
+        got = train_lexicon(corpus, rules, schema)
+        want = train_lexicon_reference(corpus, rules, schema)
+        assert got.to_lines() == want.to_lines()
+        assert got.log == want.log
+    log = train_lexicon([logged, logged], toy_rules, toy_schema).log
+    assert [line.split("'")[1] for line in log] == ["x", "y", "x", "x"] * 2
+
+
 def test_train_lexicon_shared_stem_counts(toy_schema, toy_rules):
     from greektag.text import Sequence, Token
 
