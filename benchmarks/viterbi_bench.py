@@ -2,12 +2,13 @@
 """Time the trigram Viterbi kernel on dense synthetic trellises.
 
 Every position of an instance has the same number of candidate tags
-(the width); the increments are random log-probabilities.  Prints the
+(the width); the increments are random log-probabilities.  Width 1 times
+the kernel's per-position cost where a position offers no choice.  Prints the
 best of ``--repeats`` wall-clock times per length:width pair.
 
 Usage:
     python benchmarks/viterbi_bench.py
-    python benchmarks/viterbi_bench.py --sizes 100:8,400:8,1600:8,3200:8,400:32 --repeats 5
+    python benchmarks/viterbi_bench.py --sizes 100:8,400:8,1600:8,3200:8,400:32,400:1 --repeats 5
 """
 
 import argparse
@@ -42,7 +43,7 @@ def best_time(instance, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="64:8,128:16,256:24,512:32",
+    parser.add_argument("--sizes", default="64:8,128:16,256:24,512:32,400:1",
                         help="comma-separated length:width pairs")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=42)

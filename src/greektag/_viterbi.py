@@ -21,11 +21,18 @@ Instance layout: position ``k`` has ``counts[k]`` candidates and an
 increment block of shape ``(adims[k], bdims[k], counts[k])`` flattened
 at ``off[k]`` inside ``inc``, where ``adims[k]``/``bdims[k]`` are the
 candidate counts two and one positions back (1 at the boundary).
+
+A position whose block is one cell (one candidate there and at the two
+positions before it) offers no choice: its one state adds the cell to
+the one score, and its backpointer is 0, with no numpy reduction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_NO_CHOICE = np.zeros(1, np.int64)  # backpointers of a position with one state
+_NO_CHOICE.flags.writeable = False
 
 
 def _prune(scores, beam):
@@ -53,6 +60,10 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
 
     for k in range(1, K):
         X, Y, Z = int(adims[k]), int(bdims[k]), int(counts[k])
+        if X == Y == Z == 1:  # no choice: one state, its own predecessor
+            scores = scores + inc[off[k]]
+            backptrs.append(_NO_CHOICE)
+            continue
         block = inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
         cand = scores[:, :, None] + block
         best = cand.max(axis=0)

@@ -12,8 +12,6 @@ instance small enough to enumerate.
 from __future__ import annotations
 
 import itertools
-from array import array
-from operator import add
 
 import numpy as np
 
@@ -56,17 +54,16 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
                 f"trellis past {MAX_TRELLIS_CELLS} cells"
             )
 
-    inc = array("d")  # raw doubles: 8 bytes a cell, as the bound assumes
-    boundary = [model.boundary_id]
+    boundary = (model.boundary_id,)
+    blocks = []
     for k in range(K):
         prev2 = cands[k - 2][1] if k >= 2 else boundary
         prev1 = cands[k - 1][1] if k >= 1 else boundary
-        _, ids, emis = cands[k]
-        for a in prev2:
-            for b in prev1:
-                inc.extend(map(add, model.transition_row(a, b, ids), emis))
+        _, ids, _, emis = cands[k]
+        blocks.append(model.transition_block(prev2, prev1, ids) + emis)
+    inc = np.concatenate(blocks, axis=None)  # float64: 8 bytes a cell, as the bound assumes
 
-    path = _viterbi.viterbi(counts, adims, bdims, off, np.frombuffer(inc, np.float64), beam)
+    path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
     return [cands[k][0][path[k]] for k in range(K)]
 
 

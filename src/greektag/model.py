@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from . import morph
 from .errors import FormatError, GreektagError, ModelError, TagError, open_utf8
 from .tags import (
@@ -30,6 +32,9 @@ from .tags import (
 )
 
 NEG_INF = float("-inf")
+#: Upper bound on the float64 cells held by one model's transition block
+#: cache (8 MB); the block that would pass it clears the cache first.
+MAX_BLOCK_CACHE_CELLS = 1_000_000
 
 _FORMAT = "greektag-model 1"
 
@@ -151,6 +156,8 @@ class Model:
         #: tag id of the boundary padding before a sequence's first tag
         self.boundary_id = self._intern(BOUNDARY)
         self._rows: dict = {}  # (h2 id, h1 id) -> {t id: log P(t | h1, h2)}
+        self._blocks: dict = {}  # (h2 ids, h1 ids, t ids) -> read-only (X, Y, Z) array
+        self._block_cells = 0  # cells held by _blocks
         self._order1: dict = {}  # t id -> order-1 chain value
         self._order2: dict = {}  # (h1 id, t id) -> order-2 chain value
         self._lex: dict = {}
@@ -196,6 +203,30 @@ class Model:
                     row[t] = math.log(p) if p > 0.0 else NEG_INF
             return [row[t] for t in ids]
 
+    def transition_block(self, prev2_ids, prev1_ids, ids) -> np.ndarray:
+        """Read-only float64 array of shape (X, Y, Z) whose cell
+        ``[x, y, z]`` is ``transition_row(prev2_ids[x], prev1_ids[y],
+        ids)[z]``.  The arguments are tuples of tag ids; one block is
+        built per distinct triple of them and cached while the cache holds
+        at most ``MAX_BLOCK_CACHE_CELLS`` cells."""
+        key = (prev2_ids, prev1_ids, ids)
+        block = self._blocks.get(key)
+        if block is None:
+            flat = []
+            row = self.transition_row
+            for a in prev2_ids:
+                for b in prev1_ids:
+                    flat += row(a, b, ids)
+            block = np.array(flat, np.float64).reshape(len(prev2_ids), len(prev1_ids), len(ids))
+            block.flags.writeable = False
+            if block.size <= MAX_BLOCK_CACHE_CELLS:
+                if self._block_cells + block.size > MAX_BLOCK_CACHE_CELLS:
+                    self._blocks.clear()
+                    self._block_cells = 0
+                self._blocks[key] = block
+                self._block_cells += block.size
+        return block
+
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
         intern = self._intern
         return self.transition_row(intern(h2), intern(h1), [intern(t)])[0]
@@ -207,9 +238,11 @@ class Model:
             self._lex[norm] = probs
         return probs
 
-    def candidates(self, norm: str) -> tuple[list[Tag], list[int], list[float]]:
+    def candidates(self, norm: str) -> tuple[list[Tag], tuple[int, ...], list[float],
+                                             np.ndarray]:
         """The candidate tags of a word in canonical tag string order,
-        with their ids and log emission probabilities (``-inf`` for 0).
+        with their ids and log emission probabilities (``-inf`` for 0),
+        the latter both as Python floats and as a read-only float64 array.
         Raises ``ModelError`` when the word has none."""
         cands = self._cands.get(norm)
         if cands is None:
@@ -217,10 +250,11 @@ class Model:
             if not probs:
                 raise ModelError(f"no candidate tags for {norm!r} (empty lexicon?)")
             tags = [t for t, _ in probs]  # sorted by canonical tag string
+            log_emis = [math.log(p) if p > 0.0 else NEG_INF for _, p in probs]
+            emis = np.array(log_emis, np.float64)
+            emis.flags.writeable = False
             cands = self._cands[norm] = (
-                tags, [self._intern(t) for t in tags],
-                [math.log(p) if p > 0.0 else NEG_INF for _, p in probs],
-            )
+                tags, tuple(self._intern(t) for t in tags), log_emis, emis)
         return cands
 
     def sequence_log_prob(self, tokens, tags) -> float:
@@ -234,7 +268,7 @@ class Model:
         total = 0.0
         a = b = self.boundary_id
         for token, tag in zip(tokens, tags):
-            _, ids, log_emis = self.candidates(token.norm)
+            _, ids, log_emis, _ = self.candidates(token.norm)
             t = self._intern(tag)
             emis = log_emis[ids.index(t)] if t in ids else NEG_INF
             inc = self.transition_row(a, b, [t])[0] + emis

@@ -197,11 +197,54 @@ def test_kernel_matches_reference_loops():
         assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
 
 
-def _check_increments(monkeypatch, make_model, texts, warm_text):
-    """The increments ``tag_sequence`` hands the kernel for each token
-    list of ``texts`` equal ``reference_increments`` byte for byte
-    (``-inf`` cells included), on a fresh model and on one whose caches
-    were warmed by tagging ``warm_text`` first."""
+def _run_widths(rng, K, ones):
+    """K candidate counts: runs of width 1 (each run 1 to 8 positions)
+    between runs of widths 2 to 5, or only width 1 when ``ones``."""
+    counts = []
+    while len(counts) < K:
+        counts += [1] * int(rng.integers(1, 9))
+        if not ones:
+            counts += list(rng.integers(2, 6, int(rng.integers(1, 4))))
+    return np.array(counts[:K], np.int64)
+
+
+def _no_choice_instances(seed, trials, max_len):
+    """Trellises rich in no-choice positions (a one-cell block): all of
+    width 1, and width-1 runs between wider positions, with tie-heavy,
+    ``-inf``-heavy and continuous increments; then long ones whose
+    increments are all equal or all ``-inf``.  Beams 0 to 4."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        counts = _run_widths(rng, int(rng.integers(1, max_len + 1)), trial % 2 == 0)
+        adims, bdims, off, total = _layout(counts)
+        kind = (trial // 2) % 3
+        if kind == 2:
+            inc = np.log(rng.random(total))
+        else:
+            inc = np.log(rng.choice([0.25, 0.5, 1.0], total))
+            if kind == 1:
+                inc[rng.random(total) < 0.2] = -np.inf
+        yield counts, adims, bdims, off, inc, int(rng.integers(0, 5))
+    for trial in range(20):
+        K = int(rng.integers(150, 301))
+        counts = _run_widths(rng, K, trial % 4 == 0)
+        adims, bdims, off, total = _layout(counts)
+        value = -np.inf if trial % 2 else np.log(0.5)
+        yield counts, adims, bdims, off, np.full(total, value), trial % 5
+
+
+def test_kernel_matches_reference_loops_on_no_choice_runs():
+    no_choice = 0
+    for args in _no_choice_instances(7, 400, 40):
+        counts, adims, bdims = args[:3]
+        no_choice += int(((adims == 1) & (bdims == 1) & (counts == 1))[1:].sum())
+        assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
+    assert no_choice > 5000
+
+
+def _tag_capturing(monkeypatch, model, texts):
+    """The tags of each token list of ``texts``, and the bytes of the
+    increments ``tag_sequence`` handed the kernel for each."""
     captured = []
     kernel = _viterbi.viterbi
 
@@ -209,40 +252,98 @@ def _check_increments(monkeypatch, make_model, texts, warm_text):
         captured.append(inc.tobytes())
         return kernel(counts, adims, bdims, off, inc, beam)
 
-    monkeypatch.setattr(_viterbi, "viterbi", spy)
+    with monkeypatch.context() as m:
+        m.setattr(_viterbi, "viterbi", spy)
+        tags = [tag_sequence(model, tokens) for tokens in texts]
+    return tags, captured
+
+
+def _check_increments(monkeypatch, make_model, texts, warm_text):
+    """The increments ``tag_sequence`` hands the kernel for each token
+    list of ``texts`` equal ``reference_increments`` byte for byte
+    (``-inf`` cells included), on a fresh model and on one whose caches
+    were warmed by tagging ``warm_text`` first."""
     reference = make_model()
     warm = make_model()
     for tokens in warm_text:
         tag_sequence(warm, tokens)
+    expected = [reference_increments(reference, tokens).tobytes() for tokens in texts]
     for model in (make_model(), warm):
-        for tokens in texts:
-            captured.clear()
-            tag_sequence(model, tokens)
-            assert captured == [reference_increments(reference, tokens).tobytes()]
+        assert _tag_capturing(monkeypatch, model, texts)[1] == expected
+
+
+def _fixture_texts(fixtures_dir):
+    return [seq.tokens for path in sorted((fixtures_dir / "texts").glob("*.txt"))
+            for seq in tokenize(path.read_text(encoding="utf-8"))]
 
 
 def test_increments_match_reference_on_fixture_texts(monkeypatch, fixtures_dir, toy_corpus,
                                                      toy_rules, toy_schema):
-    texts = [seq.tokens for path in sorted((fixtures_dir / "texts").glob("*.txt"))
-             for seq in tokenize(path.read_text(encoding="utf-8"))]
     _check_increments(monkeypatch, lambda: train(toy_corpus, toy_rules, toy_schema),
-                      texts, [seq.tokens for seq in toy_corpus])
+                      _fixture_texts(fixtures_dir), [seq.tokens for seq in toy_corpus])
 
 
-def test_increments_match_reference_with_zero_emissions(monkeypatch, tmp_path, toy_corpus,
-                                                        toy_rules, toy_schema):
-    """A hapax-prior tag of probability 0 gives an unknown word without a
-    matching suffix a zero emission, so its cells are ``-inf``."""
-    path = tmp_path / "zero.model"
-    lines = train(toy_corpus, toy_rules, toy_schema).to_lines()
+def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_schema):
+    """With the block cache capped at a few cells, tagging the fixture
+    texts cold and then warm gives the same tags and hands the kernel the
+    same increments as under the default cap, and the cache never holds
+    more cells than its cap."""
+    from greektag import model as model_module
+
+    texts = _fixture_texts(fixtures_dir) * 2
+    expected = _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema), texts)
+    held = []
+    build = Model.transition_block
+
+    def checked(self, *args):
+        block = build(self, *args)
+        held.append(sum(b.size for b in self._blocks.values()))
+        assert held[-1] == self._block_cells <= model_module.MAX_BLOCK_CACHE_CELLS
+        return block
+
+    monkeypatch.setattr(model_module, "MAX_BLOCK_CACHE_CELLS", 24)
+    monkeypatch.setattr(Model, "transition_block", checked)
+    assert _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema),
+                          texts) == expected
+    assert any(b < a for a, b in zip(held, held[1:]))  # the cap cleared the cache
+
+
+def _zero_emission_model(path, corpus, rules, schema):
+    """Save the toy model with hapax-prior tag ``konj`` at probability 0
+    to ``path``: an unknown word without a matching suffix, such as
+    ``ζζζ``, then has a zero emission for ``konj``."""
+    lines = train(corpus, rules, schema).to_lines()
     no = next(i for i, line in enumerate(lines) if line.startswith("__hapax__\t"))
     lines[no] += " konj=0"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     model = Model.load(path)
-    assert dict(model.lexical_probs("ζζζ"))[toy_schema.parse("konj")] == 0.0
+    assert dict(model.lexical_probs("ζζζ"))[schema.parse("konj")] == 0.0
+    return model
+
+
+def test_increments_match_reference_with_zero_emissions(monkeypatch, tmp_path, toy_corpus,
+                                                        toy_rules, toy_schema):
+    """A zero emission makes its cells ``-inf``."""
+    path = tmp_path / "zero.model"
+    _zero_emission_model(path, toy_corpus, toy_rules, toy_schema)
     texts = [[Token(w, w, i) for i, w in enumerate(["καί", "ζζζ", "λόγος", "ζζζ", "."])]]
     _check_increments(monkeypatch, lambda: Model.load(path), texts,
                       [seq.tokens for seq in toy_corpus])
+
+
+def test_scores_stay_python_floats(tmp_path, toy_corpus, toy_rules, toy_schema):
+    """``sequence_log_prob`` and the emissions of ``candidates`` are
+    Python floats, not numpy scalars, ``-inf`` included."""
+    model = _zero_emission_model(tmp_path / "zero.model", toy_corpus, toy_rules, toy_schema)
+    tokens = [Token(w, w, i) for i, w in enumerate(["καί", "ζζζ", "λόγος", "."])]
+    for tok in tokens:
+        assert all(type(e) is float for e in model.candidates(tok.norm)[2])
+    assert model.candidates("ζζζ")[2].count(float("-inf")) == 1
+    tags = tag_sequence(model, tokens)
+    konj = toy_schema.parse("konj")
+    for tags, finite in ((tags, True), (tags[:1] + [konj] + tags[2:], False)):
+        score = model.sequence_log_prob(tokens, tags)
+        assert type(score) is float and np.isfinite(score) == finite
 
 
 def test_word_without_candidates_raises(tmp_path, toy_model):

@@ -185,6 +185,21 @@ def test_sequence_log_prob_zero_factor_gives_neg_inf(toy_corpus, toy_rules, toy_
     assert raw.sequence_log_prob([tok], [punct]) == NEG_INF
 
 
+def test_transition_blocks_are_cached_read_only_rows(toy_model):
+    b = (toy_model.boundary_id,)
+    prev1 = toy_model.candidates("λόγος")[1]
+    ids = toy_model.candidates("παύει")[1]
+    block = toy_model.transition_block(b, prev1, ids)
+    assert block.shape == (1, len(prev1), len(ids))
+    assert toy_model.transition_block(b, prev1, ids) is block
+    for y, h1 in enumerate(prev1):
+        assert block[0, y].tolist() == toy_model.transition_row(b[0], h1, ids)
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        toy_model.candidates("παύει")[3][0] = 0.0
+
+
 def test_sequence_log_prob_length_mismatch(toy_model, toy_schema):
     with pytest.raises(ModelError):
         toy_model.sequence_log_prob([Token("a", "a", 0)], [])
