@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time cold transition scoring: the chain walk behind each trellis row.
+"""Time cold transition scoring: the chain walk behind each trellis block.
 
-Trains a model, then fills ``Model.transition_row`` for every (h2, h1)
-history over the boundary tag and the observed tags, each row over all
-observed tags, on a model with empty caches.  Prints the best of
-``--repeats`` wall-clock times and the transitions scored per second.
+Trains a model, then builds ``Model.transition_block`` for every h2 of
+the boundary tag and the observed tags, each block over all of those as
+h1 and all observed tags as t, on a model with empty caches.  Prints the
+best of ``--repeats`` wall-clock times and the transitions scored per
+second.
 
 Usage:
     python benchmarks/chain_bench.py
@@ -44,12 +45,11 @@ def main():
     best = float("inf")
     for _ in range(args.repeats):
         m = cold_model(model)
-        ids = [m.stats.tables.intern(t) for t in observed]
-        hist = [m.boundary_id, *ids]
+        ids = tuple(m.stats.tables.intern(t) for t in observed)
+        hist = (m.boundary_id, *ids)
         t0 = time.perf_counter()
         for a in hist:
-            for b in hist:
-                m.transition_row(a, b, ids)
+            m.transition_block((a,), hist, ids)
         best = min(best, time.perf_counter() - t0)
     cells = len(hist) ** 2 * len(ids)
     print(f"observed tags: {len(ids)}, histories: {len(hist) ** 2}, transitions: {cells}")

@@ -11,6 +11,7 @@ instance small enough to enumerate.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -40,19 +41,18 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
         return []
     cands = [model.candidates(tok.norm) for tok in tokens]
 
-    counts = np.array([len(c[0]) for c in cands], np.int64)
-    adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
-    bdims = np.array([counts[k - 1] if k >= 1 else 1 for k in range(K)], np.int64)
-    off = np.zeros(K, np.int64)
-    total = 0
-    for k in range(K):
-        off[k] = total
-        total += adims[k] * bdims[k] * counts[k]
-        if total > MAX_TRELLIS_CELLS:
-            raise SearchSpaceError(
-                f"token {k + 1} of the sequence ({tokens[k].surface!r}) takes the "
-                f"trellis past {MAX_TRELLIS_CELLS} cells"
-            )
+    widths = [len(c[1]) for c in cands]
+    awidths = ([1, 1] + widths)[:K]
+    bwidths = ([1] + widths)[:K]
+    ends = list(itertools.accumulate(x * y * z for x, y, z in zip(awidths, bwidths, widths)))
+    if ends[-1] > MAX_TRELLIS_CELLS:
+        k = bisect.bisect_right(ends, MAX_TRELLIS_CELLS)
+        raise SearchSpaceError(
+            f"token {k + 1} of the sequence ({tokens[k].surface!r}) takes the "
+            f"trellis past {MAX_TRELLIS_CELLS} cells"
+        )
+    counts, adims, bdims = (np.array(w, np.int64) for w in (widths, awidths, bwidths))
+    off = np.array([0] + ends[:-1], np.int64)
 
     boundary = (model.boundary_id,)
     blocks = []

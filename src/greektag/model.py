@@ -37,6 +37,8 @@ NEG_INF = float("-inf")
 MAX_BLOCK_CACHE_CELLS = 1_000_000
 
 _FORMAT = "greektag-model 1"
+_HEADER = ("lambdas", "chain", "floor", "smoothed")
+_SECTIONS = ("schema", "rules", "trigrams", "lexicon")
 
 
 def _instances(tags, boundary=BOUNDARY):
@@ -155,13 +157,11 @@ class Model:
         self._intern = stats.tables.intern
         #: tag id of the boundary padding before a sequence's first tag
         self.boundary_id = self._intern(BOUNDARY)
-        self._rows: dict = {}  # (h2 id, h1 id) -> {t id: log P(t | h1, h2)}
         self._blocks: dict = {}  # (h2 ids, h1 ids, t ids) -> read-only (X, Y, Z) array
         self._block_cells = 0  # cells held by _blocks
         self._order1: dict = {}  # t id -> order-1 chain value
         self._order2: dict = {}  # (h1 id, t id) -> order-2 chain value
-        self._lex: dict = {}
-        self._cands: dict = {}
+        self._cands: dict = {}  # word -> candidates(word)
 
     # -- probabilities ------------------------------------------------------
 
@@ -188,35 +188,22 @@ class Model:
         """P(t | h1, h2) with h1 the immediately preceding tag."""
         return self._id_prob(self._intern(t), self._intern(h1), self._intern(h2))
 
-    def transition_row(self, a: int, b: int, ids) -> list[float]:
-        """log P(t | b, a) for each tag id t of ``ids``, after the tag ids
-        a (h2) and b (h1); ``-inf`` where the probability is 0."""
-        row = self._rows.get((a, b))
-        if row is None:
-            row = self._rows[(a, b)] = {}
-        try:
-            return [row[t] for t in ids]
-        except KeyError:
-            for t in ids:
-                if t not in row:
-                    p = self._id_prob(t, b, a)
-                    row[t] = math.log(p) if p > 0.0 else NEG_INF
-            return [row[t] for t in ids]
+    def _log_prob(self, t: int, h1: int, h2: int) -> float:
+        """log P(t | h1, h2) on tag ids; ``-inf`` where the probability is 0."""
+        p = self._id_prob(t, h1, h2)
+        return math.log(p) if p > 0.0 else NEG_INF
 
     def transition_block(self, prev2_ids, prev1_ids, ids) -> np.ndarray:
         """Read-only float64 array of shape (X, Y, Z) whose cell
-        ``[x, y, z]`` is ``transition_row(prev2_ids[x], prev1_ids[y],
-        ids)[z]``.  The arguments are tuples of tag ids; one block is
-        built per distinct triple of them and cached while the cache holds
-        at most ``MAX_BLOCK_CACHE_CELLS`` cells."""
+        ``[x, y, z]`` is log P(ids[z] | prev1_ids[y], prev2_ids[x]).  The
+        arguments are tuples of tag ids; one block is built per distinct
+        triple of them and cached while the cache holds at most
+        ``MAX_BLOCK_CACHE_CELLS`` cells."""
         key = (prev2_ids, prev1_ids, ids)
         block = self._blocks.get(key)
         if block is None:
-            flat = []
-            row = self.transition_row
-            for a in prev2_ids:
-                for b in prev1_ids:
-                    flat += row(a, b, ids)
+            log_prob = self._log_prob
+            flat = [log_prob(t, b, a) for a in prev2_ids for b in prev1_ids for t in ids]
             block = np.array(flat, np.float64).reshape(len(prev2_ids), len(prev1_ids), len(ids))
             block.flags.writeable = False
             if block.size <= MAX_BLOCK_CACHE_CELLS:
@@ -229,14 +216,10 @@ class Model:
 
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
         intern = self._intern
-        return self.transition_row(intern(h2), intern(h1), [intern(t)])[0]
+        return self._log_prob(intern(t), intern(h1), intern(h2))
 
     def lexical_probs(self, norm: str) -> list[tuple[Tag, float]]:
-        probs = self._lex.get(norm)
-        if probs is None:
-            probs = morph.lexical_prob(norm, self.lexicon)
-            self._lex[norm] = probs
-        return probs
+        return morph.lexical_prob(norm, self.lexicon)
 
     def candidates(self, norm: str) -> tuple[list[Tag], tuple[int, ...], list[float],
                                              np.ndarray]:
@@ -271,7 +254,7 @@ class Model:
             _, ids, log_emis, _ = self.candidates(token.norm)
             t = self._intern(tag)
             emis = log_emis[ids.index(t)] if t in ids else NEG_INF
-            inc = self.transition_row(a, b, [t])[0] + emis
+            inc = self._log_prob(t, b, a) + emis
             total += inc
             a, b = b, t
         return total
@@ -320,6 +303,8 @@ class Model:
             parts = lines[i].split()
             if len(parts) < 2:
                 raise FormatError(f"bad header line {lines[i]!r}", path, i + 1)
+            if parts[0] not in _HEADER:
+                raise FormatError(f"unknown header line {parts[0]}", path, i + 1)
             if parts[0] in header:
                 raise FormatError(f"header line {parts[0]} given twice", path, i + 1)
             header[parts[0]] = (i + 1, parts[1:])
@@ -345,6 +330,8 @@ class Model:
         for no, line in enumerate(lines[i:], start=i + 1):
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current not in _SECTIONS:
+                    raise FormatError(f"unknown section {line}", path, no)
                 if current in sections:
                     raise FormatError(f"section {line} given twice", path, no)
                 sections[current] = []
@@ -352,8 +339,8 @@ class Model:
             elif current is not None:
                 sections[current].append(line)
             else:
-                raise FormatError(f"content outside any section: {line!r}", path)
-        for needed in ("schema", "rules", "trigrams", "lexicon"):
+                raise FormatError(f"content outside any section: {line!r}", path, no)
+        for needed in _SECTIONS:
             if needed not in sections:
                 raise FormatError(f"missing [{needed}] section", path)
 

@@ -330,6 +330,8 @@ class Lexicon:
             if key in seen:
                 raise FormatError(f"second {kind} entry for {form!r}", path, no)
             seen.add(key)
+            if kind == "prior" and form != _PRIOR_FORM:
+                raise FormatError(f"prior row named {form!r}, not {_PRIOR_FORM}", path, no)
             total = math.fsum(p for _, p in probs)
             if abs(total - 1.0) > _SUM_TOLERANCE:
                 raise FormatError(f"probabilities sum to {total!r}, not 1", path, no)

@@ -199,6 +199,37 @@ def test_tag_rejects_bad_model_header(workdir, capsys, replacement):
     assert "Traceback" not in err
 
 
+def _insert_after_lambdas(lines):
+    lines.insert(2, "bogus 1")
+    return 3
+
+
+def _append_extra_section(lines):
+    lines.extend(["[extra]", "junk"])
+    return len(lines) - 1
+
+
+def _unclose_schema(lines):
+    no = lines.index("[schema]")
+    lines[no] = "[schema"
+    return no + 1
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_insert_after_lambdas, "unknown header line bogus"),
+    (_append_extra_section, "unknown section [extra]"),
+    (_unclose_schema, "content outside any section: '[schema'"),
+], ids=["unknown-header", "unknown-section", "unclosed-section"])
+def test_tag_rejects_unknown_model_layout(workdir, capsys, damage, message):
+    def edit(lines):
+        edit.line = damage(lines)
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["lambdas", "chain", "floor", "smoothed"])
 def test_tag_rejects_missing_model_header_line(workdir, capsys, name):
     def edit(lines):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,27 @@ def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_s
     assert _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema),
                           texts) == expected
     assert any(b < a for a, b in zip(held, held[1:]))  # the cap cleared the cache
+
+
+def test_lexical_analysis_runs_once_per_word(monkeypatch, fixtures_dir, toy_corpus, toy_rules,
+                                             toy_schema):
+    """Tagging the fixture texts twice analyses each distinct word once:
+    ``Model.candidates`` caches what ``morph.lexical_prob`` returns."""
+    from greektag import morph
+
+    model = train(toy_corpus, toy_rules, toy_schema)
+    texts = _fixture_texts(fixtures_dir)
+    calls = Counter()
+    analyse = morph.lexical_prob
+
+    def counted(word, lexicon):
+        calls[word] += 1
+        return analyse(word, lexicon)
+
+    monkeypatch.setattr(morph, "lexical_prob", counted)
+    for _ in range(2):
+        tag_corpus(model, [Sequence(tuple(tokens)) for tokens in texts])
+    assert calls == Counter({tok.norm for tokens in texts for tok in tokens})
 
 
 def _zero_emission_model(path, corpus, rules, schema):

@@ -185,15 +185,25 @@ def test_sequence_log_prob_zero_factor_gives_neg_inf(toy_corpus, toy_rules, toy_
     assert raw.sequence_log_prob([tok], [punct]) == NEG_INF
 
 
-def test_transition_blocks_are_cached_read_only_rows(toy_model):
-    b = (toy_model.boundary_id,)
-    prev1 = toy_model.candidates("λόγος")[1]
-    ids = toy_model.candidates("παύει")[1]
-    block = toy_model.transition_block(b, prev1, ids)
-    assert block.shape == (1, len(prev1), len(ids))
-    assert toy_model.transition_block(b, prev1, ids) is block
-    for y, h1 in enumerate(prev1):
-        assert block[0, y].tolist() == toy_model.transition_row(b[0], h1, ids)
+def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_rules,
+                                                     toy_schema):
+    """Every cell of a block equals ``log_transition`` on its tags: on
+    the smoothed toy model, and on a raw pure-trigram one whose unseen
+    trigrams give ``-inf`` cells."""
+    raw = train(toy_corpus, toy_rules, toy_schema, smooth=False, lambdas=(0.0, 0.0, 1.0))
+    cells = []
+    for model in (toy_model, raw):
+        boundary = ([BOUNDARY], (model.boundary_id,))
+        cands = [boundary, boundary] + [model.candidates(w)[:2]
+                                        for w in ("λόγους", "κωλύσαντος", "ζζζ")]
+        for (tags2, ids2), (tags1, ids1), (tags, ids) in zip(cands, cands[1:], cands[2:]):
+            block = model.transition_block(ids2, ids1, ids)
+            assert block.shape == (len(ids2), len(ids1), len(ids))
+            assert model.transition_block(ids2, ids1, ids) is block
+            assert block.tolist() == [[[model.log_transition(t, h1, h2) for t in tags]
+                                       for h1 in tags1] for h2 in tags2]
+            cells.extend(block.ravel())
+    assert NEG_INF in cells and any(math.isfinite(c) for c in cells)
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):

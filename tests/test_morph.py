@@ -379,6 +379,10 @@ def test_lexicon_file_errors(toy_schema):
         Lexicon.from_lines(["x\tbogus\t-\tkonj=1"], toy_schema, RuleSet.empty())
     with pytest.raises(FormatError):
         Lexicon.from_lines(["x\tstem\t-\tkonj"], toy_schema, RuleSet.empty())
+    # to_lines writes the prior row as __hapax__, so no other form round-trips
+    with pytest.raises(FormatError, match="line 2: prior row named 'foo'"):
+        Lexicon.from_lines(["x\tstem\t-\tkonj=1", "foo\tprior\t-\tkonj=1"], toy_schema,
+                           RuleSet.empty())
 
 
 # -- golden lexical probabilities ------------------------------------------------
