@@ -2,9 +2,12 @@
 """Time the trigram Viterbi kernel on dense synthetic trellises.
 
 Every position of an instance has the same number of candidate tags
-(the width); the increments are random log-probabilities.  Width 1 times
-the kernel's per-position cost where a position offers no choice.  Prints the
-best of ``--repeats`` wall-clock times per length:width pair.
+(the width).  Width 1 times the kernel's per-position cost where a
+position offers no choice.  Prints the best of ``--repeats`` wall-clock
+times per length:width pair, on two instances of that size: random
+log-probability increments, where no paths tie and the max pass alone
+decodes, and all increments equal, where every path ties and the
+sequence is decoded again by the ranked pass (the worst case).
 
 Usage:
     python benchmarks/viterbi_bench.py
@@ -19,7 +22,7 @@ import numpy as np
 from greektag import _viterbi
 
 
-def dense_instance(rng, length, width):
+def dense_instance(rng, length, width, tied=False):
     counts = np.full(length, width, np.int64)
     adims = np.array([width if k >= 2 else 1 for k in range(length)], np.int64)
     bdims = np.array([width if k >= 1 else 1 for k in range(length)], np.int64)
@@ -28,7 +31,7 @@ def dense_instance(rng, length, width):
     for k in range(length):
         off[k] = total
         total += adims[k] * bdims[k] * counts[k]
-    inc = np.log(rng.random(total))
+    inc = np.full(total, np.log(0.5)) if tied else np.log(rng.random(total))
     return counts, adims, bdims, off, inc
 
 
@@ -50,13 +53,14 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    header = f"{'length':>7} {'width':>6} {'time [s]':>10}"
+    header = f"{'length':>7} {'width':>6} {'random [s]':>11} {'all tied [s]':>13}"
     print(header)
     print("-" * len(header))
     for item in args.sizes.split(","):
         length, width = (int(v) for v in item.split(":"))
-        instance = dense_instance(rng, length, width)
-        print(f"{length:>7} {width:>6} {best_time(instance, args.repeats):>10.4f}")
+        random_s = best_time(dense_instance(rng, length, width), args.repeats)
+        tied_s = best_time(dense_instance(rng, length, width, tied=True), args.repeats)
+        print(f"{length:>7} {width:>6} {random_s:>11.4f} {tied_s:>13.4f}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,7 @@
 ``tag_sequence`` runs the trigram Viterbi kernel over per-position
 candidate sets (the tags with nonzero lexical probability), breaking
 exact score ties by the lexicographically smallest sequence of
-canonical tag strings.  ``brute_force_best`` is the exhaustive oracle:
-it enumerates every candidate sequence and scores each with
-``Model.sequence_log_prob``, so the two must agree bit-for-bit on any
-instance small enough to enumerate.
+canonical tag strings.
 """
 
 from __future__ import annotations
@@ -18,12 +15,10 @@ import numpy as np
 
 from . import _viterbi
 from .errors import SearchSpaceError
-from .model import NEG_INF, Model
+from .model import Model
 from .tags import Tag
 from .text import Sequence, tokenize
 
-#: Upper bound on sequences the oracle will enumerate.
-ORACLE_LIMIT = 1_000_000
 #: Upper bound on the float64 increments of one sequence's trellis (80 MB).
 MAX_TRELLIS_CELLS = 10_000_000
 
@@ -34,8 +29,11 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     ``beam > 0`` keeps only the best ``beam`` trellis states per
     position (approximate; exact ties at the cut survive).  A sequence
     whose trellis would hold more than ``MAX_TRELLIS_CELLS`` increments
-    raises ``SearchSpaceError`` before anything is allocated.
+    raises ``SearchSpaceError`` before anything is allocated.  A
+    ``beam`` that is not an ``int`` of at least 0 raises ``ValueError``.
     """
+    if type(beam) is not int or beam < 0:
+        raise ValueError(f"beam must be an int of at least 0, got {beam!r}")
     K = len(tokens)
     if K == 0:
         return []
@@ -65,34 +63,6 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
 
     path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
     return [cands[k][0][path[k]] for k in range(K)]
-
-
-def brute_force_best(model: Model, tokens, limit: int = ORACLE_LIMIT) -> list[Tag]:
-    """Exhaustive argmax over all candidate tag sequences (test oracle).
-
-    Applies the same tie-break as ``tag_sequence``: candidates are
-    enumerated in lexicographic order and only strictly better scores
-    replace the incumbent.
-    """
-    K = len(tokens)
-    if K == 0:
-        return []
-    cands = [model.candidates(tok.norm)[0] for tok in tokens]
-    size = 1
-    for c in cands:
-        size *= len(c)
-        if size > limit:
-            raise SearchSpaceError(
-                f"instance enumerates over {limit} sequences"
-            )
-    best = None
-    best_score = NEG_INF
-    for combo in itertools.product(*cands):
-        score = model.sequence_log_prob(tokens, combo)
-        if best is None or score > best_score:
-            best = combo
-            best_score = score
-    return list(best)
 
 
 def tag_corpus(model: Model, sequences, beam: int = 0) -> list[Sequence]:

@@ -20,6 +20,12 @@ every state's whole best path at each position and breaks exact ties by
 comparing those paths element by element, the most literal reading of
 the lexicographic tie-break, beam pruning included.
 
+``brute_force_best`` is the exhaustive decoding oracle: it enumerates
+every candidate sequence and scores each with
+``Model.sequence_log_prob``, so it must agree with
+``greektag.decode.tag_sequence`` bit for bit on any instance small
+enough to enumerate.
+
 ``cross_validation_reference`` is ``greektag.cli.cross_validation``
 trained from scratch: each fold's model is ``train`` on the sequences
 the fold keeps, so it must give exactly the same accuracy, or raise the
@@ -36,6 +42,7 @@ distinct (word, tag) pair once and counts it as often as it occurs.
 layout of ``greektag._viterbi.viterbi``.
 """
 
+import itertools
 import math
 import random
 from collections import Counter, defaultdict
@@ -44,6 +51,7 @@ import numpy as np
 
 from greektag.cli import CV_FOLDS, DEFAULT_SEED
 from greektag.decode import tag_sequence
+from greektag.errors import SearchSpaceError
 from greektag.model import NEG_INF, _instances, train
 from greektag.morph import (
     Lexicon,
@@ -381,6 +389,38 @@ def _viterbi_loops(counts, adims, bdims, off, inc, beam):
     for i in range(K):
         out[i] = paths[bu, bv, i]
     return out
+
+
+#: Upper bound on sequences the oracle will enumerate.
+ORACLE_LIMIT = 1_000_000
+
+
+def brute_force_best(model, tokens, limit=ORACLE_LIMIT):
+    """Exhaustive argmax over all candidate tag sequences.
+
+    Applies the same tie-break as ``tag_sequence``: candidates are
+    enumerated in lexicographic order and only strictly better scores
+    replace the incumbent.
+    """
+    K = len(tokens)
+    if K == 0:
+        return []
+    cands = [model.candidates(tok.norm)[0] for tok in tokens]
+    size = 1
+    for c in cands:
+        size *= len(c)
+        if size > limit:
+            raise SearchSpaceError(
+                f"instance enumerates over {limit} sequences"
+            )
+    best = None
+    best_score = NEG_INF
+    for combo in itertools.product(*cands):
+        score = model.sequence_log_prob(tokens, combo)
+        if best is None or score > best_score:
+            best = combo
+            best_score = score
+    return list(best)
 
 
 def reference_increments(model, tokens):

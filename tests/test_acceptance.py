@@ -19,7 +19,6 @@ from greektag import (
     Sequence,
     TagSchema,
     Token,
-    brute_force_best,
     chi_square_cell,
     run_test,
     segment,
@@ -33,6 +32,7 @@ from greektag.tags import BOUNDARY, format_tag
 from greektag.text import load_annotated_corpus, save_annotated_corpus
 
 from genmodels import random_instance, symmetric_tie_instance
+from reference import brute_force_best
 from test_stylometry import alpha_pattern_counts
 
 

@@ -10,7 +10,6 @@ from greektag import (
     SearchSpaceError,
     TagSchema,
     Token,
-    brute_force_best,
     tag_sequence,
     tag_text,
     train,
@@ -22,7 +21,7 @@ from greektag.tags import format_tag
 from greektag.text import read_annotated_corpus, tokenize
 
 from genmodels import random_corpus, random_instance, symmetric_tie_instance
-from reference import _viterbi_loops, reference_increments
+from reference import _viterbi_loops, brute_force_best, reference_increments
 from test_model import _deep_chain_corpus
 
 
@@ -139,6 +138,18 @@ def test_wide_beam_matches_exact(toy_model):
     assert len(narrow) == len(exact)
 
 
+@pytest.mark.parametrize("beam", [-1, -3, 2.5, 4.0, True, "4", None, np.int64(4)])
+def test_tag_sequence_rejects_bad_beam(toy_model, beam):
+    """``beam`` must be an ``int`` of at least 0: a negative one would
+    silently run an exact search.  Checked before the empty input."""
+    tokens = [Token(w, w, i) for i, w in enumerate(["λόγος", "παύει"])]
+    for toks in (tokens, []):
+        with pytest.raises(ValueError, match="beam must be an int of at least 0"):
+            tag_sequence(toy_model, toks, beam=beam)
+        with pytest.raises(ValueError, match="beam must be an int of at least 0"):
+            tag_corpus(toy_model, [Sequence(tuple(tokens))], beam=beam)
+
+
 def test_brute_force_guard():
     schema = TagSchema.from_lines(["category a", "category b"])
     rows = [[("w", "a")], [("w", "b")]]
@@ -242,6 +253,132 @@ def test_kernel_matches_reference_loops_on_no_choice_runs():
         no_choice += int(((adims == 1) & (bdims == 1) & (counts == 1))[1:].sum())
         assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
     assert no_choice > 5000
+
+
+@pytest.fixture
+def ranked_calls(monkeypatch):
+    """The argument tuples ``_viterbi.viterbi`` hands to ``_ranked``, the
+    tie-breaking pass it re-runs when the best path ties."""
+    calls = []
+    ranked = _viterbi._ranked
+
+    def spy(*args):
+        calls.append(args)
+        return ranked(*args)
+
+    monkeypatch.setattr(_viterbi, "_ranked", spy)
+    return calls
+
+
+def _reruns(args, calls):
+    """How often decoding ``args`` ran the ranked pass; the path must
+    equal the plain-loop reference's either way."""
+    before = len(calls)
+    assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
+    return len(calls) - before
+
+
+def _continuous_instance(rng, K, max_width, beam):
+    """Random log-probability increments: no two sums are equal."""
+    counts = rng.integers(1, max_width + 1, K).astype(np.int64)
+    adims, bdims, off, total = _layout(counts)
+    return counts, adims, bdims, off, np.log(rng.random(total)), beam
+
+
+def _tied_states(counts, adims, bdims, off, inc, beam):
+    """States, over all positions, whose best score two or more
+    predecessors reach, from a plain forward pass."""
+    scores = _viterbi._prune(inc[: counts[0]].reshape(1, -1), beam)
+    tied = 0
+    for k in range(1, len(counts)):
+        X, Y, Z = adims[k], bdims[k], counts[k]
+        cand = scores[:, :, None] + inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
+        best = cand.max(axis=0)
+        tied += int(((cand == best).sum(axis=0) > 1).sum())
+        scores = _viterbi._prune(best, beam)
+    return tied
+
+
+def _twin(args, j, c, twin):
+    """``args`` with candidate ``twin`` at position ``j`` scoring exactly
+    as candidate ``c`` in every block that holds it, so every path
+    through ``c`` ties with the same path through ``twin``."""
+    counts, adims, bdims, off, inc, beam = args
+    inc = inc.copy()
+    for k, axis in ((j, 2), (j + 1, 1), (j + 2, 0)):
+        if k < len(counts):
+            size = adims[k] * bdims[k] * counts[k]
+            block = inc[off[k] : off[k] + size].reshape(adims[k], bdims[k], counts[k])
+            view = np.moveaxis(block, axis, 0)
+            view[twin] = view[c]
+    return counts, adims, bdims, off, inc, beam
+
+
+def test_kernel_skips_ranked_pass_without_ties(ranked_calls):
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        args = _continuous_instance(rng, int(rng.integers(1, 40)), 5, trial % 5)
+        assert _reruns(args, ranked_calls) == 0
+
+
+def test_kernel_skips_ranked_pass_for_ties_off_best_path(ranked_calls):
+    """Pruned states leave ``-inf`` columns whose predecessors all tie,
+    and a losing state may be reached by two predecessors at once: the
+    best path is still unique, so the max pass returns it."""
+    rng = np.random.default_rng(43)
+    tied = 0
+    for trial in range(200):
+        args = _continuous_instance(rng, int(rng.integers(3, 40)), 5, 1 + trial % 4)
+        tied += _tied_states(*args)
+        assert _reruns(args, ranked_calls) == 0
+    assert tied > 1000
+    # best path 0, 0, 0 scores -3; state (1, 1) at the last position is
+    # reached at -7 from both candidates two back
+    counts = np.array([2, 2, 2], np.int64)
+    adims, bdims, off, _ = _layout(counts)
+    last = np.full((2, 2, 2), -8.0)
+    last[0, 0, 0], last[0, 1, 1], last[1, 1, 1] = -1.0, -4.0, -2.0
+    inc = np.concatenate([[-1.0, -3.0], [-1.0, -2.0, -1.0, -2.0], last.ravel()])
+    args = (counts, adims, bdims, off, inc, 0)
+    assert _tied_states(*args) == 1
+    assert _reruns(args, ranked_calls) == 0
+    assert list(_viterbi.viterbi(*args)) == [0, 0, 0]
+
+
+def test_kernel_reruns_ranked_pass_for_ties_on_best_path(ranked_calls):
+    """A tie on the best path, between two predecessors of one of its
+    states or between two final states, re-runs the ranked pass once, and
+    that pass's path is returned."""
+    rng = np.random.default_rng(47)
+    twins = Counter()
+    for trial in range(300):
+        args = _continuous_instance(rng, int(rng.integers(3, 30)), 5, 0)
+        counts = args[0]
+        K = len(counts)
+        path = _viterbi_loops(*args)
+        # a twin of the best path's candidate mid-sequence, where the tie
+        # shows two positions on, or at the last position
+        where = "mid" if trial % 2 else "last"
+        spots = [j for j in range(K - 2) if counts[j] >= 2] if where == "mid" else [K - 1]
+        if not spots or counts[spots[-1]] < 2:
+            continue
+        j = spots[int(rng.integers(0, len(spots)))]
+        twin = int(rng.integers(0, counts[j] - 1))
+        twin += twin >= path[j]
+        assert _reruns(_twin(args, j, path[j], twin), ranked_calls) == 1
+        twins[where] += 1
+    assert min(twins.values()) > 50
+    model, tokens = symmetric_tie_instance()
+    before = len(ranked_calls)
+    assert tag_sequence(model, tokens) == brute_force_best(model, tokens)
+    assert len(ranked_calls) == before + 1
+    # every path ties: all increments equal, or all -inf
+    for trial in range(20):
+        counts = _run_widths(rng, int(rng.integers(20, 120)), False)
+        adims, bdims, off, total = _layout(counts)
+        value = -np.inf if trial % 2 else np.log(0.5)
+        args = (counts, adims, bdims, off, np.full(total, value), trial % 5)
+        assert _reruns(args, ranked_calls) == 1
 
 
 def _tag_capturing(monkeypatch, model, texts):
