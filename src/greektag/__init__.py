@@ -2,7 +2,7 @@
 with feature-structured tags, stem/suffix lexical probabilities, and a
 two-class chi-square stylometric deviation test."""
 
-from .decode import tag_corpus, tag_sequence, tag_text
+from .decode import tag_corpus, tag_sequence
 from .errors import (
     FormatError,
     GreektagError,

@@ -39,20 +39,18 @@ increment block of shape ``(adims[k], bdims[k], counts[k])`` flattened
 at ``off[k]`` inside ``inc``, where ``adims[k]``/``bdims[k]`` are the
 candidate counts two and one positions back (1 at the boundary).
 
-A position whose block is one cell (one candidate there and at the two
-positions before it) offers no choice: its one state adds the cell to
-the one score, and its backpointer is 0, with no numpy reduction.  In
-the max pass, a position with one candidate two back (``X = 1``) gives
-each state one predecessor, so it is one broadcast add, with
-backpointer 0 and no tie.
+In the max pass, a position whose block is one cell (one candidate
+there and at the two positions before it) offers no choice: its one
+state adds the cell to the one score, with no numpy reduction, and a
+position with one candidate two back (``X = 1``) gives each state one
+predecessor, so it is one broadcast add, with backpointer 0 and no
+tie.  ``_ranked`` takes its general step at both; at a one-cell block
+that step keeps the one predecessor, and pruning one state is a no-op.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_NO_CHOICE = np.zeros(1, np.int64)  # backpointers of a position with one state
-_NO_CHOICE.flags.writeable = False
 
 
 def _prune(scores, beam):
@@ -128,10 +126,6 @@ def _ranked(counts, adims, bdims, off, inc, beam=0):
 
     for k in range(1, K):
         X, Y, Z = int(adims[k]), int(bdims[k]), int(counts[k])
-        if X == Y == Z == 1:  # no choice: one state, its own predecessor
-            scores = scores + inc[off[k]]
-            backptrs.append(_NO_CHOICE)
-            continue
         block = inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
         cand = scores[:, :, None] + block
         best = cand.max(axis=0)

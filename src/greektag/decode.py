@@ -17,7 +17,7 @@ from . import _viterbi
 from .errors import SearchSpaceError
 from .model import Model
 from .tags import Tag
-from .text import Sequence, tokenize
+from .text import Sequence
 
 #: Upper bound on the float64 increments of one sequence's trellis (80 MB).
 MAX_TRELLIS_CELLS = 10_000_000
@@ -72,11 +72,3 @@ def tag_corpus(model: Model, sequences, beam: int = 0) -> list[Sequence]:
         for seq in sequences
     ]
 
-
-def tag_text(model: Model, text: str, beam: int = 0):
-    """Tokenize raw text and tag it; sequences decode independently.
-    Returns the flattened (token, tag) pairs."""
-    pairs = []
-    for seq in tag_corpus(model, tokenize(text), beam):
-        pairs.extend(zip(seq.tokens, seq.gold_tags))
-    return pairs

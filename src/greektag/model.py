@@ -151,7 +151,8 @@ class Model:
         self.schema = schema
         self.stats = stats
         self.lambdas = tuple(lambdas)
-        if abs(sum(self.lambdas) - 1.0) > 1e-12 or any(l < 0 for l in self.lambdas):
+        if (not all(math.isfinite(l) and l >= 0.0 for l in self.lambdas)
+                or abs(sum(self.lambdas) - 1.0) > 1e-12):
             raise ModelError(f"bad interpolation weights {self.lambdas}")
         self.lexicon = lexicon
         self._intern = stats.tables.intern
@@ -166,7 +167,7 @@ class Model:
     # -- probabilities ------------------------------------------------------
 
     def _id_prob(self, t: int, h1: int, h2: int) -> float:
-        """``transition_prob`` on tag ids."""
+        """P(t | h1, h2) on tag ids, with h1 the immediately preceding tag."""
         l1, l2, l3 = self.lambdas
         chain = self.stats.id_chain_prob
         p = 0.0
@@ -183,10 +184,6 @@ class Model:
                 c = self._order1[t] = chain(t, ())
             p += l1 * c
         return p
-
-    def transition_prob(self, t: Tag, h1: Tag, h2: Tag) -> float:
-        """P(t | h1, h2) with h1 the immediately preceding tag."""
-        return self._id_prob(self._intern(t), self._intern(h1), self._intern(h2))
 
     def _log_prob(self, t: int, h1: int, h2: int) -> float:
         """log P(t | h1, h2) on tag ids; ``-inf`` where the probability is 0."""
@@ -391,21 +388,19 @@ def _check_gold(seq, schema) -> None:
         schema.validate(t)
 
 
-def _fitted_model(schema, tables, seq_counts, lexicon, smooth=True, lambdas=None) -> Model:
-    """The model on the counted ``tables``, with the weights fitted on
-    the per-sequence counts ``seq_counts`` (``lambdas``, when given,
-    replace the fitted interpolation weights)."""
-    fit_lambdas, chain_weights = fit_interpolation(tables, seq_counts)
-    stats = TransitionStats(schema, tables, smoothed=smooth, chain_weights=chain_weights)
-    return Model(schema, stats, fit_lambdas if lambdas is None else lambdas, lexicon)
+def _fitted_model(schema, tables, seq_counts, lexicon) -> Model:
+    """The smoothed model on the counted ``tables``, with the weights
+    fitted on the per-sequence counts ``seq_counts``."""
+    lambdas, chain_weights = fit_interpolation(tables, seq_counts)
+    stats = TransitionStats(schema, tables, chain_weights=chain_weights)
+    return Model(schema, stats, lambdas, lexicon)
 
 
-def train(corpus, rules, schema, *, smooth=True, lambdas=None) -> Model:
+def train(corpus, rules, schema) -> Model:
     """Train on an annotated corpus.
 
     Counts tag trigrams over sequences padded with two boundary tags
     once, fits the interpolation and chain weights leave-one-sequence-out
-    (``lambdas``, when given, replace the fitted interpolation weights)
     and scores transitions on those counts, and builds the lexicon.
     Deterministic: the same corpus yields the same model file.
     """
@@ -418,7 +413,7 @@ def train(corpus, rules, schema, *, smooth=True, lambdas=None) -> Model:
         raise ModelError("empty training corpus")
     tables, seq_counts = count_sequences(seq_tags)
     lexicon = morph.train_lexicon(corpus, rules, schema)
-    return _fitted_model(schema, tables, seq_counts, lexicon, smooth, lambdas)
+    return _fitted_model(schema, tables, seq_counts, lexicon)
 
 
 def _fold_models(corpus, rules, schema, folds):

@@ -28,6 +28,8 @@ _EMPTY_PATTERN = "-"
 _PREFIX_CLASS = "@prefix"
 _PRIOR_FORM = "__hapax__"
 _MAX_EXPANSION = 4096
+#: characters with a meaning in a rule pattern; no literal holds one
+_OPERATORS = frozenset("()[]|?*+{}\\^$.")
 #: how far a lexicon row's probabilities may sum from 1
 _SUM_TOLERANCE = 1e-9
 
@@ -53,10 +55,12 @@ def _check_no_repeat(tags, path, line) -> None:
 def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
     """Expand a finite pattern into its literal strings.
 
-    Supported syntax: literal characters, alternation groups ``(a|b)``,
-    character classes ``[abc]``, and ``?`` after an atom.  ``-`` denotes
-    the empty string.  Unbounded operators are rejected: suffix and
-    prefix inventories are finite.
+    Supported syntax: literal characters, alternation groups ``(a|b)``
+    and character classes ``[abc]`` of literal characters, and ``?``
+    after an atom.  ``-`` denotes the empty string.  Any other use of an
+    operator character is rejected: unbounded operators, since suffix
+    and prefix inventories are finite, and nested or stray ones, which
+    would otherwise end up inside a literal.
     """
     if pattern == _EMPTY_PATTERN:
         return ("",)
@@ -64,17 +68,20 @@ def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
     i = 0
     while i < len(pattern):
         c = pattern[i]
-        if c == "(":
-            j = pattern.find(")", i)
+        if c in "([":
+            close = ")" if c == "(" else "]"
+            j = pattern.find(close, i)
             if j < 0:
-                raise FormatError(f"unbalanced '(' in pattern {pattern!r}", path, line)
-            atoms.append(pattern[i + 1 : j].split("|"))
-            i = j + 1
-        elif c == "[":
-            j = pattern.find("]", i)
-            if j <= i + 1:
-                raise FormatError(f"bad character class in pattern {pattern!r}", path, line)
-            atoms.append(list(pattern[i + 1 : j]))
+                raise FormatError(f"unbalanced {c!r} in pattern {pattern!r}", path, line)
+            inner = pattern[i + 1 : j]
+            alts = inner.split("|") if c == "(" else list(inner)
+            if not alts:
+                raise FormatError(f"empty character class in pattern {pattern!r}", path, line)
+            ops = _OPERATORS.intersection("".join(alts))
+            if ops:
+                raise FormatError(f"operator {min(ops)!r} inside {c}{close} in pattern "
+                                  f"{pattern!r}", path, line)
+            atoms.append(alts)
             i = j + 1
         elif c == "?":
             if not atoms:
@@ -82,7 +89,9 @@ def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
             if "" not in atoms[-1]:
                 atoms[-1] = atoms[-1] + [""]
             i += 1
-        elif c in "*+{}\\^$.":
+        elif c in ")]|":
+            raise FormatError(f"{c!r} outside a group in pattern {pattern!r}", path, line)
+        elif c in _OPERATORS:
             raise FormatError(
                 f"unsupported operator {c!r} in pattern {pattern!r}", path, line
             )
@@ -347,16 +356,6 @@ class Lexicon:
             else:
                 raise FormatError(f"unknown entry kind {kind!r}", path, no)
         return cls(schema, rules, stems, fullforms, suffix_probs, hapax_prior)
-
-    @classmethod
-    def load(cls, path, schema, rules) -> "Lexicon":
-        with open_utf8(path) as fh:
-            return cls.from_lines(fh, schema, rules, path=str(path))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.to_lines():
-                fh.write(line + "\n")
 
 
 def _sorted_scores(scores: dict) -> tuple[tuple[Tag, float], ...]:

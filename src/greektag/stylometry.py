@@ -221,20 +221,6 @@ def render_report(report: DeviationReport) -> tuple[str, str]:
     return render_table(report), render_csv(report)
 
 
-def parse_report_csv(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Re-parse a report CSV into (texts, categories, chi2 matrix)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    texts = tuple(rows[0][1:])
-    categories = []
-    values = []
-    for row in rows[1:]:
-        if row[0] in ("alpha", "rho"):
-            break
-        categories.append(row[0])
-        values.append([float(v) for v in row[1:]])
-    return texts, tuple(categories), np.array(values).T
-
-
 # -- counts CSV ---------------------------------------------------------------
 #
 # Header `category,<text_id>,...`; one row per category; integer cells.

@@ -15,7 +15,7 @@ floor so that every schema-valid tag keeps positive mass.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -147,12 +147,6 @@ class TagSchema:
         self.validate(tag)
         return tag
 
-    def iter_tags(self, category: str):
-        """Yield every schema-valid tag of a category (value product)."""
-        feats = self.features_of(category)
-        for values in itertools.product(*(self.feature_values[f] for f in feats)):
-            yield Tag(category, tuple(zip(feats, values)))
-
     # -- schema file format -------------------------------------------------
 
     def to_lines(self) -> list[str]:
@@ -204,11 +198,6 @@ class TagSchema:
     def load(cls, path) -> "TagSchema":
         with open_utf8(path) as fh:
             return cls.from_lines(fh, path=str(path))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.to_lines():
-                fh.write(line + "\n")
 
 
 def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
@@ -313,12 +302,6 @@ class _Tables:
         ``hist`` (order len(hist)+1); empty for an unseen history."""
         return self.pre[len(hist) + 1].get(hist, _NO_COUNTS)
 
-    def prefix_freq(self, hist, prefix, parent):
-        """Relative frequency of chain prefix id ``prefix`` after history
-        ids ``hist``, given its parent prefix id ``parent``; None on a
-        zero denominator."""
-        return _freq(self.counts_after(hist), prefix, parent)
-
     def backoff_levels(self, t, j):
         """The (category-local, global) relative frequencies of feature
         value ``j`` of tag id ``t``: within the tag's category and over
@@ -370,6 +353,10 @@ class TransitionStats:
         self.floor = floor if smoothed else 0.0
         if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("no trigram statistics (untrained model)")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.chain_weights):
+            raise ModelError(f"bad chain weights {self.chain_weights}")
+        if not 0.0 <= floor <= 1.0:  # false for nan too
+            raise ModelError(f"floor {floor!r} is outside [0, 1]")
         if not sum(self.chain_weights):
             raise ModelError("chain weights are all zero")
         self._keep = 1.0 - self.floor
@@ -406,7 +393,8 @@ class TransitionStats:
         w1, w2, w3 = self._weights
         unseen = 0.0
         if self.smoothed:  # escape to the category unigram
-            unseen = keep * tb.prefix_freq((), prefixes[1], ROOT) + self._category_floor
+            unseen = (keep * _freq(tb.counts_after(()), prefixes[1], ROOT)
+                      + self._category_floor)
         links = []
         for j, prefix in enumerate(prefixes[2:]):
             m2, m3 = tb.backoff_levels(t, j)

@@ -5,6 +5,8 @@ import numpy as np
 from greektag import RuleSet, Sequence, TagSchema, Token, train
 from greektag.tags import format_tag
 
+from reference import all_tags, rescored
+
 
 def _random_schema(rng):
     lines = []
@@ -28,9 +30,9 @@ def random_corpus(rng):
     """A random schema, optional suffix rules, a tagged training corpus
     and the vocabulary it draws from."""
     schema = _random_schema(rng)
-    all_tags = [t for c in schema.categories for t in schema.iter_tags(c)]
+    schema_tags = all_tags(schema)
 
-    inflected = [t for t in all_tags if t.features]
+    inflected = [t for t in schema_tags if t.features]
     rules = None
     vocab = [f"w{i}" for i in range(int(rng.integers(2, 7)))]
     if inflected and rng.random() < 0.5:
@@ -48,7 +50,7 @@ def random_corpus(rng):
         for i in range(length):
             word = vocab[int(rng.integers(0, len(vocab)))]
             tokens.append(Token(word, word, i))
-            tags.append(all_tags[int(rng.integers(0, len(all_tags)))])
+            tags.append(schema_tags[int(rng.integers(0, len(schema_tags)))])
         sequences.append(Sequence(tuple(tokens), tuple(tags)))
     return schema, rules, sequences, vocab
 
@@ -62,7 +64,7 @@ def random_instance(rng):
     """
     schema, rules, sequences, vocab = random_corpus(rng)
     smooth = rng.random() < 0.8
-    model = train(sequences, rules, schema, smooth=smooth)
+    model = rescored(train(sequences, rules, schema), smooth=smooth)
 
     length = int(rng.integers(1, 7))
     tokens = []

@@ -40,6 +40,11 @@ distinct (word, tag) pair once and counts it as often as it occurs.
 ``Tag`` objects: ``Model.log_transition`` of each (h2, h1, t) plus the
 ``math.log`` of the word's lexical probability of t, in the increment
 layout of ``greektag._viterbi.viterbi``.
+
+The last three helpers serve the tests, not as oracles: ``all_tags``
+lists every schema-valid tag, ``transition_prob`` is a model's
+transition probability on ``Tag`` arguments, and ``rescored`` rebuilds
+a trained model with raw scoring or fixed interpolation weights.
 """
 
 import itertools
@@ -52,7 +57,7 @@ import numpy as np
 from greektag.cli import CV_FOLDS, DEFAULT_SEED
 from greektag.decode import tag_sequence
 from greektag.errors import SearchSpaceError
-from greektag.model import NEG_INF, _instances, train
+from greektag.model import NEG_INF, Model, _instances, train
 from greektag.morph import (
     Lexicon,
     LexiconEntry,
@@ -60,7 +65,14 @@ from greektag.morph import (
     SuffixRule,
     _splits,
 )
-from greektag.tags import BOUNDARY, DEFAULT_CHAIN_WEIGHTS, _tag_prefixes, format_tag
+from greektag.tags import (
+    BOUNDARY,
+    DEFAULT_CHAIN_WEIGHTS,
+    Tag,
+    TransitionStats,
+    _tag_prefixes,
+    format_tag,
+)
 
 
 class _TagTables:
@@ -437,3 +449,28 @@ def reference_increments(model, tokens):
                     emis = math.log(p) if p > 0.0 else NEG_INF
                     inc.append(model.log_transition(t, b, a) + emis)
     return np.array(inc, np.float64)
+
+
+def all_tags(schema):
+    """Every schema-valid tag: by category in declaration order, then by
+    the product of its features' values in declaration order."""
+    return [Tag(cat, tuple(zip(feats, values)))
+            for cat, feats in schema.category_features.items()
+            for values in itertools.product(*(schema.feature_values[f] for f in feats))]
+
+
+def transition_prob(model, t, h1, h2):
+    """P(t | h1, h2) under ``model``, with h1 the immediately preceding tag."""
+    intern = model.stats.tables.intern
+    return model._id_prob(intern(t), intern(h1), intern(h2))
+
+
+def rescored(model, *, smooth=True, lambdas=None):
+    """A model on the counts, fitted chain weights and lexicon of the
+    trained ``model``: raw relative frequencies unless ``smooth``, and
+    ``lambdas``, when given, in place of its interpolation weights.  It
+    shares ``model``'s count tables."""
+    stats = TransitionStats(model.schema, model.stats.tables, smoothed=smooth,
+                            chain_weights=model.stats.chain_weights)
+    return Model(model.schema, stats, model.lambdas if lambdas is None else lambdas,
+                 model.lexicon)

@@ -32,7 +32,7 @@ from greektag.tags import BOUNDARY, format_tag
 from greektag.text import load_annotated_corpus, save_annotated_corpus
 
 from genmodels import random_instance, symmetric_tie_instance
-from reference import brute_force_best
+from reference import all_tags, brute_force_best, rescored, transition_prob
 from test_stylometry import alpha_pattern_counts
 
 
@@ -56,14 +56,14 @@ def test_decoder_oracle_equivalence():
 
 
 def test_distribution_properties(toy_model, toy_schema, toy_corpus):
-    tags = [t for c in toy_schema.categories for t in toy_schema.iter_tags(c)]
+    tags = all_tags(toy_schema)
     histories = {(BOUNDARY, BOUNDARY)}
     for (a, b, _t) in toy_model.stats.trigram_counts:
         histories.add((a, b))
     observed = toy_model.stats.observed_tags
     histories.add((observed[0], tags[-1]))  # never-seen history
     for h2, h1 in sorted(histories, key=lambda h: (format_tag(h[0]), format_tag(h[1]))):
-        total = sum(toy_model.transition_prob(t, h1, h2) for t in tags)
+        total = sum(transition_prob(toy_model, t, h1, h2) for t in tags)
         assert abs(total - 1.0) <= 1e-9, (format_tag(h2), format_tag(h1), total)
 
     words = sorted({tok.norm for s in toy_corpus for tok in s.tokens})
@@ -84,14 +84,14 @@ def test_feature_chain_rule_identity():
         "category k",
     ])
     rng = np.random.default_rng(7)
-    all_tags = [t for c in schema.categories for t in schema.iter_tags(c)]
+    schema_tags = all_tags(schema)
     corpus = []
     for _ in range(12):
         length = int(rng.integers(2, 9))
         tokens = tuple(Token(f"w{i}", f"w{i}", i) for i in range(length))
-        tags = tuple(all_tags[int(rng.integers(0, len(all_tags)))] for _ in range(length))
+        tags = tuple(schema_tags[int(rng.integers(0, len(schema_tags)))] for _ in range(length))
         corpus.append(Sequence(tokens, tags))
-    model = train(corpus, None, schema, smooth=False)
+    model = rescored(train(corpus, None, schema), smooth=False)
 
     contexts = defaultdict(int)
     for (a, b, _t), n in model.stats.trigram_counts.items():
@@ -133,9 +133,8 @@ def test_morphology_fixtures(toy_schema):
 
     support = {t for t, _ in lexical_prob("κωλύσαντος", lexicon)}
     rule_tags = {part, noun}
-    all_tags = {t for c in toy_schema.categories for t in toy_schema.iter_tags(c)}
     assert support <= rule_tags
-    assert support < all_tags
+    assert support < set(all_tags(toy_schema))
     _ok("morphology fixtures (stem-suffix validity and unknown-word support)")
 
 
@@ -239,10 +238,9 @@ def test_round_trips(toy_model, toy_corpus, toy_schema, tmp_path):
     save_annotated_corpus(c2, load_annotated_corpus(c1, toy_schema))
     assert c1.read_bytes() == c2.read_bytes()
     # lexicon
-    l1, l2 = tmp_path / "l1", tmp_path / "l2"
-    toy_model.lexicon.save(l1)
-    Lexicon.load(l1, toy_schema, toy_model.lexicon.rules).save(l2)
-    assert l1.read_bytes() == l2.read_bytes()
+    l1 = toy_model.lexicon.to_lines()
+    l2 = Lexicon.from_lines(l1, toy_schema, toy_model.lexicon.rules).to_lines()
+    assert l1 == l2
     # model
     m1, m2 = tmp_path / "m1", tmp_path / "m2"
     toy_model.save(m1)

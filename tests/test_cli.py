@@ -122,6 +122,20 @@ def test_train_rejects_surface_no_token_has(workdir, capsys, line):
     assert not (workdir / "m").exists()
 
 
+def test_train_rejects_bad_rule_pattern(workdir, capsys):
+    rules = workdir / "toy.rules"
+    lines = rules.read_text(encoding="utf-8").splitlines()
+    lines.append("ος|ου\to-noun\tsubs:case=nom,num=sg,gend=masc")
+    rules.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", str(workdir / "toy.corpus"), "--schema", str(workdir / "toy.schema"),
+                 "--rules", str(rules), "--out", str(workdir / "toy.model")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"toy.rules: line {len(lines)}: '|' outside a group" in err
+    assert "Traceback" not in err
+    assert not (workdir / "toy.model").exists()
+
+
 def test_tag_empty_input(workdir, capsys):
     _train(workdir, capsys)
     empty = workdir / "empty.txt"
@@ -142,13 +156,15 @@ def test_tag_output_matches_decoder_and_reparses(workdir, capsys):
     tagged = load_annotated_corpus(out, schema)
     assert tagged and all(s.gold_tags is not None for s in tagged)
 
-    from greektag.decode import tag_text
+    from greektag.decode import tag_corpus
     from greektag.model import Model
+    from greektag.text import tokenize
 
     model = Model.load(workdir / "toy.model")
-    pairs = tag_text(model, (workdir / "texts" / "alpha.txt").read_text(encoding="utf-8"))
+    text = (workdir / "texts" / "alpha.txt").read_text(encoding="utf-8")
+    decoded = tag_corpus(model, tokenize(text))
     flat = [(t.surface, tag) for s in tagged for t, tag in zip(s.tokens, s.gold_tags)]
-    assert flat == [(tok.surface, tag) for tok, tag in pairs]
+    assert flat == [(t.surface, tag) for s in decoded for t, tag in zip(s.tokens, s.gold_tags)]
 
 
 def test_tag_bad_model_exits(workdir, capsys):

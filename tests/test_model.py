@@ -16,7 +16,7 @@ from greektag.tags import BOUNDARY, Tag
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
 from genmodels import random_corpus
-from reference import fit_interpolation_reference
+from reference import all_tags, fit_interpolation_reference, rescored, transition_prob
 
 
 def _seqs(schema, rows):
@@ -93,12 +93,12 @@ def test_unigram_weights_give_unigram_probability(abc_schema):
         [("w", "a"), ("w", "b"), ("w", "a")],
         [("w", "a"), ("w", "c")],
     ])
-    model = train(corpus, None, abc_schema, smooth=False, lambdas=(1.0, 0.0, 0.0))
+    model = rescored(train(corpus, None, abc_schema), smooth=False, lambdas=(1.0, 0.0, 0.0))
     a = abc_schema.parse("a")
     c = abc_schema.parse("c")
     # unseen history: falls back to unigram relative frequencies 3/5 and 1/5
-    assert model.transition_prob(a, c, c) == 3 / 5
-    assert model.transition_prob(c, c, c) == 1 / 5
+    assert transition_prob(model, a, c, c) == 3 / 5
+    assert transition_prob(model, c, c, c) == 1 / 5
 
 
 def test_pure_trigram_weights_give_trigram_mle(abc_schema):
@@ -106,44 +106,40 @@ def test_pure_trigram_weights_give_trigram_mle(abc_schema):
         [("w", "a"), ("w", "b"), ("w", "a"), ("w", "b"), ("w", "a")],
         [("w", "a"), ("w", "b"), ("w", "c")],
     ])
-    model = train(corpus, None, abc_schema, smooth=False, lambdas=(0.0, 0.0, 1.0))
+    model = rescored(train(corpus, None, abc_schema), smooth=False, lambdas=(0.0, 0.0, 1.0))
     a, b, c = (abc_schema.parse(x) for x in "abc")
     # history (a, b) occurs 3 times: twice followed by a, once by c
-    assert model.transition_prob(a, b, a) == 2 / 3
-    assert model.transition_prob(c, b, a) == 1 / 3
-    assert model.transition_prob(b, b, a) == 0.0
-
-
-def _schema_tags(schema):
-    return [t for cat in schema.categories for t in schema.iter_tags(cat)]
+    assert transition_prob(model, a, b, a) == 2 / 3
+    assert transition_prob(model, c, b, a) == 1 / 3
+    assert transition_prob(model, b, b, a) == 0.0
 
 
 def test_transition_distribution_sums_to_one(toy_model, toy_schema):
-    tags = _schema_tags(toy_schema)
+    tags = all_tags(toy_schema)
     observed = toy_model.stats.observed_tags
     histories = [(BOUNDARY, BOUNDARY), (BOUNDARY, observed[0])]
     histories += [(observed[i], observed[j]) for i in range(3) for j in range(3)]
     # unobserved histories, including ones never seen in any corpus
     histories += [(observed[0], tags[-1]), (tags[-1], tags[-2])]
     for h2, h1 in histories:
-        total = sum(toy_model.transition_prob(t, h1, h2) for t in tags)
+        total = sum(transition_prob(toy_model, t, h1, h2) for t in tags)
         assert abs(total - 1.0) <= 1e-9, (h2, h1, total)
 
 
 def test_transition_strictly_positive_when_unigram_weight_positive(toy_model, toy_schema):
     assert toy_model.lambdas[0] > 0
     observed = toy_model.stats.observed_tags
-    for t in _schema_tags(toy_schema):
-        assert toy_model.transition_prob(t, observed[0], observed[1]) > 0.0
+    for t in all_tags(toy_schema):
+        assert transition_prob(toy_model, t, observed[0], observed[1]) > 0.0
 
 
 def test_smoothing_endpoint_matches_unigram(toy_corpus, toy_rules, toy_schema):
-    uni = train(toy_corpus, toy_rules, toy_schema, lambdas=(1.0, 0.0, 0.0))
-    tags = _schema_tags(toy_schema)
+    uni = rescored(train(toy_corpus, toy_rules, toy_schema), lambdas=(1.0, 0.0, 0.0))
+    tags = all_tags(toy_schema)
     observed = uni.stats.observed_tags
     for t in tags[:20]:
         expected = uni.stats.chain_prob(t, ())
-        assert uni.transition_prob(t, observed[0], observed[1]) == pytest.approx(expected, abs=0)
+        assert transition_prob(uni, t, observed[0], observed[1]) == pytest.approx(expected, abs=0)
 
 
 def test_sequence_log_prob_empty_is_zero(toy_model):
@@ -171,7 +167,7 @@ def test_sequence_log_prob_matches_hand_product(toy_model, toy_schema):
     product = 1.0
     history = (BOUNDARY, BOUNDARY)
     for tok, tag in zip(tokens, tags):
-        product *= toy_model.transition_prob(tag, history[1], history[0])
+        product *= transition_prob(toy_model, tag, history[1], history[0])
         product *= dict(toy_model.lexical_probs(tok.norm))[tag]
         history = (history[1], tag)
     got = toy_model.sequence_log_prob(tokens, tags)
@@ -179,7 +175,7 @@ def test_sequence_log_prob_matches_hand_product(toy_model, toy_schema):
 
 
 def test_sequence_log_prob_zero_factor_gives_neg_inf(toy_corpus, toy_rules, toy_schema):
-    raw = train(toy_corpus, toy_rules, toy_schema, smooth=False)
+    raw = rescored(train(toy_corpus, toy_rules, toy_schema), smooth=False)
     tok = Token("λόγος", "λόγος", 0)
     punct = toy_schema.parse("punct")  # zero emission for this word
     assert raw.sequence_log_prob([tok], [punct]) == NEG_INF
@@ -190,7 +186,7 @@ def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_
     """Every cell of a block equals ``log_transition`` on its tags: on
     the smoothed toy model, and on a raw pure-trigram one whose unseen
     trigrams give ``-inf`` cells."""
-    raw = train(toy_corpus, toy_rules, toy_schema, smooth=False, lambdas=(0.0, 0.0, 1.0))
+    raw = rescored(train(toy_corpus, toy_rules, toy_schema), smooth=False, lambdas=(0.0, 0.0, 1.0))
     cells = []
     for model in (toy_model, raw):
         boundary = ([BOUNDARY], (model.boundary_id,))
@@ -231,9 +227,16 @@ def test_model_rejects_bad_lambdas(toy_model):
         Model(toy_model.schema, toy_model.stats, (0.5, 0.2, 0.2), toy_model.lexicon)
 
 
+@pytest.mark.parametrize("lambdas", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)],
+                         ids=["first", "last"])
+def test_model_rejects_nan_lambdas(toy_model, lambdas):
+    with pytest.raises(ModelError, match="interpolation weights"):
+        Model(toy_model.schema, toy_model.stats, lambdas, toy_model.lexicon)
+
+
 @pytest.mark.parametrize("smooth", [True, False], ids=["smoothed", "raw"])
 def test_model_file_round_trip(toy_corpus, toy_rules, toy_schema, smooth, tmp_path):
-    model = train(toy_corpus, toy_rules, toy_schema, smooth=smooth)
+    model = rescored(train(toy_corpus, toy_rules, toy_schema), smooth=smooth)
     p1 = tmp_path / "m1"
     p2 = tmp_path / "m2"
     model.save(p1)
@@ -286,7 +289,7 @@ def test_model_load_errors(tmp_path):
 
 
 def _transition_lines(model, tags, uncounted, stride=11):
-    """``repr`` of ``Model.transition_prob`` and of ``chain_prob`` at
+    """``repr`` of ``transition_prob`` and of ``chain_prob`` at
     orders 1-3, for every tag of ``tags`` after histories over BOUNDARY,
     the observed tags and ``uncounted``, a schema tag that was never
     counted; each history pair scores every ``stride``-th tag, in turn,
@@ -299,7 +302,7 @@ def _transition_lines(model, tags, uncounted, stride=11):
     for i, (h2, h1) in enumerate(pairs):
         for t in tags[i % stride::stride]:
             lines.append(" ".join(map(repr, (
-                model.transition_prob(t, h1, h2),
+                transition_prob(model, t, h1, h2),
                 stats.chain_prob(t, (h2, h1)),
                 stats.chain_prob(t, (h1,)),
             ))))
@@ -308,7 +311,7 @@ def _transition_lines(model, tags, uncounted, stride=11):
 
 def _toy_transition_lines(model):
     """``_transition_lines`` over every toy schema tag."""
-    tags = _schema_tags(model.schema)
+    tags = all_tags(model.schema)
     observed = model.stats.observed_tags
     return _transition_lines(model, tags, next(t for t in reversed(tags) if t not in observed))
 
@@ -318,7 +321,7 @@ TOY_TRANSITION_SHA256 = "cc2b8e4a33623e834cf5b6dbd63492eb0ff6db7006784cd29ccfa72
 
 
 def test_transition_probabilities_are_golden(toy_model, toy_corpus, toy_rules, toy_schema):
-    raw = train(toy_corpus, toy_rules, toy_schema, smooth=False)
+    raw = rescored(train(toy_corpus, toy_rules, toy_schema), smooth=False)
     lines = _toy_transition_lines(toy_model) + _toy_transition_lines(raw)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TOY_TRANSITION_SHA256
@@ -353,7 +356,7 @@ def test_deep_chain_transition_probabilities_are_golden():
     corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
     lines = []
     for smooth in (True, False):
-        lines += _deep_transition_lines(train(corpus, None, schema, smooth=smooth))
+        lines += _deep_transition_lines(rescored(train(corpus, None, schema), smooth=smooth))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DEEP_TRANSITION_SHA256
 
@@ -366,10 +369,10 @@ def test_scoring_leaves_the_model_file_unchanged(toy_corpus, toy_rules, toy_sche
     before = model.to_lines()
     for path in sorted((fixtures_dir / "texts").glob("*.txt")):
         tag_corpus(model, tokenize(path.read_text(encoding="utf-8")))
-    tags = _schema_tags(toy_schema)
+    tags = all_tags(toy_schema)
     for t in tags:
-        model.transition_prob(t, tags[-1], BOUNDARY)
-        model.transition_prob(t, t, tags[0])
+        transition_prob(model, t, tags[-1], BOUNDARY)
+        transition_prob(model, t, t, tags[0])
     assert len(model.stats.tables.tag_id) == len(tags) + 1  # BOUNDARY too
     assert model.to_lines() == before
 
@@ -394,7 +397,7 @@ def test_deep_chain_tagged_output_is_golden():
     corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
     digest = hashlib.sha256()
     for smooth in (True, False):
-        model = train(corpus, None, schema, smooth=smooth)
+        model = rescored(train(corpus, None, schema), smooth=smooth)
         for beam in (0, 4):
             out = io.StringIO()
             write_annotated_corpus(out, tag_corpus(model, tokenize(_deep_chain_text()), beam))

@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from greektag import (
     FormatError,
@@ -11,8 +12,10 @@ from greektag import (
     segment,
     train_lexicon,
 )
-from greektag.morph import _expand_pattern
+from greektag.morph import _OPERATORS, _expand_pattern
 from greektag.tags import Tag, format_tag
+
+from reference import all_tags
 
 PART_GEN = "part:tense=aor,voice=act,case=gen,num=sg,gend=masc"
 VERF_1PL = "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act"
@@ -44,6 +47,29 @@ def test_expand_rejects_unbounded_operators():
     for bad in ["α*", "α+", "α{2}", "α.", "^α", "α$", "α\\b", "(αβ"]:
         with pytest.raises(FormatError):
             _expand_pattern(bad)
+
+
+@pytest.mark.parametrize("bad", ["ος|ου", "ος)", "ο]ς", "((ος|ου)|ῳ)", "(ος*|ου)", "(ο.|ου)",
+                                 "(ος?|ου)", "(ο[ς]|ου)", "[ο?]ς", "[ο|]ς", "[ο(]ς", "[ο{]ς"])
+def test_rule_file_rejects_stray_and_nested_operators(toy_schema, bad):
+    """An operator outside its place is an error naming the line, not a
+    literal character."""
+    with pytest.raises(FormatError, match="line 2"):
+        RuleSet.from_lines([f"ος\to-noun\t{SUBS_NOM}", f"{bad}\to-noun\t{SUBS_NOM}"],
+                           toy_schema)
+
+
+@given(st.text(alphabet="ος-" + "".join(sorted(_OPERATORS)), max_size=12),
+       st.sampled_from([f"o-noun\t{SUBS_NOM}", "@prefix\tstrip"]))
+def test_rule_patterns_fuzz(toy_schema, pattern, rest):
+    """Only ``FormatError`` escapes, and no literal of an accepted
+    suffix or prefix pattern holds an operator character."""
+    try:
+        rules = RuleSet.from_lines([f"{pattern}\t{rest}"], toy_schema)
+    except FormatError:
+        return
+    for rule in rules.suffix_rules + rules.prefix_rules:
+        assert not _OPERATORS.intersection("".join(rule.literals)), rule.literals
 
 
 # -- rule files and matching ---------------------------------------------------
@@ -244,10 +270,7 @@ def test_lexical_prob_unknown_word_restricted_by_suffix(toy_model, toy_schema):
         for rid in rids:
             rule_tags.update(format_tag(t) for t in toy_model.lexicon.rules.suffix_rules[rid].tags)
     assert support and support <= rule_tags
-    all_tags = {
-        format_tag(t) for c in toy_schema.categories for t in toy_schema.iter_tags(c)
-    }
-    assert support < all_tags
+    assert support < {format_tag(t) for t in all_tags(toy_schema)}
 
 
 def test_lexical_prob_is_distribution(toy_model):

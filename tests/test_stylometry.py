@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -14,7 +15,6 @@ from greektag import (
 )
 from greektag.stylometry import (
     DeviationReport,
-    parse_report_csv,
     read_counts_csv,
     write_counts_csv,
 )
@@ -259,9 +259,11 @@ def test_render_degenerate_marks_rho_undef():
 def test_report_csv_reparses_to_same_matrix():
     report = run_test(alpha_pattern_counts((1, 0, 1, 1, 0, 4)))
     _, csv_text = render_report(report)
-    texts, categories, matrix = parse_report_csv(csv_text)
-    assert texts == report.texts
-    assert categories == report.categories
+    header, *body, alpha, rho = csv.reader(io.StringIO(csv_text))
+    assert (alpha[0], rho[0]) == ("alpha", "rho")
+    assert tuple(header[1:]) == report.texts
+    assert tuple(row[0] for row in body) == report.categories
+    matrix = np.array([[float(v) for v in row[1:]] for row in body]).T
     assert np.array_equal(matrix, report.chi2)
 
 

@@ -20,7 +20,7 @@ from greektag.model import _instances
 from greektag.text import read_annotated_corpus
 
 from genmodels import random_corpus
-from reference import _TagTables, reference_chain_prob
+from reference import _TagTables, all_tags, reference_chain_prob, rescored
 from test_model import _deep_chain_corpus, _partly_counted_verf
 
 VERB = "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act"
@@ -138,7 +138,7 @@ def chain_corpus(chain_schema):
 
 def test_chain_rule_identity_unsmoothed(chain_schema, chain_corpus):
     """Raw chain product == direct joint relative frequency, all triples."""
-    model = train(chain_corpus, None, chain_schema, smooth=False)
+    model = rescored(train(chain_corpus, None, chain_schema), smooth=False)
     counts = model.stats.trigram_counts
     ctx = {}
     for (a, b, t), n in counts.items():
@@ -150,7 +150,7 @@ def test_chain_rule_identity_unsmoothed(chain_schema, chain_corpus):
 
 
 def test_chain_empty_features_reduces_to_category_prob(chain_schema, chain_corpus):
-    model = train(chain_corpus, None, chain_schema, smooth=False)
+    model = rescored(train(chain_corpus, None, chain_schema), smooth=False)
     k = chain_schema.parse("k")
     # featureless tag: the chain is the bare category trigram probability;
     # 2 of the 5 sequences open with k
@@ -160,19 +160,12 @@ def test_chain_empty_features_reduces_to_category_prob(chain_schema, chain_corpu
     assert model.stats.chain_prob(v_sg, (BOUNDARY, k)) == 0.0
 
 
-def _all_schema_tags(schema):
-    tags = []
-    for cat in schema.categories:
-        tags.extend(schema.iter_tags(cat))
-    return tags
-
-
 def test_chain_prob_in_unit_interval(chain_schema, chain_corpus):
     model = train(chain_corpus, None, chain_schema)
-    histories = [BOUNDARY] + _all_schema_tags(chain_schema)
+    histories = [BOUNDARY] + all_tags(chain_schema)
     for h1 in histories[:4]:
         for h2 in histories[:4]:
-            for t in _all_schema_tags(chain_schema):
+            for t in all_tags(chain_schema):
                 p = model.stats.chain_prob(t, (h2, h1))
                 assert 0.0 <= p <= 1.0
 
@@ -180,7 +173,7 @@ def test_chain_prob_in_unit_interval(chain_schema, chain_corpus):
 def test_chain_sum_over_schema_smoothed(chain_schema, chain_corpus):
     """Smoothed: mass redistributes fully inside the schema (sum == 1)."""
     model = train(chain_corpus, None, chain_schema)
-    tags = _all_schema_tags(chain_schema)
+    tags = all_tags(chain_schema)
     k = chain_schema.parse("k")
     for history in [(BOUNDARY, BOUNDARY), (BOUNDARY, k), (k, k)]:
         total = sum(model.stats.chain_prob(t, history) for t in tags)
@@ -188,8 +181,8 @@ def test_chain_sum_over_schema_smoothed(chain_schema, chain_corpus):
 
 
 def test_chain_sum_over_schema_raw_at_most_one(chain_schema, chain_corpus):
-    model = train(chain_corpus, None, chain_schema, smooth=False)
-    tags = _all_schema_tags(chain_schema)
+    model = rescored(train(chain_corpus, None, chain_schema), smooth=False)
+    tags = all_tags(chain_schema)
     k = chain_schema.parse("k")
     for history in [(BOUNDARY, BOUNDARY), (BOUNDARY, k), (k, k)]:
         total = sum(model.stats.chain_prob(t, history) for t in tags)
@@ -209,7 +202,7 @@ def test_feature_factor_with_only_zero_weight_levels_is_uniform():
     n_u, n_v = schema.parse("n:f=u"), schema.parse("n:f=v")
     history = (n_u, n_u)  # never seen
     assert model.stats.chain_prob(n_u, history) == model.stats.chain_prob(n_v, history)
-    total = sum(model.stats.chain_prob(t, history) for t in _all_schema_tags(schema))
+    total = sum(model.stats.chain_prob(t, history) for t in all_tags(schema))
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -240,6 +233,26 @@ def test_stats_reject_all_zero_chain_weights(chain_schema, chain_corpus):
         TransitionStats(chain_schema, tables, chain_weights=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0),
+                                     (1.0, math.inf, 1.0)], ids=["nan", "negative", "inf"])
+def test_stats_reject_bad_chain_weight(chain_schema, chain_corpus, weights):
+    from greektag.errors import ModelError
+
+    tables = train(chain_corpus, None, chain_schema).stats.tables
+    with pytest.raises(ModelError, match="chain weights"):
+        TransitionStats(chain_schema, tables, chain_weights=weights)
+
+
+@pytest.mark.parametrize("floor", [math.nan, -0.5, 2.0, math.inf])
+def test_stats_reject_floor_outside_unit_interval(chain_schema, chain_corpus, floor):
+    from greektag.errors import ModelError
+
+    tables = train(chain_corpus, None, chain_schema).stats.tables
+    for smoothed in (True, False):
+        with pytest.raises(ModelError, match="floor"):
+            TransitionStats(chain_schema, tables, smoothed=smoothed, floor=floor)
+
+
 def _chain_oracle_cases():
     """(schema, corpus, tags to score, stride) for 200 random corpora,
     scoring every schema tag, and for the deep-chain corpus, scoring its
@@ -249,7 +262,7 @@ def _chain_oracle_cases():
     rng = np.random.default_rng(31)
     for _ in range(200):
         schema, _, corpus, _ = random_corpus(rng)
-        yield schema, corpus, _all_schema_tags(schema), 3
+        yield schema, corpus, all_tags(schema), 3
     schema = TagSchema.load(default_schema_path())
     corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
     observed = sorted({t for seq in corpus for t in seq.gold_tags}, key=format_tag)
@@ -265,7 +278,7 @@ def test_chain_prob_matches_reference():
     histories and for tags never counted."""
     for schema, corpus, tags, stride in _chain_oracle_cases():
         for smooth in (True, False):
-            model = train(corpus, None, schema, smooth=smooth)
+            model = rescored(train(corpus, None, schema), smooth=smooth)
             stats = model.stats
             ref = _TagTables(stats.trigram_counts)
             uncounted = [t for t in tags if t not in stats.observed_tags]
