@@ -2,10 +2,12 @@
 """Time 10-fold cross-validation, split into its stages.
 
 Runs ``greektag.cli.cross_validation`` on a corpus and reports the best
-of ``--repeats`` wall-clock times, split into counting (trigram tables
-and lexicon counts), fitting the interpolation weights, normalizing the
-fold lexicons and tagging the held-out sequences (the rest is building
-fold models and subtracting and adding back counts).  Next to it,
+of ``--repeats`` wall-clock times, split into counting (trigram tables,
+their leave-one-out index and lexicon counts), fitting the
+interpolation weights of every fold (``model.fit_interpolation``),
+normalizing the fold lexicons and tagging the held-out sequences (the
+rest is building fold models and subtracting and adding back counts).
+Next to it,
 the best time of ``cross_validation_reference`` from ``tests/``, which
 trains every fold from scratch.  The two accuracies must be equal.
 

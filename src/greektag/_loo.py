@@ -1,0 +1,159 @@
+"""The leave-one-out count index behind deleted interpolation.
+
+``model.count_sequences`` builds a ``LeaveOneOut`` index next to the
+count tables, and ``model.fit_interpolation`` fits the interpolation
+weights from it, for ``train`` and for every fold of cross-validation,
+as array arithmetic.  Only training imports this module.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
+
+import numpy as np
+
+from .tags import DEFAULT_CHAIN_WEIGHTS, ROOT
+
+
+def _runs(lengths):
+    """(run, position in the run) of every item of consecutive runs of
+    the given lengths."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
+def _distinct(codes):
+    """The distinct values of the int array ``codes`` in increasing order,
+    and the index of each code among them.  Like ``np.unique``, whose
+    first call costs a process about 0.8 MB more resident memory than a
+    stable ``argsort``."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    new = np.ones(len(codes), bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty(len(codes), np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
+
+
+class LeaveOneOut:
+    """The leave-one-out count index of ``model.count_sequences``: the
+    trigram counts of each sequence (``index[i]``), and every count
+    deleted interpolation reads, as flat arrays.
+
+    Every count key the fit reads has an int id: the order-1 counts of a
+    tag's root, category and full prefix, the order-2 counts of its root
+    and full prefix after h1, the order-3 counts of each of its prefixes
+    after (h2, h1), and the category-local and global feature counts.
+    ``corpus[k]`` is key k's count over the corpus; ``pair_seq``,
+    ``pair_key`` and ``pair_own`` give each sequence's own count of each
+    key it touches.  An observation, a distinct trigram (a, b, t) of a
+    sequence with its count n, becomes an order row (unigram, bigram,
+    trigram level) and a chain row per feature value of t (specific,
+    category-local, global level): per level, a numerator and a
+    denominator key id with the sequence's own counts of both.  Rows
+    keep the observation order of the sequences and their trigrams.
+    Counts are float64, exact below 2**53.
+    """
+
+    def __init__(self, tables, seq_counts):
+        self._counts = seq_counts
+        # per tag id, its prefix ids and its feature keys' ids, as runs
+        n_pre = np.array([len(p) for p in tables.prefixes], np.int64)
+        pre = np.fromiter(chain.from_iterable(tables.prefixes), np.int64)
+        pre_at = np.cumsum(n_pre) - n_pre
+        feat_at = 3 * (pre_at - 2 * np.arange(len(n_pre)))
+        none, n_prefixes = len(n_pre), len(tables.prefix_id)  # none: no history tag
+
+        def code(h2, h1, p):  # a prefix count key as an int, unique per key
+            return (h2 * (none + 1) + h1) * n_prefixes + p
+
+        names: dict = {}  # feature keys take the codes after every prefix key's
+        feat = (none + 1) ** 2 * n_prefixes + np.array(
+            [names.setdefault(key, len(names)) for features in tables.features
+             for vkey, feature, ukey in features for key in (vkey, ukey, feature)], np.int64)
+
+        a, b, t = np.fromiter(chain.from_iterable(chain.from_iterable(seq_counts)),
+                              np.int64).reshape(-1, 3).T
+        n = np.fromiter(chain.from_iterable(c.values() for c in seq_counts), np.float64)
+        seq = np.repeat(np.arange(len(seq_counts)), [len(c) for c in seq_counts])
+        obs, root = np.arange(len(n)), np.full(len(n), code(none, none, ROOT))
+        links = n_pre[t] - 2
+        category, full = pre[pre_at[t] + 1], pre[pre_at[t] + n_pre[t] - 1]
+
+        # the keys each observation counts under, once each: a tag
+        # without features has its category for its full prefix
+        r3, j3 = _runs(links + 2)
+        rf, jf = _runs(3 * links)
+        featured = np.flatnonzero(links)
+        touched = np.concatenate([r3, obs, obs, obs, obs, featured, rf])
+        keys, key = _distinct(np.concatenate([
+            code(a[r3], b[r3], pre[pre_at[t[r3]] + j3]), code(none, b, ROOT), code(none, b, full),
+            root, code(none, none, category), code(none, none, full[featured]),
+            feat[feat_at[t[rf]] + jf]]))
+        n_keys = max(len(keys), 1)
+        pairs, pair = _distinct(seq[touched] * n_keys + key)
+        self.pair_own = np.bincount(pair, weights=n[touched])
+        self.pair_seq, self.pair_key = np.divmod(pairs, n_keys)
+        self.corpus = np.bincount(self.pair_key, weights=self.pair_own, minlength=n_keys)
+
+        def rows(levels, row_seq, row_n):
+            ids = np.searchsorted(keys, np.stack(levels, axis=1).reshape(-1, 3, 2))
+            own = self.pair_own[np.searchsorted(pairs, row_seq[:, None, None] * n_keys + ids)]
+            return ids, own, row_seq, row_n
+
+        self.order_rows = rows([code(none, none, full), root, code(none, b, full),
+                                code(none, b, ROOT), code(a, b, full), code(a, b, ROOT)], seq, n)
+        rc, jc = _runs(links)
+        ac, bc, at, ft = a[rc], b[rc], pre_at[t[rc]], feat_at[t[rc]] + 3 * jc
+        self.chain_rows = rows([code(ac, bc, pre[at + jc + 2]), code(ac, bc, pre[at + jc + 1]),
+                                feat[ft], code(none, none, pre[at + 1]),
+                                feat[ft + 1], feat[ft + 2]], seq[rc], n[rc])
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, i) -> Counter:
+        return self._counts[i]
+
+    def fit(self, held=()):
+        """(lambdas, chain_weights) fitted on the sequences outside
+        ``held``, as ``model.fit_interpolation`` describes."""
+        out = np.zeros(len(self._counts), bool)
+        out[list(held)] = True
+        counts = self.corpus
+        if held:
+            mask = out[self.pair_seq]
+            counts = counts - np.bincount(self.pair_key[mask], weights=self.pair_own[mask],
+                                          minlength=len(counts))
+        a1, a2, a3 = _award_totals(counts, self.order_rows, out, 0)
+        total = a1 + a2 + a3
+        lambdas = (a1 / total, a2 / total, a3 / total) if total else (1.0, 0.0, 0.0)
+        c1, c2, c3 = _award_totals(counts, self.chain_rows, out, 2)
+        ctotal = c1 + c2 + c3
+        if not ctotal:  # no featured tag is kept
+            return lambdas, DEFAULT_CHAIN_WEIGHTS
+        return lambdas, (c1 / ctotal, c2 / ctotal, c3 / ctotal)
+
+
+def _award_totals(counts, rows, out, fallback) -> list[float]:
+    """Per level, the awards of the ``rows`` of the sequences not
+    ``out``: each row's n goes to the level(s) of largest leave-one-out
+    relative frequency (``counts`` less the sequence's own, 0 on a zero
+    denominator), split evenly, or to ``fallback`` if none is > 0."""
+    ids, own, seq, n = rows
+    if not len(n):
+        return [0.0, 0.0, 0.0]
+    left = counts[ids] - own
+    num, den = left[..., 0], left[..., 1]
+    freq = np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    best = freq.max(axis=1)
+    wins = freq == best[:, None]
+    awards = np.where(wins, (n / wins.sum(axis=1))[:, None], 0.0)
+    unexplained = best <= 0.0
+    awards[unexplained] = 0.0
+    awards[unexplained, fallback] = n[unexplained]
+    awards[out[seq]] = 0.0
+    # cumsum adds left to right in row order, as one award at a time would
+    return np.cumsum(awards, axis=0)[-1].tolist()

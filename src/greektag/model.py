@@ -21,13 +21,11 @@ from .errors import FormatError, GreektagError, ModelError, TagError, open_utf8
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
-    DEFAULT_CHAIN_WEIGHTS,
     ROOT,
     Tag,
     TagSchema,
     TransitionStats,
     _Tables,
-    _freq,
     format_tag,
 )
 
@@ -50,73 +48,38 @@ def _instances(tags, boundary=BOUNDARY):
 
 
 def count_sequences(seq_tag_lists):
-    """One id-keyed ``_Tables`` over all the tag sequences, and the
-    id-keyed trigram counts of each (what holds it out of the tables)."""
+    """One id-keyed ``_Tables`` over all the tag sequences, and their
+    ``LeaveOneOut`` index, which holds the id-keyed trigram counts of
+    each sequence (what holds it out of the tables)."""
+    # imported here, so that loading a model and tagging never compile it
+    from ._loo import LeaveOneOut
+
     tables = _Tables({})
     boundary = tables.intern(BOUNDARY)
     seq_counts = [Counter(_instances([tables.intern(t) for t in tags], boundary))
                   for tags in seq_tag_lists]
     for c in seq_counts:
         tables.add(c)
-    return tables, seq_counts
+    return tables, LeaveOneOut(tables, seq_counts)
 
 
-def _award(awards, n, fallback, freqs) -> None:
-    """Award ``n`` to the level(s) of largest relative frequency in
-    ``freqs`` (None is 0), split evenly, or to ``fallback`` if none is > 0."""
-    freqs = [f or 0.0 for f in freqs]
-    best = max(freqs)
-    if best <= 0.0:
-        awards[fallback] += n
-        return
-    winners = [i for i, f in enumerate(freqs) if f == best]
-    for i in winners:
-        awards[i] += n / len(winners)
-
-
-def fit_interpolation(tables, seq_counts):
+def fit_interpolation(tables, seq_counts, held=()):
     """Order weights (l1, l2, l3) and chain level weights fitted by
-    leave-one-sequence-out deleted interpolation over the tables and
-    per-sequence counts of ``count_sequences``.
+    leave-one-sequence-out deleted interpolation on the sequences of
+    ``seq_counts`` outside ``held``.
 
     Each held-out observation is awarded to the order (or chain level)
     whose leave-one-out relative frequency is largest, ties split
     evenly; observations no order can explain go to the most robust
-    level.  Weights are the normalized award totals.
+    level.  Weights are the normalized award totals, each added left to
+    right, never by ``sum()`` (compensated from Python 3.12 on) or a
+    pairwise sum, so the model file does not depend on the interpreter.
 
-    To hold a sequence out, ``_Tables.add`` takes its counts out of the
-    tables in place, touching only the keys that sequence contributes
-    to; the awards are read off the remaining counts, and the counts are
-    added back, so the tables end as they began.
+    ``tables`` and ``seq_counts`` are what ``count_sequences`` returns.
+    Every count is read off the index ``seq_counts``, so the tables may
+    hold a fold out meanwhile, as cross-validation does.
     """
-    after = tables.counts_after
-    order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
-    chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
-    saw_features = False
-
-    for c_s in seq_counts:
-        tables.add(c_s, -1)
-        uni = after(())
-        for (a, b, t), n in c_s.items():
-            prefixes = tables.prefixes[t]
-            full = prefixes[-1]
-            tri = after((a, b))
-            _award(order_awards, n, 0, (_freq(uni, full, ROOT), _freq(after((b,)), full, ROOT),
-                                        _freq(tri, full, ROOT)))
-            for j in range(len(tables.features[t])):
-                saw_features = True
-                _award(chain_awards, n, 2, (_freq(tri, prefixes[j + 2], prefixes[j + 1]),
-                                            *tables.backoff_levels(t, j)))
-        tables.add(c_s)
-
-    total = sum(order_awards)
-    lambdas = tuple(a / total for a in order_awards) if total else (1.0, 0.0, 0.0)
-    ctotal = sum(chain_awards)
-    if not saw_features or not ctotal:
-        chain_weights = DEFAULT_CHAIN_WEIGHTS
-    else:
-        chain_weights = tuple(a / ctotal for a in chain_awards)
-    return lambdas, chain_weights
+    return seq_counts.fit(held)
 
 
 def _header_fields(header, name, path) -> tuple[int, list[str]]:
@@ -151,7 +114,8 @@ class Model:
         self.schema = schema
         self.stats = stats
         self.lambdas = tuple(lambdas)
-        if (not all(math.isfinite(l) and l >= 0.0 for l in self.lambdas)
+        if (len(self.lambdas) != 3
+                or not all(math.isfinite(l) and l >= 0.0 for l in self.lambdas)
                 or abs(sum(self.lambdas) - 1.0) > 1e-12):
             raise ModelError(f"bad interpolation weights {self.lambdas}")
         self.lexicon = lexicon
@@ -388,10 +352,10 @@ def _check_gold(seq, schema) -> None:
         schema.validate(t)
 
 
-def _fitted_model(schema, tables, seq_counts, lexicon) -> Model:
+def _fitted_model(schema, tables, seq_counts, lexicon, held=()) -> Model:
     """The smoothed model on the counted ``tables``, with the weights
-    fitted on the per-sequence counts ``seq_counts``."""
-    lambdas, chain_weights = fit_interpolation(tables, seq_counts)
+    fitted on the sequences of ``seq_counts`` outside ``held``."""
+    lambdas, chain_weights = fit_interpolation(tables, seq_counts, held)
     stats = TransitionStats(schema, tables, chain_weights=chain_weights)
     return Model(schema, stats, lambdas, lexicon)
 
@@ -424,11 +388,12 @@ def _fold_models(corpus, rules, schema, folds):
     log.
 
     The corpus is counted once: its trigram tables, and the lexicon
-    counts of each fold, summed.  For each fold, the fold's counts are
-    taken out of both, the weights are fitted and the model built on
-    what is left, and the counts go back when the caller asks for the
-    next fold.  A fold model reads the shared tables, so it is valid
-    only until then.
+    counts of each fold, summed, and its one leave-one-out index.  For
+    each fold, the fold's counts are taken out of the tables and the
+    lexicon counts, the weights are fitted from the index less the fold,
+    the model is built on what is left, and the counts go back when the
+    caller asks for the next fold.  A fold model reads the shared
+    tables, so it is valid only until then.
     """
     if rules is None:
         rules = morph.RuleSet.empty()
@@ -463,7 +428,6 @@ def _fold_models(corpus, rules, schema, folds):
         lexicon_counts.add(held_lexicon, -1)
         lexicon = lexicon_counts.to_lexicon(rules, schema)
         lexicon_counts.add(held_lexicon)
-        kept = [c for i, c in enumerate(seq_counts) if i not in held_set]
-        yield held, _fitted_model(schema, tables, kept, lexicon)
+        yield held, _fitted_model(schema, tables, seq_counts, lexicon, held)
         for i in held:
             tables.add(seq_counts[i])

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import FormatError, GreektagError, open_utf8
 from .tags import Tag, TagSchema, format_tag
@@ -64,6 +63,9 @@ def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
     """
     if pattern == _EMPTY_PATTERN:
         return ("",)
+    if not pattern:
+        raise FormatError(f"empty pattern; write {_EMPTY_PATTERN} for the empty string",
+                          path, line)
     atoms: list[list[str]] = []
     i = 0
     while i < len(pattern):
@@ -476,6 +478,11 @@ class LexiconCounts:
     prior.  ``log`` is the training log of the corpus ``count_lexicon``
     counted, in corpus order; a log does not subtract, so ``add``
     leaves it alone.
+
+    ``to_lexicon`` keeps each key's distribution, and ``add`` drops only
+    those of the keys it changes, so the next ``to_lexicon`` normalizes
+    only those again.  Once normalized, the counts change only through
+    ``add``.
     """
 
     BY_KEY = ("stems", "fullforms", "suffixes", "rules")
@@ -486,6 +493,8 @@ class LexiconCounts:
         self.classes = Counter()
         self.words = Counter()
         self.log: list[str] = []
+        self._dists = {name: {} for name in self.BY_KEY}  # name -> key -> distribution
+        self._names = _TagNames()
 
     def add(self, other: "LexiconCounts", sign: int = 1) -> None:
         """Add ``sign`` times the counts of ``other``; ``sign=-1`` takes
@@ -494,7 +503,9 @@ class LexiconCounts:
         of the rest."""
         for name in self.BY_KEY:
             dst = getattr(self, name)
+            dists = self._dists[name]
             for key, counts in getattr(other, name).items():
+                dists.pop(key, None)
                 target = dst.get(key)
                 if target is None:
                     target = dst[key] = Counter()
@@ -509,34 +520,44 @@ class LexiconCounts:
         conditional distributions by relative frequency, including the
         per-rule tag weights and the prior over hapax legomena (over
         all tokens when no word occurs once)."""
-        dist = partial(_distribution, names=_TagNames())
+        stem_probs, fullform_probs = self._normalized("stems"), self._normalized("fullforms")
+        suffix_probs = self._normalized("suffixes", dict)
+        rule_probs = self._normalized("rules", dict)
         classes = defaultdict(set)
         for stem, klass in self.classes:
             classes[stem].add(klass)
-        stems = [LexiconEntry(form, frozenset(classes[form]), dist(counts))
-                 for form, counts in sorted(self.stems.items())]
-        fullforms = [LexiconEntry(form, frozenset(), dist(counts))
-                     for form, counts in sorted(self.fullforms.items())]
-        suffix_probs = {literal: dict(dist(counts))
-                        for literal, counts in sorted(self.suffixes.items())}
+        stems = [LexiconEntry(form, frozenset(classes[form]), stem_probs[form])
+                 for form in sorted(stem_probs)]
+        fullforms = [LexiconEntry(form, frozenset(), fullform_probs[form])
+                     for form in sorted(fullform_probs)]
+        suffix_probs = {literal: suffix_probs[literal] for literal in sorted(suffix_probs)}
         tags_of = Counter(word for word, _ in self.words)
         hapax = Counter(gold for (word, gold), n in self.words.items()
                         if n == 1 and tags_of[word] == 1)
         if not hapax:
             for (_, gold), n in self.words.items():
                 hapax[gold] += n
-        prior = dict(dist(hapax)) if hapax else {}
+        prior = dict(_distribution(hapax, self._names)) if hapax else {}
         trained_rules = RuleSet(
             [
                 SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
-                           dict(dist(self.rules[idx])) if idx in self.rules
-                           else rule.tag_probs)
+                           rule_probs[idx] if idx in rule_probs else rule.tag_probs)
                 for idx, rule in enumerate(rules.suffix_rules)
             ],
             rules.prefix_rules,
         )
         return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
                        prior, self.log)
+
+    def _normalized(self, name: str, form=tuple) -> dict:
+        """Key -> ``form`` of the distribution of the counts of table
+        ``name``, normalizing the keys that have none kept.  Lexicons
+        share what is kept; none changes its distributions."""
+        dists = self._dists[name]
+        for key, counts in getattr(self, name).items():
+            if key not in dists:
+                dists[key] = form(_distribution(counts, self._names))
+        return dists
 
 
 class _TagNames(dict):

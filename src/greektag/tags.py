@@ -302,17 +302,6 @@ class _Tables:
         ``hist`` (order len(hist)+1); empty for an unseen history."""
         return self.pre[len(hist) + 1].get(hist, _NO_COUNTS)
 
-    def backoff_levels(self, t, j):
-        """The (category-local, global) relative frequencies of feature
-        value ``j`` of tag id ``t``: within the tag's category and over
-        all categories; each None on a zero denominator.  Neither depends
-        on a history."""
-        vkey, feature, ukey = self.features[t][j]
-        cden = self.counts_after(()).get(self.prefixes[t][1], 0)
-        uden = self.featuni_ctx.get(feature, 0)
-        return (self.catfeat.get(vkey, 0) / cden if cden else None,
-                self.featuni.get(ukey, 0) / uden if uden else None)
-
 
 #: Default weights for the (full conditioning, category-local, global)
 #: levels of each feature factor when the corpus has no featured tags to
@@ -353,7 +342,8 @@ class TransitionStats:
         self.floor = floor if smoothed else 0.0
         if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("no trigram statistics (untrained model)")
-        if not all(math.isfinite(w) and w >= 0.0 for w in self.chain_weights):
+        if (len(self.chain_weights) != 3
+                or not all(math.isfinite(w) and w >= 0.0 for w in self.chain_weights)):
             raise ModelError(f"bad chain weights {self.chain_weights}")
         if not 0.0 <= floor <= 1.0:  # false for nan too
             raise ModelError(f"floor {floor!r} is outside [0, 1]")
@@ -396,9 +386,13 @@ class TransitionStats:
             unseen = (keep * _freq(tb.counts_after(()), prefixes[1], ROOT)
                       + self._category_floor)
         links = []
-        for j, prefix in enumerate(prefixes[2:]):
-            m2, m3 = tb.backoff_levels(t, j)
-            nvals = len(self.schema.allowed_values(tb.features[t][j][1]))
+        cden = tb.counts_after(()).get(prefixes[1], 0)  # the category's count
+        for prefix, (vkey, feature, ukey) in zip(prefixes[2:], tb.features[t]):
+            # the category-local and global levels; None on a zero denominator
+            uden = tb.featuni_ctx.get(feature, 0)
+            m2 = tb.catfeat.get(vkey, 0) / cden if cden else None
+            m3 = tb.featuni.get(ukey, 0) / uden if uden else None
+            nvals = len(self.schema.allowed_values(feature))
             share = floor / nvals
             c2 = c3 = mixed = wsum = 0.0
             wspec = w1

@@ -5,7 +5,8 @@
 objects, and for each held-out sequence a full set of tables is built
 from that sequence alone and subtracted from the global one.  The awards
 are summed in the same order and with the same arithmetic as the
-library's in-place version, so both must return exactly equal weights.
+library's leave-one-out index, so both must return exactly equal
+weights.
 
 ``reference_chain_prob`` is ``TransitionStats.chain_prob`` computed
 factor by factor on the ``Tag``-keyed tables below: the category factor
@@ -223,9 +224,10 @@ def fit_interpolation_reference(seq_tag_lists):
                         chain_awards[i] += n / len(winners)
                 prefix = prefix + (v,)
 
-    total = sum(order_awards)
+    # left to right: sum() of floats is compensated from Python 3.12 on
+    total = order_awards[0] + order_awards[1] + order_awards[2]
     lambdas = tuple(a / total for a in order_awards) if total else (1.0, 0.0, 0.0)
-    ctotal = sum(chain_awards)
+    ctotal = chain_awards[0] + chain_awards[1] + chain_awards[2]
     if not saw_features or not ctotal:
         chain_weights = DEFAULT_CHAIN_WEIGHTS
     else:

@@ -1,7 +1,9 @@
 """Cross-validation by subtraction: the corpus is counted once, and each
-fold's model is built on the counts less the fold's.  The oracles are
-``train`` on the sequences a fold keeps and ``cross_validation_reference``,
-which trains every fold from scratch."""
+fold's model is built on the counts less the fold's, with its weights
+fitted from the corpus's one leave-one-out index.  The oracles are
+``train`` on the sequences a fold keeps, ``fit_interpolation_reference``
+on them, and ``cross_validation_reference``, which trains every fold
+from scratch."""
 
 import re
 from collections import Counter
@@ -13,12 +15,13 @@ from greektag import RuleSet, Sequence, Tag, TagSchema, Token, train
 from greektag import decode
 from greektag.cli import cross_validation
 from greektag.errors import GreektagError
-from greektag.model import _fitted_model, _fold_models, _instances, count_sequences
-from greektag.morph import count_lexicon, train_lexicon
+from greektag.model import (_fitted_model, _fold_models, _instances, count_sequences,
+                            fit_interpolation)
+from greektag.morph import LexiconCounts, count_lexicon, train_lexicon
 from greektag.tags import TransitionStats, format_tag
 
 from genmodels import random_corpus
-from reference import cross_validation_reference
+from reference import cross_validation_reference, fit_interpolation_reference
 
 
 def _outcome(fn):
@@ -240,3 +243,48 @@ def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
             assert 0 not in counts.words.values() and 0 not in counts.classes.values()
             counts.add(fold)
             assert counts.to_lexicon(rules, schema).to_lines() == whole
+
+
+def test_fold_fits_match_reference(toy_corpus):
+    """The weights fitted from one leave-one-out index less a fold equal
+    (``==``) those of the reference on the sequences the fold keeps: every
+    fold of up to 10, holding none and holding all, on the fixture and
+    300 random corpora, among them observations whose levels tie and
+    levels with a zero denominator."""
+    rng = np.random.default_rng(23)
+    corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(300)]
+    for corpus in corpora:
+        seqs = [s.gold_tags for s in corpus]
+        tables, seq_counts = count_sequences(seqs)
+        k = min(10, len(seqs))
+        order = rng.permutation(len(seqs)).tolist()
+        folds = [sorted(order[f::k]) for f in range(k)] + [[], list(range(len(seqs)))]
+        for held in folds:
+            kept = [tags for i, tags in enumerate(seqs) if i not in held]
+            assert fit_interpolation(tables, seq_counts, held) == \
+                fit_interpolation_reference(kept)
+
+
+def test_lexicon_memo_follows_every_add(toy_corpus, toy_rules, toy_schema):
+    """After any sequence of ``add(±1)``, with ``to_lexicon`` called in
+    between or not, the lexicon writes the lines of the counts made afresh
+    from the sequences then added in."""
+    rng = np.random.default_rng(29)
+    cases = [(toy_schema, toy_rules, toy_corpus)] + [
+        (s, r or RuleSet.empty(), c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
+    for schema, rules, corpus in cases:
+        per_seq = [count_lexicon([seq], rules, schema) for seq in corpus]
+        counts = LexiconCounts()
+        inside = []  # corpus indices added in, with repeats
+        for step in range(16):
+            if inside and rng.random() < 0.4:
+                i = inside.pop(int(rng.integers(len(inside))))
+                counts.add(per_seq[i], -1)
+            else:
+                i = int(rng.integers(len(corpus)))
+                inside.append(i)
+                counts.add(per_seq[i])
+            if step == 15 or rng.random() < 0.7:
+                fresh = count_lexicon([corpus[i] for i in inside], rules, schema)
+                assert counts.to_lexicon(rules, schema).to_lines() == \
+                    fresh.to_lexicon(rules, schema).to_lines()

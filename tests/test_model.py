@@ -54,7 +54,7 @@ def test_lambdas_shift_down_when_trigrams_unique(abc_schema):
 
 
 def test_fit_interpolation_matches_reference(toy_corpus):
-    """The in-place leave-one-out fit returns exactly the weights of the
+    """The leave-one-out index fit returns exactly the weights of the
     per-sequence-table reference, on the fixture and 1000 random corpora."""
     rng = np.random.default_rng(2024)
     corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(1000)]
@@ -230,6 +230,15 @@ def test_model_rejects_bad_lambdas(toy_model):
 @pytest.mark.parametrize("lambdas", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)],
                          ids=["first", "last"])
 def test_model_rejects_nan_lambdas(toy_model, lambdas):
+    with pytest.raises(ModelError, match="interpolation weights"):
+        Model(toy_model.schema, toy_model.stats, lambdas, toy_model.lexicon)
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)],
+                         ids=["two", "four"])
+def test_model_rejects_lambdas_of_wrong_length(toy_model, lambdas):
+    """Weights that sum to 1 but are not one per order are an error at
+    construction, not at the first transition scored."""
     with pytest.raises(ModelError, match="interpolation weights"):
         Model(toy_model.schema, toy_model.stats, lambdas, toy_model.lexicon)
 

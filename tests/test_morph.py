@@ -59,6 +59,15 @@ def test_rule_file_rejects_stray_and_nested_operators(toy_schema, bad):
                            toy_schema)
 
 
+@pytest.mark.parametrize("rest", [f"o-noun\t{SUBS_NOM}", "@prefix\tstrip"],
+                         ids=["suffix", "prefix"])
+def test_rule_file_rejects_empty_pattern(toy_schema, rest):
+    """An empty pattern field is an error naming its file and line:
+    ``-`` is the only spelling of the empty string."""
+    with pytest.raises(FormatError, match="my.rules: line 2: empty pattern"):
+        RuleSet.from_lines([f"ος\t{rest}", f"\t{rest}"], toy_schema, path="my.rules")
+
+
 @given(st.text(alphabet="ος-" + "".join(sorted(_OPERATORS)), max_size=12),
        st.sampled_from([f"o-noun\t{SUBS_NOM}", "@prefix\tstrip"]))
 def test_rule_patterns_fuzz(toy_schema, pattern, rest):

@@ -234,7 +234,8 @@ def test_stats_reject_all_zero_chain_weights(chain_schema, chain_corpus):
 
 
 @pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0),
-                                     (1.0, math.inf, 1.0)], ids=["nan", "negative", "inf"])
+                                     (1.0, math.inf, 1.0), (0.5, 0.5), (1.0, 1.0, 1.0, 1.0)],
+                         ids=["nan", "negative", "inf", "two", "four"])
 def test_stats_reject_bad_chain_weight(chain_schema, chain_corpus, weights):
     from greektag.errors import ModelError
 
