@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
 """Time cold transition scoring: the chain walk behind each trellis block.
 
-Trains a model, then builds ``Model.transition_block`` for every h2 of
-the boundary tag and the observed tags, each block over all of those as
-h1 and all observed tags as t, on a model with empty caches.  Prints the
-best of ``--repeats`` wall-clock times and the transitions scored per
-second.
+Trains a model, then times two cases on models with empty caches:
+
+- the all-pairs sweep: ``Model.transition_block`` for every h2 of the
+  boundary tag and the observed tags, each block over all of those as
+  h1 and all observed tags as t;
+- one hapax-width block: with the W hapax-prior tags, the candidates of
+  a word that no lexicon entry or suffix rule matches, as h1 and t, and
+  the first min(40, W) of them as h2.  On a wide tagset it is larger
+  than ``MAX_BLOCK_CACHE_CELLS``, so the decoder rebuilds it at every
+  occurrence.
+
+Prints the best of ``--repeats`` wall-clock times of each and the
+transitions scored per second.
 
 Usage:
     python benchmarks/chain_bench.py
@@ -17,7 +25,7 @@ import time
 from pathlib import Path
 
 from greektag import Model, RuleSet, TagSchema, load_annotated_corpus, train
-from greektag.tags import TransitionStats
+from greektag.tags import TransitionStats, format_tag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -28,6 +36,18 @@ def cold_model(model):
     stats = TransitionStats(s.schema, s.tables, smoothed=s.smoothed,
                             chain_weights=s.chain_weights, floor=s.floor)
     return Model(model.schema, stats, model.lambdas, model.lexicon)
+
+
+def best_time(model, repeats, build):
+    """Best wall-clock time of ``build(m)`` over ``repeats`` cold copies
+    ``m`` of ``model``."""
+    best = float("inf")
+    for _ in range(repeats):
+        m = cold_model(model)
+        t0 = time.perf_counter()
+        build(m)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main():
@@ -41,18 +61,25 @@ def main():
     schema = TagSchema.load(args.schema)
     rules = RuleSet.load(args.rules, schema) if args.rules else None
     model = train(load_annotated_corpus(args.corpus, schema), rules, schema)
-    observed = model.stats.observed_tags
-    best = float("inf")
-    for _ in range(args.repeats):
-        m = cold_model(model)
-        ids = tuple(m.stats.tables.intern(t) for t in observed)
-        hist = (m.boundary_id, *ids)
-        t0 = time.perf_counter()
+    intern = model.stats.tables.intern
+    ids = tuple(intern(t) for t in model.stats.observed_tags)
+    hist = (model.boundary_id, *ids)
+
+    def sweep(m):
         for a in hist:
             m.transition_block((a,), hist, ids)
-        best = min(best, time.perf_counter() - t0)
+
+    best = best_time(model, args.repeats, sweep)
     cells = len(hist) ** 2 * len(ids)
     print(f"observed tags: {len(ids)}, histories: {len(hist) ** 2}, transitions: {cells}")
+    print(f"best of {args.repeats}: {best:.4f} s, {cells / best:,.0f} transitions/s")
+
+    hapax = tuple(intern(t) for t in sorted(model.lexicon.hapax_prior, key=format_tag))
+    block = (hapax[:40], hapax, hapax)
+    best = best_time(model, args.repeats, lambda m: m.transition_block(*block))
+    cells = len(block[0]) * len(hapax) ** 2
+    print(f"hapax-width block: W = {len(hapax)}, {len(block[0])} x {len(hapax)} x "
+          f"{len(hapax)} = {cells} transitions")
     print(f"best of {args.repeats}: {best:.4f} s, {cells / best:,.0f} transitions/s")
 
 

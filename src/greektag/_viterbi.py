@@ -56,7 +56,7 @@ import numpy as np
 def _prune(scores, beam):
     flat = scores.reshape(-1)
     if 0 < beam < flat.size:
-        threshold = np.sort(flat)[flat.size - beam]
+        threshold = np.partition(flat, flat.size - beam)[flat.size - beam]
         return np.where(scores < threshold, -np.inf, scores)
     return scores
 

@@ -57,7 +57,7 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     for k in range(K):
         prev2 = cands[k - 2][1] if k >= 2 else boundary
         prev1 = cands[k - 1][1] if k >= 1 else boundary
-        _, ids, _, emis = cands[k]
+        _, ids, emis = cands[k]
         blocks.append(model.transition_block(prev2, prev1, ids) + emis)
     inc = np.concatenate(blocks, axis=None)  # float64: 8 bytes a cell, as the bound assumes
 

@@ -124,35 +124,28 @@ class Model:
         self.boundary_id = self._intern(BOUNDARY)
         self._blocks: dict = {}  # (h2 ids, h1 ids, t ids) -> read-only (X, Y, Z) array
         self._block_cells = 0  # cells held by _blocks
-        self._order1: dict = {}  # t id -> order-1 chain value
-        self._order2: dict = {}  # (h1 id, t id) -> order-2 chain value
         self._cands: dict = {}  # word -> candidates(word)
 
     # -- probabilities ------------------------------------------------------
 
-    def _id_prob(self, t: int, h1: int, h2: int) -> float:
-        """P(t | h1, h2) on tag ids, with h1 the immediately preceding tag."""
+    def _log_probs(self, prev2_ids, prev1_ids, ids) -> list[float]:
+        """log P(t | h1, h2), or ``-inf`` where it is 0, for every h2 of
+        ``prev2_ids``, h1 of ``prev1_ids`` and t of ``ids``, flat in that
+        order.  P is l3·P(t | h2, h1) + l2·P(t | h1) + l1·P(t), added
+        left to right and skipping a zero weight's chain; the order-1
+        row is computed once, and the order-2 row once per h1."""
         l1, l2, l3 = self.lambdas
         chain = self.stats.id_chain_prob
-        p = 0.0
-        if l3:
-            p += l3 * chain(t, (h2, h1))
-        if l2:
-            c = self._order2.get((h1, t))
-            if c is None:
-                c = self._order2[(h1, t)] = chain(t, (h1,))
-            p += l2 * c
-        if l1:
-            c = self._order1.get(t)
-            if c is None:
-                c = self._order1[t] = chain(t, ())
-            p += l1 * c
-        return p
-
-    def _log_prob(self, t: int, h1: int, h2: int) -> float:
-        """log P(t | h1, h2) on tag ids; ``-inf`` where the probability is 0."""
-        p = self._id_prob(t, h1, h2)
-        return math.log(p) if p > 0.0 else NEG_INF
+        log = math.log
+        q1 = [l1 * chain(t, ()) if l1 else 0.0 for t in ids]
+        q2 = [[l2 * chain(t, (h1,)) if l2 else 0.0 for t in ids] for h1 in prev1_ids]
+        out = []
+        for h2 in prev2_ids:
+            for h1, row in zip(prev1_ids, q2):
+                for t, p2, p1 in zip(ids, row, q1):
+                    p = (l3 * chain(t, (h2, h1)) if l3 else 0.0) + p2 + p1
+                    out.append(log(p) if p > 0.0 else NEG_INF)
+        return out
 
     def transition_block(self, prev2_ids, prev1_ids, ids) -> np.ndarray:
         """Read-only float64 array of shape (X, Y, Z) whose cell
@@ -163,9 +156,8 @@ class Model:
         key = (prev2_ids, prev1_ids, ids)
         block = self._blocks.get(key)
         if block is None:
-            log_prob = self._log_prob
-            flat = [log_prob(t, b, a) for a in prev2_ids for b in prev1_ids for t in ids]
-            block = np.array(flat, np.float64).reshape(len(prev2_ids), len(prev1_ids), len(ids))
+            block = np.array(self._log_probs(prev2_ids, prev1_ids, ids), np.float64)
+            block = block.reshape(len(prev2_ids), len(prev1_ids), len(ids))
             block.flags.writeable = False
             if block.size <= MAX_BLOCK_CACHE_CELLS:
                 if self._block_cells + block.size > MAX_BLOCK_CACHE_CELLS:
@@ -177,28 +169,25 @@ class Model:
 
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
         intern = self._intern
-        return self._log_prob(intern(t), intern(h1), intern(h2))
+        return self._log_probs((intern(h2),), (intern(h1),), (intern(t),))[0]
 
     def lexical_probs(self, norm: str) -> list[tuple[Tag, float]]:
         return morph.lexical_prob(norm, self.lexicon)
 
-    def candidates(self, norm: str) -> tuple[list[Tag], tuple[int, ...], list[float],
-                                             np.ndarray]:
+    def candidates(self, norm: str) -> tuple[list[Tag], tuple[int, ...], np.ndarray]:
         """The candidate tags of a word in canonical tag string order,
-        with their ids and log emission probabilities (``-inf`` for 0),
-        the latter both as Python floats and as a read-only float64 array.
-        Raises ``ModelError`` when the word has none."""
+        with their ids and a read-only float64 array of their log
+        emission probabilities (``-inf`` for 0).  Raises ``ModelError``
+        when the word has none."""
         cands = self._cands.get(norm)
         if cands is None:
             probs = self.lexical_probs(norm)
             if not probs:
                 raise ModelError(f"no candidate tags for {norm!r} (empty lexicon?)")
             tags = [t for t, _ in probs]  # sorted by canonical tag string
-            log_emis = [math.log(p) if p > 0.0 else NEG_INF for _, p in probs]
-            emis = np.array(log_emis, np.float64)
+            emis = np.array([math.log(p) if p > 0.0 else NEG_INF for _, p in probs], np.float64)
             emis.flags.writeable = False
-            cands = self._cands[norm] = (
-                tags, tuple(self._intern(t) for t in tags), log_emis, emis)
+            cands = self._cands[norm] = (tags, tuple(self._intern(t) for t in tags), emis)
         return cands
 
     def sequence_log_prob(self, tokens, tags) -> float:
@@ -212,10 +201,10 @@ class Model:
         total = 0.0
         a = b = self.boundary_id
         for token, tag in zip(tokens, tags):
-            _, ids, log_emis, _ = self.candidates(token.norm)
+            _, ids, log_emis = self.candidates(token.norm)
             t = self._intern(tag)
-            emis = log_emis[ids.index(t)] if t in ids else NEG_INF
-            inc = self._log_prob(t, b, a) + emis
+            emis = log_emis.item(ids.index(t)) if t in ids else NEG_INF
+            inc = self._log_probs((a,), (b,), (t,))[0] + emis
             total += inc
             a, b = b, t
         return total

@@ -3,6 +3,7 @@
 import numpy as np
 
 from greektag import RuleSet, Sequence, TagSchema, Token, train
+from greektag.cli import default_schema_path
 from greektag.tags import format_tag
 
 from reference import all_tags, rescored
@@ -53,6 +54,31 @@ def random_corpus(rng):
             tags.append(schema_tags[int(rng.integers(0, len(schema_tags)))])
         sequences.append(Sequence(tuple(tokens), tuple(tags)))
     return schema, rules, sequences, vocab
+
+
+def wide_corpus(rng, n_tags=32, sequences=30):
+    """The built-in schema and a tagged corpus over ``n_tags`` of its
+    tags drawn at random, whose words are mostly hapax legomena: the
+    hapax prior, which is the candidate set of a word that matches no
+    lexicon entry (there are no suffix rules), is about ``n_tags`` wide."""
+    schema = TagSchema.load(default_schema_path())
+    schema_tags = all_tags(schema)
+    pool = [schema_tags[int(i)] for i in rng.choice(len(schema_tags), n_tags, replace=False)]
+    corpus = []
+    n_words = 0
+    for _ in range(sequences):
+        tokens = []
+        tags = []
+        for i in range(int(rng.integers(2, 9))):
+            if rng.random() < 0.8:
+                word = f"h{n_words}"
+                n_words += 1
+            else:
+                word = f"w{int(rng.integers(0, 4))}"
+            tokens.append(Token(word, word, i))
+            tags.append(pool[int(rng.integers(0, n_tags))])
+        corpus.append(Sequence(tuple(tokens), tuple(tags)))
+    return schema, corpus
 
 
 def random_instance(rng):

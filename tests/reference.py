@@ -37,15 +37,21 @@ by token: it splits every token of the corpus on its own, counts it
 once, and logs it where it stands; ``train_lexicon`` splits each
 distinct (word, tag) pair once and counts it as often as it occurs.
 
-``reference_increments`` fills a sequence's trellis cell by cell on
-``Tag`` objects: ``Model.log_transition`` of each (h2, h1, t) plus the
-``math.log`` of the word's lexical probability of t, in the increment
-layout of ``greektag._viterbi.viterbi``.
+``transition_prob`` is a model's transition probability computed one
+cell at a time on ``Tag`` arguments through the public
+``TransitionStats.chain_prob``: 0.0 plus l3·P(t | h2, h1), then
+l2·P(t | h1), then l1·P(t), each term skipped where its weight is 0.
+``reference_log_transition`` is its log, ``-inf`` for 0, so it must
+equal every cell of ``Model.transition_block`` byte for byte.
 
-The last three helpers serve the tests, not as oracles: ``all_tags``
-lists every schema-valid tag, ``transition_prob`` is a model's
-transition probability on ``Tag`` arguments, and ``rescored`` rebuilds
-a trained model with raw scoring or fixed interpolation weights.
+``reference_increments`` fills a sequence's trellis cell by cell on
+``Tag`` objects: ``reference_log_transition`` of each (h2, h1, t) plus
+the ``math.log`` of the word's lexical probability of t, in the
+increment layout of ``greektag._viterbi.viterbi``.
+
+The last two helpers serve the tests, not as oracles: ``all_tags``
+lists every schema-valid tag, and ``rescored`` rebuilds a trained model
+with raw scoring or fixed interpolation weights.
 """
 
 import itertools
@@ -449,7 +455,7 @@ def reference_increments(model, tokens):
             for b, _ in prev1:
                 for t, p in cands[k]:
                     emis = math.log(p) if p > 0.0 else NEG_INF
-                    inc.append(model.log_transition(t, b, a) + emis)
+                    inc.append(reference_log_transition(model, t, b, a) + emis)
     return np.array(inc, np.float64)
 
 
@@ -463,8 +469,22 @@ def all_tags(schema):
 
 def transition_prob(model, t, h1, h2):
     """P(t | h1, h2) under ``model``, with h1 the immediately preceding tag."""
-    intern = model.stats.tables.intern
-    return model._id_prob(intern(t), intern(h1), intern(h2))
+    l1, l2, l3 = model.lambdas
+    chain = model.stats.chain_prob
+    p = 0.0
+    if l3:
+        p += l3 * chain(t, (h2, h1))
+    if l2:
+        p += l2 * chain(t, (h1,))
+    if l1:
+        p += l1 * chain(t, ())
+    return p
+
+
+def reference_log_transition(model, t, h1, h2):
+    """log ``transition_prob``, ``-inf`` where it is 0."""
+    p = transition_prob(model, t, h1, h2)
+    return math.log(p) if p > 0.0 else NEG_INF
 
 
 def rescored(model, *, smooth=True, lambdas=None):

@@ -15,8 +15,14 @@ from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolati
 from greektag.tags import BOUNDARY, Tag
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
-from genmodels import random_corpus
-from reference import all_tags, fit_interpolation_reference, rescored, transition_prob
+from genmodels import random_corpus, wide_corpus
+from reference import (
+    all_tags,
+    fit_interpolation_reference,
+    reference_log_transition,
+    rescored,
+    transition_prob,
+)
 
 
 def _seqs(schema, rows):
@@ -150,7 +156,7 @@ def test_sequence_log_prob_single_token(toy_model, toy_schema):
     tok = Token("λόγος", "λόγος", 0)
     tag = toy_schema.parse("subs:case=nom,num=sg,gend=masc")
     expected = (
-        toy_model.log_transition(tag, BOUNDARY, BOUNDARY)
+        reference_log_transition(toy_model, tag, BOUNDARY, BOUNDARY)
         + math.log(dict(toy_model.lexical_probs("λόγος"))[tag])
     )
     assert toy_model.sequence_log_prob([tok], [tag]) == expected
@@ -183,27 +189,45 @@ def test_sequence_log_prob_zero_factor_gives_neg_inf(toy_corpus, toy_rules, toy_
 
 def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_rules,
                                                      toy_schema):
-    """Every cell of a block equals ``log_transition`` on its tags: on
-    the smoothed toy model, and on a raw pure-trigram one whose unseen
-    trigrams give ``-inf`` cells."""
-    raw = rescored(train(toy_corpus, toy_rules, toy_schema), smooth=False, lambdas=(0.0, 0.0, 1.0))
+    """Every block equals ``reference_log_transition`` on its tags byte
+    for byte, and ``log_transition`` agrees on a cell: on the smoothed
+    toy model; on rescorings of it, raw (with ``-inf`` cells) and with
+    zero interpolation weights; and on a wide-schema model over the
+    hapax-prior candidates of an unknown word.  The blocks run over a
+    sequence's candidate sets from the boundary on, plus a block of one
+    h2 (X = 1) and the hapax-width one."""
+    trained = train(toy_corpus, toy_rules, toy_schema)
+    models = [toy_model, rescored(trained, smooth=False)]
+    for lambdas in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)):
+        models += [rescored(trained, lambdas=lambdas),
+                   rescored(trained, smooth=False, lambdas=lambdas)]
+    wide_schema, wide_seqs = wide_corpus(np.random.default_rng(17))
+    models.append(train(wide_seqs, None, wide_schema))
     cells = []
-    for model in (toy_model, raw):
+    for model in models:
         boundary = ([BOUNDARY], (model.boundary_id,))
-        cands = [boundary, boundary] + [model.candidates(w)[:2]
-                                        for w in ("λόγους", "κωλύσαντος", "ζζζ")]
-        for (tags2, ids2), (tags1, ids1), (tags, ids) in zip(cands, cands[1:], cands[2:]):
+        words = ("λόγους", "κωλύσαντος", "ζζζ") if model.schema is toy_schema else ("w1", "oov")
+        cands = [boundary, boundary] + [model.candidates(w)[:2] for w in words]
+        triples = list(zip(cands, cands[1:], cands[2:]))
+        last = cands[-1]
+        triples.append((([last[0][-1]], last[1][-1:]), last, last))  # X = 1
+        if model.schema is wide_schema:
+            assert len(last[1]) > 30  # the hapax prior
+            triples.append((last, last, last))
+        for (tags2, ids2), (tags1, ids1), (tags, ids) in triples:
             block = model.transition_block(ids2, ids1, ids)
             assert block.shape == (len(ids2), len(ids1), len(ids))
             assert model.transition_block(ids2, ids1, ids) is block
-            assert block.tolist() == [[[model.log_transition(t, h1, h2) for t in tags]
-                                       for h1 in tags1] for h2 in tags2]
+            expected = np.array([reference_log_transition(model, t, h1, h2)
+                                 for h2 in tags2 for h1 in tags1 for t in tags], np.float64)
+            assert block.tobytes() == expected.tobytes()
+            assert model.log_transition(tags[-1], tags1[-1], tags2[-1]) == expected[-1]
             cells.extend(block.ravel())
     assert NEG_INF in cells and any(math.isfinite(c) for c in cells)
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        toy_model.candidates("παύει")[3][0] = 0.0
+        toy_model.candidates("παύει")[2][0] = 0.0
 
 
 def test_sequence_log_prob_length_mismatch(toy_model, toy_schema):
