@@ -5,10 +5,10 @@ Runs ``greektag.cli.cross_validation`` on a corpus and reports the best
 of ``--repeats`` wall-clock times, split into counting (trigram tables,
 their leave-one-out index and lexicon counts), fitting the
 interpolation weights of every fold (``model.fit_interpolation``),
-normalizing the fold lexicons and tagging the held-out sequences (the
-rest is building fold models and subtracting and adding back counts).
-Next to it,
-the best time of ``cross_validation_reference`` from ``tests/``, which
+normalizing the fold lexicons (with taking out and putting back each
+fold's lexicon counts) and tagging the held-out sequences (the rest is
+building fold models and taking out and putting back trigram counts).
+Next to it, the best time of ``cross_validation_reference`` from ``tests/``, which
 trains every fold from scratch.  The two accuracies must be equal.
 
 Usage:
@@ -33,7 +33,7 @@ from reference import cross_validation_reference  # noqa: E402
 STAGES = {
     "count": [(model, "count_sequences"), (morph, "count_lexicon")],
     "fit": [(model, "fit_interpolation")],
-    "normalize": [(morph.LexiconCounts, "to_lexicon")],
+    "normalize": [(morph.LexiconCounts, "to_lexicon_without")],
     "tag": [(cli, "tag_sequence")],
 }
 

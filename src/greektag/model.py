@@ -414,9 +414,7 @@ def _fold_models(corpus, rules, schema, folds):
             tables.add(seq_counts[i], -1)
         if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("empty training corpus")
-        lexicon_counts.add(held_lexicon, -1)
-        lexicon = lexicon_counts.to_lexicon(rules, schema)
-        lexicon_counts.add(held_lexicon)
+        lexicon = lexicon_counts.to_lexicon_without(held_lexicon, rules, schema)
         yield held, _fitted_model(schema, tables, seq_counts, lexicon, held)
         for i in held:
             tables.add(seq_counts[i])

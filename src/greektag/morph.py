@@ -481,11 +481,12 @@ class LexiconCounts:
 
     ``to_lexicon`` keeps each key's distribution, and ``add`` drops only
     those of the keys it changes, so the next ``to_lexicon`` normalizes
-    only those again.  Once normalized, the counts change only through
-    ``add``.
+    only those again; ``to_lexicon_without`` puts them back.  Once
+    normalized, the counts change only through ``add``.
     """
 
-    BY_KEY = ("stems", "fullforms", "suffixes", "rules")
+    #: Per keyed table, the form its kept distributions take.
+    BY_KEY = {"stems": tuple, "fullforms": tuple, "suffixes": dict, "rules": dict}
 
     def __init__(self):
         for name in self.BY_KEY:
@@ -494,7 +495,6 @@ class LexiconCounts:
         self.words = Counter()
         self.log: list[str] = []
         self._dists = {name: {} for name in self.BY_KEY}  # name -> key -> distribution
-        self._names = _TagNames()
 
     def add(self, other: "LexiconCounts", sign: int = 1) -> None:
         """Add ``sign`` times the counts of ``other``; ``sign=-1`` takes
@@ -521,8 +521,7 @@ class LexiconCounts:
         per-rule tag weights and the prior over hapax legomena (over
         all tokens when no word occurs once)."""
         stem_probs, fullform_probs = self._normalized("stems"), self._normalized("fullforms")
-        suffix_probs = self._normalized("suffixes", dict)
-        rule_probs = self._normalized("rules", dict)
+        suffix_probs, rule_probs = self._normalized("suffixes"), self._normalized("rules")
         classes = defaultdict(set)
         for stem, klass in self.classes:
             classes[stem].add(klass)
@@ -537,7 +536,7 @@ class LexiconCounts:
         if not hapax:
             for (_, gold), n in self.words.items():
                 hapax[gold] += n
-        prior = dict(_distribution(hapax, self._names)) if hapax else {}
+        prior = dict(_distribution(hapax)) if hapax else {}
         trained_rules = RuleSet(
             [
                 SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
@@ -549,30 +548,39 @@ class LexiconCounts:
         return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
                        prior, self.log)
 
-    def _normalized(self, name: str, form=tuple) -> dict:
-        """Key -> ``form`` of the distribution of the counts of table
-        ``name``, normalizing the keys that have none kept.  Lexicons
-        share what is kept; none changes its distributions."""
-        dists = self._dists[name]
-        for key, counts in getattr(self, name).items():
+    def to_lexicon_without(self, part: "LexiconCounts", rules: RuleSet,
+                           schema: TagSchema) -> "Lexicon":
+        """``to_lexicon`` of these counts less those of ``part``, whose
+        counts must be part of them.  The counts are put back, and the
+        distributions of ``part``'s keys with them, normalizing those
+        that have none kept first; so after a first call, a call for
+        another part normalizes only that part's keys."""
+        kept = {name: self._normalized(name, getattr(part, name)) for name in self.BY_KEY}
+        self.add(part, -1)
+        try:
+            return self.to_lexicon(rules, schema)
+        finally:
+            self.add(part)
+            for name, dists in kept.items():
+                self._dists[name].update(dists)
+
+    def _normalized(self, name: str, keys=None) -> dict:
+        """Key -> distribution of the counts of table ``name``, in the
+        table's form, over ``keys`` (default: every key), normalizing
+        the keys that have none kept.  Lexicons share what is kept; none
+        changes its distributions."""
+        dists, table, form = self._dists[name], getattr(self, name), self.BY_KEY[name]
+        for key in table if keys is None else keys:
             if key not in dists:
-                dists[key] = form(_distribution(counts, self._names))
-        return dists
+                dists[key] = form(_distribution(table[key]))
+        return dists if keys is None else {key: dists[key] for key in keys}
 
 
-class _TagNames(dict):
-    """Tag -> canonical tag string, filled on first use."""
-
-    def __missing__(self, tag: Tag) -> str:
-        name = self[tag] = format_tag(tag)
-        return name
-
-
-def _distribution(counter: Counter, names: _TagNames) -> tuple[tuple[Tag, float], ...]:
+def _distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
     """Relative frequencies of a ``Counter`` of tags, in canonical tag
     string order."""
     total = sum(counter.values())
-    items = sorted(counter.items(), key=lambda kv: names[kv[0]])
+    items = sorted(counter.items(), key=lambda kv: format_tag(kv[0]))
     return tuple((t, n / total) for t, n in items)
 
 

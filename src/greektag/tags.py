@@ -32,10 +32,19 @@ _FORBIDDEN = set(" \t\n,:=|#<>")
 @dataclass(frozen=True)
 class Tag:
     """A category plus its ``(feature, value)`` string pairs, in the
-    schema's canonical feature order."""
+    schema's canonical feature order.
+
+    A tag keeps its canonical string once ``format_tag`` has made it,
+    and hashes as that string, which caches its own hash: equal tags
+    have equal strings.  Equality compares the fields."""
 
     category: str
     features: tuple[tuple[str, str], ...] = ()
+
+    _name = None  # the canonical string, once made; not a field
+
+    def __hash__(self) -> int:
+        return hash(self._name or format_tag(self))
 
 
 #: History padding used before the first and second token of a sequence.
@@ -44,10 +53,15 @@ BOUNDARY = Tag(BOUNDARY_CATEGORY)
 
 def format_tag(tag: Tag) -> str:
     """Canonical string form: ``category`` or ``category:f=v,f=v,...``."""
-    if not tag.features:
-        return tag.category
-    inner = ",".join(f"{f}={v}" for f, v in tag.features)
-    return f"{tag.category}:{inner}"
+    name = tag._name
+    if name is None:
+        if tag.features:
+            inner = ",".join(f"{f}={v}" for f, v in tag.features)
+            name = f"{tag.category}:{inner}"
+        else:
+            name = tag.category
+        object.__setattr__(tag, "_name", name)
+    return name
 
 
 def _check_ident(name: str, what: str) -> str:
@@ -69,6 +83,7 @@ class TagSchema:
     def __init__(self, feature_values, category_features):
         self.feature_values: dict[str, tuple[str, ...]] = {}
         self.category_features: dict[str, tuple[str, ...]] = {}
+        self._parsed: dict[str, Tag] = {}  # tag string -> its parse
         for feat, values in feature_values.items():
             self._declare_feature(feat, values)
         for cat, feats in category_features.items():
@@ -107,6 +122,8 @@ class TagSchema:
 
     def validate(self, tag: Tag) -> None:
         """Raise TagError unless ``tag`` carries exactly its category's features."""
+        if self._parsed.get(format_tag(tag)) is tag:
+            return  # a parse of this schema
         feats = self.features_of(tag.category)
         seen = [f for f, _ in tag.features]
         if len(set(seen)) != len(seen):
@@ -128,13 +145,30 @@ class TagSchema:
             raise TagError(f"features out of canonical order: {format_tag(tag)}")
 
     def parse(self, s: str) -> Tag:
-        """Parse ``category`` or ``category:f=v,...``; reorders to canon."""
+        """Parse ``category`` or ``category:f=v,...``; reorders to canon.
+
+        Parses are memoized per schema: a string parsed before returns
+        the same ``Tag``, and all spellings of one tag share the object
+        of its canonical string.  A string that fails is not stored, so
+        it raises again on every call.  The memo grows by at most two
+        entries per distinct tag string parsed: the string and its
+        canonical form."""
+        tag = self._parsed.get(s)
+        if tag is None:
+            tag = self._parse(s)
+            tag = self._parsed.setdefault(format_tag(tag), tag)
+            self._parsed[s] = tag
+        return tag
+
+    def _parse(self, s: str) -> Tag:
         s = s.strip()
         if not s:
             raise TagError("empty tag string")
-        category, _, rest = s.partition(":")
+        category, colon, rest = s.partition(":")
         pairs = []
-        if rest:
+        if colon:
+            if not rest:
+                raise TagError(f"empty feature list in {s!r}")
             for item in rest.split(","):
                 feat, eq, value = item.partition("=")
                 if not eq or not feat or not value:

@@ -274,6 +274,23 @@ def test_tag_rejects_bad_trigram_row(workdir, capsys, field, value):
     assert "Traceback" not in err
 
 
+def test_tag_rejects_empty_feature_list_in_model(workdir, capsys):
+    """A trigram row whose scored tag reads ``punct:``, no spelling of
+    ``punct``, fails at its line."""
+    def edit(lines):
+        start = lines.index("[trigrams]") + 1
+        no = next(i for i in range(start, len(lines)) if lines[i].split("\t")[2] == "punct")
+        fields = lines[no].split("\t")
+        fields[2] = "punct:"
+        lines[no] = "\t".join(fields)
+        edit.line = no + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: empty feature list in 'punct:'" in err
+    assert "Traceback" not in err
+
+
 def _replace_line(workdir, capsys, prefix, replacement):
     """Tag with the toy model after its first line starting with
     ``prefix`` becomes ``replacement``; (exit code, stderr, file line)."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from greektag import RuleSet, Sequence, Tag, TagSchema, Token, train
-from greektag import decode
+from greektag import decode, morph
 from greektag.cli import cross_validation
 from greektag.errors import GreektagError
 from greektag.model import (_fitted_model, _fold_models, _instances, count_sequences,
@@ -243,6 +243,38 @@ def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
             assert 0 not in counts.words.values() and 0 not in counts.classes.values()
             counts.add(fold)
             assert counts.to_lexicon(rules, schema).to_lines() == whole
+
+
+def test_each_fold_normalizes_only_its_own_keys(toy_corpus, toy_rules, toy_schema,
+                                                monkeypatch):
+    """After the first fold, a fold's lexicon normalizes the hapax prior
+    and the distributions of the fold's keys the rest still counts, and
+    no others: the fold before it put its keys' kept distributions back.
+    On the fixture and 100 random corpora, in up to 10 folds."""
+    calls = []
+    real = morph._distribution
+    monkeypatch.setattr(morph, "_distribution", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(31)
+    cases = [(toy_schema, toy_rules, toy_corpus)] + [
+        (s, r, c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
+    for schema, rules, corpus in cases:
+        if len(corpus) < 3:
+            continue
+        k = min(10, len(corpus))
+        order = rng.permutation(len(corpus)).tolist()
+        folds = [sorted(order[f::k]) for f in range(k)]
+        models = _fold_models(corpus, rules, schema, folds)
+        next(models)
+        for held in folds[1:]:
+            rest = [seq for i, seq in enumerate(corpus) if i not in held]
+            fold_counts = count_lexicon([corpus[i] for i in held], rules or RuleSet.empty(),
+                                        schema)
+            rest_counts = count_lexicon(rest, rules or RuleSet.empty(), schema)
+            want = 1 + sum(len(getattr(fold_counts, name).keys() & getattr(rest_counts, name))
+                           for name in LexiconCounts.BY_KEY)
+            calls.clear()
+            next(models)
+            assert len(calls) == want
 
 
 def test_fold_fits_match_reference(toy_corpus):

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +59,97 @@ def test_parse_reorders_to_canonical(toy_schema):
     "subs:case=nom,case=gen,num=sg,gend=masc",  # duplicate feature
     "subs:bogus=1,case=nom,num=sg,gend=masc",   # unknown feature
     "",
+    "punct:",                           # empty feature list, which no writer makes
+    "subs:",
 ])
 def test_parse_rejects_schema_violations(toy_schema, bad):
     with pytest.raises(TagError):
         toy_schema.parse(bad)
+
+
+# -- the parse memo and the canonical string kept on each tag -------------------
+
+SUBS = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
+
+
+def test_parse_memo_gives_one_tag_per_tag(toy_schema):
+    """A string parsed again gives the same object, and every spelling of
+    a tag gives the object of its canonical string."""
+    schema = TagSchema(toy_schema.feature_values, toy_schema.category_features)
+    tag = schema.parse("subs:gend=masc,case=nom,num=sg")
+    assert tag == SUBS
+    assert schema.parse("subs:gend=masc,case=nom,num=sg") is tag
+    for spelling in ("subs:case=nom,num=sg,gend=masc", " subs:num=sg,gend=masc,case=nom\r"):
+        assert schema.parse(spelling) is tag
+    assert repr(tag) == repr(SUBS)
+    assert format_tag(tag) == "subs:case=nom,num=sg,gend=masc"
+
+
+@pytest.mark.parametrize("bad", ["verf:pers=9", "nosuch", "punct:", "subs:case=nom", " ",
+                                 "subs:case=nom,case=gen,num=sg,gend=masc"])
+def test_parse_memo_keeps_no_failure(toy_schema, bad):
+    """A bad string raises the same error on every call and is never
+    memoized, before or after a good parse."""
+    schema = TagSchema(toy_schema.feature_values, toy_schema.category_features)
+    errors = []
+    for good in ("konj", "subs:case=nom,num=sg,gend=masc"):
+        with pytest.raises(TagError) as info:
+            schema.parse(bad)
+        errors.append(str(info.value))
+        schema.parse(good)
+    assert errors[0] == errors[1]
+    assert bad not in schema._parsed
+    assert bad.strip() not in schema._parsed
+
+
+def test_parsed_and_built_tags_hash_alike(toy_schema):
+    """A tag built by hand, hashed before its canonical string is made,
+    and an equal parsed tag find each other in sets and dicts."""
+    built = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
+    h = hash(built)
+    parsed = toy_schema.parse("subs:num=sg,case=nom,gend=masc")
+    assert built == parsed and h == hash(parsed) == hash(built)
+    assert {parsed: 1}[built] == 1 and {built: 2}[parsed] == 2
+    assert built in {parsed} and parsed in {built}
+    other = Tag("subs", (("case", "gen"), ("num", "sg"), ("gend", "masc")))
+    assert other != parsed and other not in {parsed}
+    assert Tag("konj") in {toy_schema.parse("konj")}
+
+
+_DUMP = """
+import pickle, sys
+from greektag import TagSchema
+schema = TagSchema.load(sys.argv[1])
+tag = schema.parse("subs:num=sg,case=nom,gend=masc")
+hash(tag)
+sys.stdout.buffer.write(pickle.dumps((tag, {tag: 1})))
+"""
+
+_LOAD = """
+import pickle, sys
+from greektag import Tag
+tag, table = pickle.loads(sys.stdin.buffer.read())
+built = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
+assert table[built] == 1 and {built: 2}[tag] == 2 and tag == built
+"""
+
+
+def test_pickled_tag_hashes_in_a_process_with_other_string_hashes(fixtures_dir):
+    """A tag pickled by one process finds an equal tag built in a process
+    whose string hashing differs: no hash travels with the pickle."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+
+    def run(script, seed, data=None, *args):
+        done = subprocess.run([sys.executable, "-c", script, *args], input=data,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    payload = run(_DUMP, "1", None, str(fixtures_dir / "toy.schema"))
+    run(_LOAD, "2", payload)
 
 
 def _tag_strategy(schema):

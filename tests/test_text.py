@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from greektag import (
     FormatError,
+    GreektagError,
     Sequence,
+    TagSchema,
     Token,
     normalize,
     read_annotated_corpus,
@@ -128,6 +130,46 @@ def test_read_skips_comments_and_extra_blank_lines(toy_schema):
     text = "# c\n\n\na\tkonj\n\n\n# c2\nb\tkonj\n"
     seqs = read_annotated_corpus(io.StringIO(text), toy_schema)
     assert [len(s) for s in seqs] == [1, 1]
+
+
+def test_read_rejects_empty_feature_list(toy_schema):
+    with pytest.raises(FormatError, match="line 2: bad tag 'punct:': empty feature list"):
+        read_annotated_corpus(io.StringIO("a\tkonj\n.\tpunct:\n"), toy_schema)
+
+
+_TAG_STRINGS = st.one_of(
+    st.sampled_from([
+        "konj", " punct", "punct:", ":", "konj,", "nosuch", "", "=",
+        "subs:case=nom,num=sg,gend=masc", "subs:gend=masc,case=nom,num=sg",
+        "subs:case=nom", "subs:case=nom,num=sg,gend=masc,", "subs:case=,num=sg,gend=masc",
+        "subs:case=nom,case=gen,num=sg,gend=masc", "verf:pers=9",
+        "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act",
+    ]),
+    st.text(alphabet="subs:case=nom,gendpuct \t", max_size=24),
+)
+_SURFACES = st.one_of(st.sampled_from(["λόγος", "a", ".", ";", "«a", "a b", "", "#"]),
+                      st.text(max_size=4))
+_LINES = st.one_of(
+    st.tuples(_SURFACES, _TAG_STRINGS).map("\t".join),
+    st.sampled_from(["", "  ", "# comment", "one-field", "a\tkonj\tkonj"]),
+    st.text(max_size=8),
+)
+
+
+@given(st.lists(_LINES, max_size=12))
+def test_read_annotated_corpus_fuzz(toy_schema, lines):
+    """Only a ``GreektagError`` escapes, and reading the same text again
+    with the same schema, its tags memoized, or with a fresh one gives
+    equal sequences, or the same error at the same line."""
+    text = "\n".join(lines) + "\n"
+    fresh = TagSchema(toy_schema.feature_values, toy_schema.category_features)
+    outcomes = []
+    for schema in (toy_schema, toy_schema, fresh):
+        try:
+            outcomes.append(read_annotated_corpus(io.StringIO(text), schema, path="f.tag"))
+        except GreektagError as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "line", None)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_corpus_round_trip(toy_corpus, toy_schema):
