@@ -26,6 +26,15 @@ class FormatError(GreektagError):
         self.line = line
 
 
+def check_distinct(names, what: str, path=None, line=None) -> None:
+    """FormatError unless every name of ``names`` is distinct."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise FormatError(f"{what} {name} given twice", path, line)
+        seen.add(name)
+
+
 class ModelError(GreektagError):
     """The model is unusable for the requested operation (untrained, bad input)."""
 

@@ -63,10 +63,10 @@ def count_sequences(seq_tag_lists):
     return tables, LeaveOneOut(tables, seq_counts)
 
 
-def fit_interpolation(tables, seq_counts, held=()):
+def fit_interpolation(index, held=()):
     """Order weights (l1, l2, l3) and chain level weights fitted by
     leave-one-sequence-out deleted interpolation on the sequences of
-    ``seq_counts`` outside ``held``.
+    ``index`` outside ``held``.
 
     Each held-out observation is awarded to the order (or chain level)
     whose leave-one-out relative frequency is largest, ties split
@@ -75,11 +75,11 @@ def fit_interpolation(tables, seq_counts, held=()):
     right, never by ``sum()`` (compensated from Python 3.12 on) or a
     pairwise sum, so the model file does not depend on the interpreter.
 
-    ``tables`` and ``seq_counts`` are what ``count_sequences`` returns.
-    Every count is read off the index ``seq_counts``, so the tables may
-    hold a fold out meanwhile, as cross-validation does.
+    ``index`` is the ``LeaveOneOut`` index ``count_sequences`` returns.
+    Every count is read off it, so its tables may hold a fold out
+    meanwhile, as cross-validation does.
     """
-    return seq_counts.fit(held)
+    return index.fit(held)
 
 
 def _header_fields(header, name, path) -> tuple[int, list[str]]:
@@ -341,10 +341,10 @@ def _check_gold(seq, schema) -> None:
         schema.validate(t)
 
 
-def _fitted_model(schema, tables, seq_counts, lexicon, held=()) -> Model:
+def _fitted_model(schema, tables, index, lexicon, held=()) -> Model:
     """The smoothed model on the counted ``tables``, with the weights
-    fitted on the sequences of ``seq_counts`` outside ``held``."""
-    lambdas, chain_weights = fit_interpolation(tables, seq_counts, held)
+    fitted on the sequences of ``index`` outside ``held``."""
+    lambdas, chain_weights = fit_interpolation(index, held)
     stats = TransitionStats(schema, tables, chain_weights=chain_weights)
     return Model(schema, stats, lambdas, lexicon)
 
@@ -376,13 +376,13 @@ def _fold_models(corpus, rules, schema, folds):
     and the same errors, in fold order.  Its lexicon carries no training
     log.
 
-    The corpus is counted once: its trigram tables, and the lexicon
-    counts of each fold, summed, and its one leave-one-out index.  For
-    each fold, the fold's counts are taken out of the tables and the
-    lexicon counts, the weights are fitted from the index less the fold,
-    the model is built on what is left, and the counts go back when the
-    caller asks for the next fold.  A fold model reads the shared
-    tables, so it is valid only until then.
+    The corpus is counted once: its trigram tables, its one
+    leave-one-out index, and the lexicon counts of each fold, summed
+    and normalized once.  For each fold, the fold's counts are taken out
+    of the tables, the weights are fitted from the index less the fold,
+    the lexicon is ``LexiconCounts.rest_lexicon``, and the counts go
+    back when the caller asks for the next fold.  A fold model reads the
+    shared tables, so it is valid only until then.
     """
     if rules is None:
         rules = morph.RuleSet.empty()
@@ -404,6 +404,7 @@ def _fold_models(corpus, rules, schema, folds):
     lexicon_counts = morph.LexiconCounts()
     for counts in fold_lexicons:
         lexicon_counts.add(counts)
+    whole = lexicon_counts.to_lexicon(rules, schema)
 
     for held, held_lexicon in zip(folds, fold_lexicons):
         held_set = set(held)
@@ -414,7 +415,7 @@ def _fold_models(corpus, rules, schema, folds):
             tables.add(seq_counts[i], -1)
         if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("empty training corpus")
-        lexicon = lexicon_counts.to_lexicon_without(held_lexicon, rules, schema)
+        lexicon = lexicon_counts.rest_lexicon(held_lexicon, rules, whole)
         yield held, _fitted_model(schema, tables, seq_counts, lexicon, held)
         for i in held:
             tables.add(seq_counts[i])

@@ -19,7 +19,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import FormatError, GreektagError, open_utf8
+from .errors import FormatError, GreektagError, check_distinct, open_utf8
 from .tags import Tag, TagSchema, format_tag
 from .text import PUNCT_CATEGORY, Sequence, is_punct
 
@@ -40,15 +40,6 @@ def _weight(text: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"weight {text!r} is not a finite non-negative number")
     return value
-
-
-def _check_no_repeat(tags, path, line) -> None:
-    """FormatError unless every tag of a row is distinct."""
-    seen = set()
-    for tag in tags:
-        if tag in seen:
-            raise FormatError(f"tag {format_tag(tag)} given twice", path, line)
-        seen.add(tag)
 
 
 def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
@@ -232,7 +223,7 @@ class RuleSet:
                     weighted = True
             if not tags:
                 raise FormatError("rule lists no tags", path, no)
-            _check_no_repeat(tags, path, no)
+            check_distinct(map(format_tag, tags), "tag", path, no)
             suffix_rules.append(
                 SuffixRule(pattern, klass, tuple(tags), literals,
                            probs if weighted else None)
@@ -336,7 +327,7 @@ class Lexicon:
                     probs.append((schema.parse(tagstring), _weight(prob)))
                 except (GreektagError, ValueError) as exc:
                     raise FormatError(str(exc), path, no) from None
-            _check_no_repeat((t for t, _ in probs), path, no)
+            check_distinct((format_tag(t) for t, _ in probs), "tag", path, no)
             key = kind if kind == "prior" else (kind, form)
             if key in seen:
                 raise FormatError(f"second {kind} entry for {form!r}", path, no)
@@ -476,104 +467,92 @@ class LexiconCounts:
     rule that admitted a token of the stem, and ``words`` counts (word,
     gold tag) pairs, which give each word's frequency for the hapax
     prior.  ``log`` is the training log of the corpus ``count_lexicon``
-    counted, in corpus order; a log does not subtract, so ``add``
-    leaves it alone.
-
-    ``to_lexicon`` keeps each key's distribution, and ``add`` drops only
-    those of the keys it changes, so the next ``to_lexicon`` normalizes
-    only those again; ``to_lexicon_without`` puts them back.  Once
-    normalized, the counts change only through ``add``.
+    counted, in corpus order; ``add`` leaves it alone.
     """
 
-    #: Per keyed table, the form its kept distributions take.
-    BY_KEY = {"stems": tuple, "fullforms": tuple, "suffixes": dict, "rules": dict}
-
     def __init__(self):
-        for name in self.BY_KEY:
-            setattr(self, name, defaultdict(Counter))
+        self.stems = defaultdict(Counter)
+        self.fullforms = defaultdict(Counter)
+        self.suffixes = defaultdict(Counter)
+        self.rules = defaultdict(Counter)
         self.classes = Counter()
         self.words = Counter()
         self.log: list[str] = []
-        self._dists = {name: {} for name in self.BY_KEY}  # name -> key -> distribution
 
-    def add(self, other: "LexiconCounts", sign: int = 1) -> None:
-        """Add ``sign`` times the counts of ``other``; ``sign=-1`` takes
-        them out again.  A count or key that falls to 0 is removed, so
-        the counts of a corpus less those of part of it are the counts
-        of the rest."""
-        for name in self.BY_KEY:
-            dst = getattr(self, name)
-            dists = self._dists[name]
+    def add(self, other: "LexiconCounts") -> None:
+        """Add the counts of ``other`` to these."""
+        for name in ("stems", "fullforms", "suffixes", "rules"):
+            table = getattr(self, name)
             for key, counts in getattr(other, name).items():
-                dists.pop(key, None)
-                target = dst.get(key)
-                if target is None:
-                    target = dst[key] = Counter()
-                _add_counts(target, counts, sign)
-                if not target:
-                    del dst[key]
-        _add_counts(self.classes, other.classes, sign)
-        _add_counts(self.words, other.words, sign)
+                table[key].update(counts)
+        self.classes.update(other.classes)
+        self.words.update(other.words)
 
     def to_lexicon(self, rules: RuleSet, schema: TagSchema) -> "Lexicon":
         """Normalize the counts into a lexicon: every table becomes
         conditional distributions by relative frequency, including the
         per-rule tag weights and the prior over hapax legomena (over
         all tokens when no word occurs once)."""
-        stem_probs, fullform_probs = self._normalized("stems"), self._normalized("fullforms")
-        suffix_probs, rule_probs = self._normalized("suffixes"), self._normalized("rules")
         classes = defaultdict(set)
         for stem, klass in self.classes:
             classes[stem].add(klass)
-        stems = [LexiconEntry(form, frozenset(classes[form]), stem_probs[form])
-                 for form in sorted(stem_probs)]
-        fullforms = [LexiconEntry(form, frozenset(), fullform_probs[form])
-                     for form in sorted(fullform_probs)]
-        suffix_probs = {literal: suffix_probs[literal] for literal in sorted(suffix_probs)}
-        tags_of = Counter(word for word, _ in self.words)
-        hapax = Counter(gold for (word, gold), n in self.words.items()
-                        if n == 1 and tags_of[word] == 1)
-        if not hapax:
-            for (_, gold), n in self.words.items():
-                hapax[gold] += n
-        prior = dict(_distribution(hapax)) if hapax else {}
+        stems = [LexiconEntry(form, frozenset(classes[form]), _distribution(self.stems[form]))
+                 for form in sorted(self.stems)]
+        fullforms = [LexiconEntry(form, frozenset(), _distribution(self.fullforms[form]))
+                     for form in sorted(self.fullforms)]
+        suffix_probs = {literal: dict(_distribution(self.suffixes[literal]))
+                        for literal in sorted(self.suffixes)}
         trained_rules = RuleSet(
             [
                 SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
-                           rule_probs[idx] if idx in rule_probs else rule.tag_probs)
+                           dict(_distribution(self.rules[idx])) if idx in self.rules
+                           else rule.tag_probs)
                 for idx, rule in enumerate(rules.suffix_rules)
             ],
             rules.prefix_rules,
         )
         return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
-                       prior, self.log)
+                       _hapax_prior(self.words), self.log)
 
-    def to_lexicon_without(self, part: "LexiconCounts", rules: RuleSet,
-                           schema: TagSchema) -> "Lexicon":
+    def rest_lexicon(self, part: "LexiconCounts", rules: RuleSet,
+                     whole: "Lexicon") -> "Lexicon":
         """``to_lexicon`` of these counts less those of ``part``, whose
-        counts must be part of them.  The counts are put back, and the
-        distributions of ``part``'s keys with them, normalizing those
-        that have none kept first; so after a first call, a call for
-        another part normalizes only that part's keys."""
-        kept = {name: self._normalized(name, getattr(part, name)) for name in self.BY_KEY}
-        self.add(part, -1)
-        try:
-            return self.to_lexicon(rules, schema)
-        finally:
-            self.add(part)
-            for name, dists in kept.items():
-                self._dists[name].update(dists)
-
-    def _normalized(self, name: str, keys=None) -> dict:
-        """Key -> distribution of the counts of table ``name``, in the
-        table's form, over ``keys`` (default: every key), normalizing
-        the keys that have none kept.  Lexicons share what is kept; none
-        changes its distributions."""
-        dists, table, form = self._dists[name], getattr(self, name), self.BY_KEY[name]
-        for key in table if keys is None else keys:
-            if key not in dists:
-                dists[key] = form(_distribution(table[key]))
-        return dists if keys is None else {key: dists[key] for key in keys}
+        counts must be part of them, but without a training log.
+        ``whole`` is the lexicon of these counts and ``rules`` the rule
+        file it was trained with.  Only the entries of ``part``'s keys
+        and the hapax prior are normalized again; the others are
+        ``whole``'s.  A rule the rest does not count goes back to its
+        weights in ``rules``.  Neither the counts nor ``whole`` change."""
+        stems, fullforms = dict(whole.stems), dict(whole.fullforms)
+        suffix_probs, suffix_rules = dict(whole.suffix_probs), list(whole.rules.suffix_rules)
+        for form, counts in part.stems.items():
+            rest = self.stems[form] - counts
+            if rest:
+                classes = frozenset(k for k in stems[form].paradigm_classes
+                                    if self.classes[form, k] > part.classes[form, k])
+                stems[form] = LexiconEntry(form, classes, _distribution(rest))
+            else:
+                del stems[form]
+        for form, counts in part.fullforms.items():
+            rest = self.fullforms[form] - counts
+            if rest:
+                fullforms[form] = LexiconEntry(form, frozenset(), _distribution(rest))
+            else:
+                del fullforms[form]
+        for literal, counts in part.suffixes.items():
+            rest = self.suffixes[literal] - counts
+            if rest:
+                suffix_probs[literal] = dict(_distribution(rest))
+            else:
+                del suffix_probs[literal]
+        for idx, counts in part.rules.items():
+            rest, rule = self.rules[idx] - counts, suffix_rules[idx]
+            suffix_rules[idx] = SuffixRule(
+                rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
+                dict(_distribution(rest)) if rest else rules.suffix_rules[idx].tag_probs)
+        return Lexicon(whole.schema, RuleSet(suffix_rules, rules.prefix_rules),
+                       stems.values(), fullforms.values(), suffix_probs,
+                       _hapax_prior(self.words - part.words))
 
 
 def _distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
@@ -584,14 +563,17 @@ def _distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
     return tuple((t, n / total) for t, n in items)
 
 
-def _add_counts(dst: Counter, src, sign: int) -> None:
-    """``dst += sign * src``, removing every count that falls to 0."""
-    for item, n in src.items():
-        total = dst.get(item, 0) + sign * n
-        if total:
-            dst[item] = total
-        else:
-            del dst[item]
+def _hapax_prior(words: Counter) -> dict[Tag, float]:
+    """The tag distribution of the hapax legomena of the (word, gold
+    tag) counts ``words``, the words seen once; with none, that of
+    every token."""
+    tags_of = Counter(word for word, _ in words)
+    hapax = Counter(gold for (word, gold), n in words.items()
+                    if n == 1 and tags_of[word] == 1)
+    if not hapax:
+        for (_, gold), n in words.items():
+            hapax[gold] += n
+    return dict(_distribution(hapax))
 
 
 def _training_split(word: str, gold: Tag, rules: RuleSet):

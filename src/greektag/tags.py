@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import FormatError, ModelError, TagError, open_utf8
+from .errors import FormatError, ModelError, TagError, check_distinct, open_utf8
 
 BOUNDARY_CATEGORY = "<s>"
 
@@ -93,11 +93,14 @@ class TagSchema:
         _check_ident(feat, "feature")
         if not values:
             raise FormatError(f"feature {feat} declares no values")
-        self.feature_values[feat] = tuple(_check_ident(v, "value") for v in values)
+        values = tuple(_check_ident(v, "value") for v in values)
+        check_distinct(values, f"feature {feat}: value")
+        self.feature_values[feat] = values
 
     def _declare_category(self, cat, feats) -> None:
         """Declare ``cat`` over already declared features."""
         _check_ident(cat, "category")
+        check_distinct(feats, f"category {cat}: feature")
         for f in feats:
             if f not in self.feature_values:
                 raise FormatError(f"category {cat} uses undeclared feature {f}")

@@ -5,6 +5,7 @@ fitted from the corpus's one leave-one-out index.  The oracles are
 on them, and ``cross_validation_reference``, which trains every fold
 from scratch."""
 
+import copy
 import re
 from collections import Counter
 
@@ -182,6 +183,50 @@ def test_fold_changes_the_hapax_prior(abc_schema):
     assert without_z.lexicon.hapax_prior == {a: 0.5, b: 0.5}
 
 
+def test_fold_holding_every_token_of_a_weighted_rule(toy_corpus, toy_rules, toy_schema):
+    """With a rule file that gives a rule its own weights, a fold that
+    holds every token the rule admits gives the fold model the file's
+    weights for it, where the corpus's lexicon has trained ones."""
+    acc, nom = "subs:case=acc,num=pl,gend=masc", "subs:case=nom,num=pl,gend=masc"
+    lines = [line if not line.startswith("ους\t") else f"ους\to-noun\t{acc}=0.25 {nom}=0.75"
+             for line in toy_rules.to_lines()]
+    rules = RuleSet.from_lines(lines, toy_schema)
+    rid = next(i for i, r in enumerate(rules.suffix_rules) if r.pattern == "ους")
+    weights = {toy_schema.parse(acc): 0.25, toy_schema.parse(nom): 0.75}
+    assert rules.suffix_rules[rid].tag_probs == weights
+    held = [i for i, seq in enumerate(toy_corpus)
+            if rid in count_lexicon([seq], rules, toy_schema).rules]
+    assert held
+    folds = _two_folds(len(toy_corpus), held)
+    _check_folds(toy_corpus, rules, toy_schema, folds)
+    whole = train_lexicon(toy_corpus, rules, toy_schema)
+    assert whole.rules.suffix_rules[rid].tag_probs == {toy_schema.parse(acc): 1.0}
+    _, fold_model = next(_fold_models(toy_corpus, rules, toy_schema, folds))
+    assert fold_model.lexicon.rules.suffix_rules[rid].tag_probs == weights
+
+
+def test_fold_holding_one_paradigm_class_of_a_stem(toy_rules, toy_schema):
+    """A stem seen under two paradigm classes keeps, in a fold that
+    holds every token of one class, only the other."""
+    noun = ["subs:case=nom,num=sg,gend=masc", "subs:case=acc,num=sg,gend=masc"]
+    verb = ["verf:pers=3,num=sg,mood=ind,tense=pres,voice=act",
+            "verf:pers=2,num=sg,mood=ind,tense=pres,voice=act"]
+    corpus = [
+        _seq(toy_schema, [("λόγος", noun[0]), ("καί", "konj")]),
+        _seq(toy_schema, [("λόγει", verb[0]), (".", "punct")]),
+        _seq(toy_schema, [("λόγον", noun[1]), (".", "punct")]),
+        _seq(toy_schema, [("λόγεις", verb[1]), ("καί", "konj")]),
+    ]
+    whole = train_lexicon(corpus, toy_rules, toy_schema)
+    assert whole.stems["λόγ"].paradigm_classes == {"o-noun", "w-verb"}
+    for held, kept in (([1, 3], "o-noun"), ([0, 2], "w-verb"), ([0, 1], None)):
+        folds = _two_folds(len(corpus), held)
+        _check_folds(corpus, toy_rules, toy_schema, folds)
+        _, fold_model = next(_fold_models(corpus, toy_rules, toy_schema, folds))
+        classes = fold_model.lexicon.stems["λόγ"].paradigm_classes
+        assert classes == ({kept} if kept else {"o-noun", "w-verb"})
+
+
 def test_folds_must_partition_the_corpus(toy_corpus, toy_rules, toy_schema):
     for folds in ([[0]], [[0, 1], [1, *range(2, len(toy_corpus))]]):
         with pytest.raises(ValueError):
@@ -221,60 +266,96 @@ def test_subtraction_round_trip(toy_corpus, toy_schema):
         assert 0 not in tables.tri.values()
 
 
+def _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus, n=100):
+    """The fixture and ``n`` random corpora, as (schema, rules, corpus)."""
+    return [(toy_schema, toy_rules, toy_corpus)] + [
+        (s, r or RuleSet.empty(), c) for s, r, c, _ in (random_corpus(rng) for _ in range(n))]
+
+
 def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
-    """The lexicon counts of a corpus less those of a fold normalize to
-    ``train_lexicon`` of the rest, byte for byte, with no zero count
-    left; adding the fold back gives the corpus's lexicon again."""
+    """``rest_lexicon`` of a corpus's lexicon counts less a fold's writes
+    the lexicon and rule lines of ``train_lexicon`` of the rest, byte for
+    byte, without a training log, and leaves the counts and the corpus's
+    lexicon as they were."""
     rng = np.random.default_rng(8)
-    cases = [(toy_schema, toy_rules, toy_corpus)] + [
-        (s, r or RuleSet.empty(), c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
-    for schema, rules, corpus in cases:
-        whole = train_lexicon(corpus, rules, schema).to_lines()
+    for schema, rules, corpus in _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus):
         counts = count_lexicon(corpus, rules, schema)
+        whole = counts.to_lexicon(rules, schema)
+
+        def snapshot():
+            return (copy.deepcopy(vars(counts)), whole.to_lines(), whole.rules.to_lines(),
+                    dict(whole.stems), dict(whole.fullforms),
+                    {k: dict(v) for k, v in whole.suffix_probs.items()},
+                    dict(whole.hapax_prior))
+
+        before = snapshot()
         for start in range(min(3, len(corpus))):
             held = set(range(start, len(corpus), 3))
             rest = [seq for i, seq in enumerate(corpus) if i not in held]
             fold = count_lexicon([corpus[i] for i in sorted(held)], rules, schema)
-            counts.add(fold, -1)
-            assert counts.to_lexicon(rules, schema).to_lines() == \
-                train_lexicon(rest, rules, schema).to_lines()
-            for name in counts.BY_KEY:
-                assert all(c and 0 not in c.values() for c in getattr(counts, name).values())
-            assert 0 not in counts.words.values() and 0 not in counts.classes.values()
-            counts.add(fold)
-            assert counts.to_lexicon(rules, schema).to_lines() == whole
+            got = counts.rest_lexicon(fold, rules, whole)
+            want = train_lexicon(rest, rules, schema)
+            assert got.to_lines() == want.to_lines()
+            assert got.rules.to_lines() == want.rules.to_lines()
+            assert got.log == ()
+            assert snapshot() == before
+
+
+def test_summed_counts_give_the_corpus_lexicon(toy_corpus, toy_rules, toy_schema):
+    """Per-sequence lexicon counts summed with ``add``, in any order and
+    with repeats, normalize to the lexicon and trained rules of the
+    corpus of those sequences."""
+    rng = np.random.default_rng(29)
+    for schema, rules, corpus in _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus):
+        per_seq = [count_lexicon([seq], rules, schema) for seq in corpus]
+        picked = rng.integers(len(corpus), size=int(rng.integers(1, 2 * len(corpus) + 1)))
+        counts = LexiconCounts()
+        for i in rng.permutation(picked):
+            counts.add(per_seq[i])
+        got = counts.to_lexicon(rules, schema)
+        want = train_lexicon([corpus[i] for i in picked], rules, schema)
+        assert got.to_lines() == want.to_lines()
+        assert got.rules.to_lines() == want.rules.to_lines()
 
 
 def test_each_fold_normalizes_only_its_own_keys(toy_corpus, toy_rules, toy_schema,
                                                 monkeypatch):
-    """After the first fold, a fold's lexicon normalizes the hapax prior
-    and the distributions of the fold's keys the rest still counts, and
-    no others: the fold before it put its keys' kept distributions back.
-    On the fixture and 100 random corpora, in up to 10 folds."""
+    """From the first fold on, a fold's lexicon normalizes the hapax
+    prior and the distributions of the fold's keys the rest still
+    counts, and no others.  On the fixture and 100 random corpora, in up
+    to 10 folds."""
     calls = []
     real = morph._distribution
     monkeypatch.setattr(morph, "_distribution", lambda *a: calls.append(1) or real(*a))
+    per_fold = []  # _distribution calls of each rest_lexicon
+    rest_lexicon = LexiconCounts.rest_lexicon
+
+    def counted(*args):
+        calls.clear()
+        lexicon = rest_lexicon(*args)
+        per_fold.append(len(calls))
+        return lexicon
+
+    monkeypatch.setattr(LexiconCounts, "rest_lexicon", counted)
     rng = np.random.default_rng(31)
-    cases = [(toy_schema, toy_rules, toy_corpus)] + [
-        (s, r, c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
-    for schema, rules, corpus in cases:
+    for schema, rules, corpus in _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus):
         if len(corpus) < 3:
             continue
         k = min(10, len(corpus))
         order = rng.permutation(len(corpus)).tolist()
         folds = [sorted(order[f::k]) for f in range(k)]
-        models = _fold_models(corpus, rules, schema, folds)
-        next(models)
-        for held in folds[1:]:
+        want = []
+        for held in folds:
             rest = [seq for i, seq in enumerate(corpus) if i not in held]
-            fold_counts = count_lexicon([corpus[i] for i in held], rules or RuleSet.empty(),
-                                        schema)
-            rest_counts = count_lexicon(rest, rules or RuleSet.empty(), schema)
-            want = 1 + sum(len(getattr(fold_counts, name).keys() & getattr(rest_counts, name))
-                           for name in LexiconCounts.BY_KEY)
-            calls.clear()
-            next(models)
-            assert len(calls) == want
+            fold_counts = count_lexicon([corpus[i] for i in held], rules, schema)
+            rest_counts = count_lexicon(rest, rules, schema)
+            want.append(1 + sum(len(getattr(fold_counts, name).keys()
+                                    & getattr(rest_counts, name).keys())
+                                for name in ("stems", "fullforms", "suffixes", "rules")))
+        per_fold.clear()
+        for _ in _fold_models(corpus, rules, schema, folds):
+            pass
+        assert per_fold == want
 
 
 def test_fold_fits_match_reference(toy_corpus):
@@ -287,36 +368,11 @@ def test_fold_fits_match_reference(toy_corpus):
     corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(300)]
     for corpus in corpora:
         seqs = [s.gold_tags for s in corpus]
-        tables, seq_counts = count_sequences(seqs)
+        _, seq_counts = count_sequences(seqs)
         k = min(10, len(seqs))
         order = rng.permutation(len(seqs)).tolist()
         folds = [sorted(order[f::k]) for f in range(k)] + [[], list(range(len(seqs)))]
         for held in folds:
             kept = [tags for i, tags in enumerate(seqs) if i not in held]
-            assert fit_interpolation(tables, seq_counts, held) == \
+            assert fit_interpolation(seq_counts, held) == \
                 fit_interpolation_reference(kept)
-
-
-def test_lexicon_memo_follows_every_add(toy_corpus, toy_rules, toy_schema):
-    """After any sequence of ``add(±1)``, with ``to_lexicon`` called in
-    between or not, the lexicon writes the lines of the counts made afresh
-    from the sequences then added in."""
-    rng = np.random.default_rng(29)
-    cases = [(toy_schema, toy_rules, toy_corpus)] + [
-        (s, r or RuleSet.empty(), c) for s, r, c, _ in (random_corpus(rng) for _ in range(100))]
-    for schema, rules, corpus in cases:
-        per_seq = [count_lexicon([seq], rules, schema) for seq in corpus]
-        counts = LexiconCounts()
-        inside = []  # corpus indices added in, with repeats
-        for step in range(16):
-            if inside and rng.random() < 0.4:
-                i = inside.pop(int(rng.integers(len(inside))))
-                counts.add(per_seq[i], -1)
-            else:
-                i = int(rng.integers(len(corpus)))
-                inside.append(i)
-                counts.add(per_seq[i])
-            if step == 15 or rng.random() < 0.7:
-                fresh = count_lexicon([corpus[i] for i in inside], rules, schema)
-                assert counts.to_lexicon(rules, schema).to_lines() == \
-                    fresh.to_lexicon(rules, schema).to_lines()

@@ -54,7 +54,7 @@ def test_lambdas_shift_down_when_trigrams_unique(abc_schema):
         [("w", "b"), ("w", "a"), ("w", "a"), ("w", "c")],
         [("w", "c"), ("w", "c"), ("w", "b"), ("w", "b")],
     ])
-    lambdas, _ = fit_interpolation(*count_sequences([s.gold_tags for s in corpus]))
+    lambdas, _ = fit_interpolation(count_sequences([s.gold_tags for s in corpus])[1])
     assert lambdas[2] == 0.0
     assert abs(sum(lambdas) - 1.0) < 1e-12
 
@@ -66,7 +66,7 @@ def test_fit_interpolation_matches_reference(toy_corpus):
     corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(1000)]
     for corpus in corpora:
         seqs = [s.gold_tags for s in corpus]
-        assert fit_interpolation(*count_sequences(seqs)) == fit_interpolation_reference(seqs)
+        assert fit_interpolation(count_sequences(seqs)[1]) == fit_interpolation_reference(seqs)
 
 
 def test_training_counts_the_corpus_once(toy_corpus, toy_schema):
@@ -81,7 +81,7 @@ def test_training_counts_the_corpus_once(toy_corpus, toy_schema):
         seqs = [s.gold_tags for s in corpus]
         tables, seq_counts = count_sequences(seqs)
         before = copy.deepcopy(vars(tables))
-        fit_interpolation(tables, seq_counts)
+        fit_interpolation(seq_counts)
         assert vars(tables) == before
         expected = Counter(inst for tags in seqs for inst in _instances(tags))
         assert train(corpus, None, schema).stats.trigram_counts == expected

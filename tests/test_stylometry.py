@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from greektag import (
     CategoryCounts,
@@ -291,3 +292,29 @@ def test_counts_csv_errors():
         read_counts_csv(io.StringIO("category,t1\nx,-3\n"))
     with pytest.raises(FormatError):
         read_counts_csv(io.StringIO("category,t1,t2\nx,1\n"))
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["category", "t1", "t2", "x", "", "0", "7", "-3", " 1", "1.5", "1e3",
+                     "١", "99999999999999999999", "\"", "\"a,b\"", "\"x\ny\""]),
+    st.text(max_size=5),
+)
+_CSV_LINES = st.one_of(
+    st.lists(_CSV_CELLS, max_size=4).map(",".join),
+    st.text(max_size=10),
+)
+
+
+@given(st.lists(_CSV_LINES, max_size=6), st.booleans())
+def test_counts_csv_loader_fuzz(lines, header):
+    """Only a ``GreektagError`` escapes, and counts that load write a CSV
+    that loads to the same counts."""
+    text = "\n".join((["category,t1,t2"] if header else []) + lines) + "\n"
+    try:
+        group = read_counts_csv(io.StringIO(text, newline=""), path="f.csv")
+    except GreektagError:
+        return
+    buf = io.StringIO()
+    write_counts_csv(buf, group)
+    again = read_counts_csv(io.StringIO(buf.getvalue()))
+    assert [(c.text_id, c.counts) for c in again] == [(c.text_id, c.counts) for c in group]

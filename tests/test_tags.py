@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from greektag import (
     FormatError,
+    GreektagError,
     Sequence,
     TagError,
     TagSchema,
@@ -190,6 +191,56 @@ def test_schema_rejects_bad_lines():
         TagSchema.from_lines(["category a", "category a"])
     with pytest.raises(FormatError):
         TagSchema.from_lines(["feature f "])
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["feature case nom,nom,acc", "category subs case"],
+     "line 1: feature case: value nom given twice"),
+    (["feature case nom,acc", "category subs case,case"],
+     "line 2: category subs: feature case given twice"),
+])
+def test_schema_rejects_duplicates(lines, message):
+    """A value listed twice would shrink every floor share, and a feature
+    listed twice would leave the category without a parsable tag."""
+    with pytest.raises(FormatError, match=f"^my.schema: {message}$"):
+        TagSchema.from_lines(lines, path="my.schema")
+
+
+def test_schema_constructor_rejects_duplicates():
+    with pytest.raises(FormatError, match="^feature case: value nom given twice$"):
+        TagSchema({"case": ("nom", "nom", "acc")}, {"subs": ("case",)})
+    with pytest.raises(FormatError, match="^category subs: feature case given twice$"):
+        TagSchema({"case": ("nom", "acc")}, {"subs": ("case", "case")})
+
+
+_SCHEMA_LINES = st.one_of(
+    st.sampled_from([
+        "feature case nom,acc", "feature num sg,pl", "feature case nom,nom",
+        "feature f ", "feature f a,,b", "feature f a:b", "category subs case,num",
+        "category subs case,case", "category subs nosuch", "category konj",
+        "category", "category a b c", "# comment", "", "  ",
+    ]),
+    st.tuples(st.sampled_from(["feature", "category"]),
+              st.text(alphabet="case,nom:=#<", max_size=5),
+              st.text(alphabet="case,nom:=# \t", max_size=10)).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(_SCHEMA_LINES, max_size=8))
+def test_schema_loader_fuzz(lines):
+    """Only a ``GreektagError`` escapes; a schema that loads writes lines
+    that load to the same schema, and every category has a tag that
+    parses."""
+    try:
+        schema = TagSchema.from_lines(lines, path="f.schema")
+    except GreektagError:
+        return
+    assert TagSchema.from_lines(schema.to_lines()).to_lines() == schema.to_lines()
+    for cat, feats in schema.category_features.items():
+        pairs = ",".join(f"{f}={schema.allowed_values(f)[0]}" for f in feats)
+        tag = schema.parse(f"{cat}:{pairs}" if feats else cat)
+        assert tag.category == cat and [f for f, _ in tag.features] == list(feats)
 
 
 def _toy_sequences(schema, rows):
