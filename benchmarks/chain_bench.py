@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
 """Time cold transition scoring: the chain walk behind each trellis block.
 
-Trains a model, then times two cases on models with empty caches:
+Trains a model, then times three cases on models with empty caches:
 
+- a hapax run: ``tag_sequence`` on three words in a row that no lexicon
+  entry or suffix rule matches (``HAPAX_WORDS``) and a period, so each
+  word's candidates are the whole hapax prior.  It builds one block of
+  W³ cells, which on a wide tagset is larger than
+  ``MAX_BLOCK_CACHE_CELLS``.  Its peak RSS is the process's, read
+  before the other cases run;
 - the all-pairs sweep: ``Model.transition_block`` for each h2 of the
   first 40 of the boundary tag and the observed tags (in canonical tag
   string order), each block over all of those as h1 and all observed
@@ -15,8 +21,8 @@ Trains a model, then times two cases on models with empty caches:
   than ``MAX_BLOCK_CACHE_CELLS``, so the decoder rebuilds it at every
   occurrence.
 
-Prints the best of ``--repeats`` wall-clock times of each and the
-transitions scored per second.
+Prints the best of ``--repeats`` wall-clock times of each; for the
+blocks, the transitions scored per second.
 
 Usage:
     python benchmarks/chain_bench.py
@@ -24,13 +30,19 @@ Usage:
 """
 
 import argparse
+import resource
 import time
 from pathlib import Path
 
-from greektag import Model, RuleSet, TagSchema, load_annotated_corpus, train
+from greektag import Model, RuleSet, TagSchema, load_annotated_corpus, tokenize, train
+from greektag.decode import tag_sequence
 from greektag.tags import TransitionStats, format_tag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+
+#: The hapax run's three words: letter runs that no lexicon entry or
+#: suffix rule of the fixture or the generated corpora matches.
+HAPAX_WORDS = "ββββ γγγγ δδδδ"
 
 
 def cold_model(model):
@@ -65,6 +77,16 @@ def main():
     rules = RuleSet.load(args.rules, schema) if args.rules else None
     model = train(load_annotated_corpus(args.corpus, schema), rules, schema)
     intern = model.stats.tables.intern
+
+    (run,) = tokenize(HAPAX_WORDS + " .")
+    width = len(model.lexicon.hapax_prior)
+    for token in run.tokens[:-1]:
+        if len(model.candidates(token.norm)[1]) != width:
+            parser.error(f"{token.surface!r} does not get the hapax prior as its candidates")
+    best = best_time(model, args.repeats, lambda m: tag_sequence(m, run.tokens))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"hapax run: {HAPAX_WORDS} . with W = {width} candidates a word")
+    print(f"best of {args.repeats}: {best:.4f} s, process peak RSS {peak_mb:.0f} MB")
     ids = tuple(intern(t) for t in model.stats.observed_tags)
     hist = (model.boundary_id, *ids)
 

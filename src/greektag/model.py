@@ -132,19 +132,33 @@ class Model:
         """log P(t | h1, h2), or ``-inf`` where it is 0, for every h2 of
         ``prev2_ids``, h1 of ``prev1_ids`` and t of ``ids``, flat in that
         order.  P is l3·P(t | h2, h1) + l2·P(t | h1) + l1·P(t), added
-        left to right and skipping a zero weight's chain; the order-1
-        row is computed once, and the order-2 row once per h1."""
+        left to right, where a zero weight's term is 0.0 and its chain
+        is not walked.  P(t) is read off the chain memo, the order-2 row
+        is walked once per h1, and the order-3 row once per counted
+        (h2, h1); every h2 after which (h2, h1) was not counted shares
+        one row, built once per h1."""
         l1, l2, l3 = self.lambdas
-        chain = self.stats.id_chain_prob
+        stats = self.stats
+        after, row = stats.tables.counts_after, stats.row
+        chains = stats.chains(ids)
         log = math.log
-        q1 = [l1 * chain(t, ()) if l1 else 0.0 for t in ids]
-        q2 = [[l2 * chain(t, (h1,)) if l2 else 0.0 for t in ids] for h1 in prev1_ids]
+        zeros = [0.0] * len(ids)
+        q1 = [l1 * chain[3] for chain in chains]
+        q2 = [row(after((h1,)), chains) if l2 else zeros for h1 in prev1_ids]
         out = []
+        shared = {}  # h1 index -> its cells after an uncounted (h2, h1)
         for h2 in prev2_ids:
-            for h1, row in zip(prev1_ids, q2):
-                for t, p2, p1 in zip(ids, row, q1):
-                    p = (l3 * chain(t, (h2, h1)) if l3 else 0.0) + p2 + p1
-                    out.append(log(p) if p > 0.0 else NEG_INF)
+            for y, h1 in enumerate(prev1_ids):
+                counts = l3 and after((h2, h1))
+                own = counts and counts.get(ROOT, 0)
+                cells = None if own else shared.get(y)
+                if cells is None:
+                    q3 = row(counts, chains) if l3 else zeros
+                    cells = [log(p) if (p := l3 * p3 + l2 * p2 + p1) > 0.0 else NEG_INF
+                             for p3, p2, p1 in zip(q3, q2[y], q1)]
+                    if not own:
+                        shared[y] = cells
+                out += cells
         return out
 
     def transition_block(self, prev2_ids, prev1_ids, ids) -> np.ndarray:

@@ -393,7 +393,7 @@ class TransitionStats:
         # level is then the whole factor, and one is dropped only after a
         # zero factor
         self._weights = self.chain_weights if smoothed else (1.0, 0.0, 0.0)
-        self._chains: dict = {}  # tag id -> _chain_constants
+        self._chains: dict = {}  # tag id -> _chain_constants(t)
 
     @property
     def trigram_counts(self) -> dict:
@@ -409,11 +409,11 @@ class TransitionStats:
 
     def _chain_constants(self, t: int):
         """The history-free parts of the chain of tag id ``t``: its
-        category prefix id, its whole chain after an unseen history, and
-        per feature value, its prefix id, w2·m2 and w3·m3 (m2, m3 the
-        category-local and global levels; 0.0 when dropped), the weight
-        sum with the specific level present, the whole factor with it
-        absent, and the floor share."""
+        category prefix id; per feature value, its prefix id, w2·m2 and
+        w3·m3 (m2, m3 the category-local and global levels; 0.0 when
+        dropped), the weight sum with the specific level present, the
+        whole factor with it absent, and the floor share; its whole
+        chain after an unseen history; and P(t), walked at order 1."""
         tb = self.tables
         prefixes = tb.prefixes[t]
         keep, floor = self._keep, self.floor
@@ -446,31 +446,42 @@ class TransitionStats:
             absent = keep * (mixed / wsum) + share if wsum else 1.0 / nvals
             links.append((prefix, c2, c3, wspec, absent, share))
             unseen *= absent  # an unseen history drops every specific level
-        return prefixes[1], unseen, tuple(links)
+        chain = (prefixes[1], tuple(links), unseen)
+        (p1,) = self.row(tb.counts_after(()), [chain + (None,)])
+        return chain + (p1,)
+
+    def chains(self, ids) -> list[tuple]:
+        """The chain memo entries of the tag ids ``ids``, in that order,
+        for ``row``: per tag, its ``_chain_constants``, made the first
+        time the tag is asked for, once per model."""
+        memo = self._chains
+        return [memo.get(t) or memo.setdefault(t, self._chain_constants(t)) for t in ids]
+
+    def row(self, counts, chains) -> list[float]:
+        """The chain product of each tag of ``chains`` (memo entries, as
+        ``chains`` gives them) after one history, whose prefix counts
+        ``counts`` are ``tables.counts_after(hist)``: P(t | hist) at
+        order len(hist)+1.  Each link reads one prefix count, whose
+        parent's count is the previous link's; after a history that was
+        not counted, every tag gets its history-free chain."""
+        den = counts.get(ROOT, 0)
+        if not den:
+            return [chain[2] for chain in chains]
+        keep, w1, category_floor = self._keep, self._weights[0], self._category_floor
+        out = []
+        for category, links, _, _ in chains:
+            c = counts.get(category, 0)
+            p = keep * (c / den) + category_floor
+            for prefix, c2, c3, wspec, absent, share in links:
+                d, c = c, counts.get(prefix, 0)
+                # with the specific level c/d present, the factor mixes it
+                # with the backoff levels; without it, it is history-free
+                p *= keep * ((w1 * (c / d) + c2 + c3) / wspec) + share if d else absent
+            out.append(p)
+        return out
 
     def chain_prob(self, tag: Tag, history: tuple[Tag, ...]) -> float:
         """P(tag | history) as the chain product, at order len(history)+1."""
         tb = self.tables
-        return self.id_chain_prob(tb.intern(tag), tuple(map(tb.intern, history)))
-
-    def id_chain_prob(self, t: int, hist: tuple[int, ...]) -> float:
-        """``chain_prob`` of tag id ``t`` after the history ids ``hist``:
-        one prefix count per link, whose parent's count is the previous
-        link's."""
-        chain = self._chains.get(t)
-        if chain is None:
-            chain = self._chains[t] = self._chain_constants(t)
-        category, unseen, links = chain
-        counts = self.tables.counts_after(hist)
-        den = counts.get(ROOT, 0)
-        if not den:
-            return unseen
-        keep, w1 = self._keep, self._weights[0]
-        c = counts.get(category, 0)
-        p = keep * (c / den) + self._category_floor
-        for prefix, c2, c3, wspec, absent, share in links:
-            den, c = c, counts.get(prefix, 0)
-            # with the specific level c/den present, the factor mixes it
-            # with the backoff levels; without it, it is history-free
-            p *= keep * ((w1 * (c / den) + c2 + c3) / wspec) + share if den else absent
-        return p
+        counts = tb.counts_after(tuple(map(tb.intern, history)))
+        return self.row(counts, self.chains((tb.intern(tag),)))[0]

@@ -168,8 +168,10 @@ def test_fold_holding_every_occurrence(toy_corpus, toy_rules, toy_schema):
 
 
 def test_fold_changes_the_hapax_prior(abc_schema):
-    """Holding out a sequence turns a word seen twice into a hapax, and
-    holding out the only hapax leaves the prior over every token."""
+    """Holding out a sequence turns a word seen twice into a hapax, also
+    one seen once under each of two tags (with the tag the fold does
+    not hold), and holding out the only hapax leaves the prior over
+    every token."""
     corpus = [
         _seq(abc_schema, [("x", "a"), ("y", "b")]),
         _seq(abc_schema, [("z", "c")]),
@@ -181,6 +183,11 @@ def test_fold_changes_the_hapax_prior(abc_schema):
     # x, y, x, y: no word is seen once, so the prior is over all four tokens
     a, b = abc_schema.parse("a"), abc_schema.parse("b")
     assert without_z.lexicon.hapax_prior == {a: 0.5, b: 0.5}
+    two_tags = [_seq(abc_schema, [("x", "a")]), _seq(abc_schema, [("x", "b"), ("z", "c")])]
+    _check_folds(two_tags, None, abc_schema, [[0], [1]])
+    _, without_xa = next(_fold_models(two_tags, None, abc_schema, [[0], [1]]))
+    c = abc_schema.parse("c")
+    assert without_xa.lexicon.hapax_prior == {b: 0.5, c: 0.5}
 
 
 def test_fold_holding_every_token_of_a_weighted_rule(toy_corpus, toy_rules, toy_schema):

@@ -12,7 +12,7 @@ from greektag import Model, ModelError, Sequence, TagSchema, Token, tag_corpus, 
 from greektag.cli import default_schema_path
 from greektag.errors import FormatError
 from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
-from greektag.tags import BOUNDARY, Tag
+from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
 from genmodels import random_corpus, wide_corpus
@@ -191,18 +191,21 @@ def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_
                                                      toy_schema):
     """Every block equals ``reference_log_transition`` on its tags byte
     for byte, and ``log_transition`` agrees on a cell: on the smoothed
-    toy model; on rescorings of it, raw (with ``-inf`` cells) and with
-    zero interpolation weights; and on a wide-schema model over the
-    hapax-prior candidates of an unknown word.  The blocks run over a
-    sequence's candidate sets from the boundary on, plus a block of one
-    h2 (X = 1) and the hapax-width one."""
-    trained = train(toy_corpus, toy_rules, toy_schema)
-    models = [toy_model, rescored(trained, smooth=False)]
-    for lambdas in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)):
-        models += [rescored(trained, lambdas=lambdas),
-                   rescored(trained, smooth=False, lambdas=lambdas)]
+    toy model and on a wide-schema model, and on rescorings of each, raw
+    (with ``-inf`` cells) and with zero interpolation weights.  The
+    blocks run over a sequence's candidate sets from the boundary on,
+    plus a block of one h2 (X = 1); on the wide models, a block of
+    several h2 where one h1 follows both a counted and an uncounted
+    (h2, h1) history, and on the trained wide model the hapax-width
+    block over the hapax-prior candidates of an unknown word."""
+    toy = train(toy_corpus, toy_rules, toy_schema)
     wide_schema, wide_seqs = wide_corpus(np.random.default_rng(17))
-    models.append(train(wide_seqs, None, wide_schema))
+    wide = train(wide_seqs, None, wide_schema)
+    models = [toy_model, rescored(toy, smooth=False), wide, rescored(wide, smooth=False)]
+    for trained in (toy, wide):
+        for lambdas in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)):
+            models += [rescored(trained, lambdas=lambdas),
+                       rescored(trained, smooth=False, lambdas=lambdas)]
     cells = []
     for model in models:
         boundary = ([BOUNDARY], (model.boundary_id,))
@@ -212,6 +215,8 @@ def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_
         last = cands[-1]
         triples.append((([last[0][-1]], last[1][-1:]), last, last))  # X = 1
         if model.schema is wide_schema:
+            triples.append(_mixed_history_block(model))
+        if model is wide:
             assert len(last[1]) > 30  # the hapax prior
             triples.append((last, last, last))
         for (tags2, ids2), (tags1, ids1), (tags, ids) in triples:
@@ -228,6 +233,62 @@ def test_transition_blocks_are_cached_read_only_rows(toy_model, toy_corpus, toy_
         block[0, 0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         toy_model.candidates("παύει")[2][0] = 0.0
+
+
+def _mixed_history_block(model):
+    """A block triple ((tags2, ids2), (tags1, ids1), (tags, ids)) over
+    observed tags whose first h1 follows one or two h2 after which
+    (h2, h1) was counted, then two after which it was not."""
+    observed = model.stats.observed_tags
+    counted = {(a, b) for a, b, _ in model.stats.trigram_counts}
+    h1 = next(b for b in observed if any((a, b) in counted for a in observed))
+    after = [a for a in observed if (a, h1) in counted][:2]
+    not_after = [a for a in observed if (a, h1) not in counted][:2]
+    assert after and len(not_after) == 2
+    tags2, tags1, tags = after + not_after, [h1, observed[-1]], observed[:5]
+    intern = model.stats.tables.intern
+    return tuple((list(group), tuple(map(intern, group))) for group in (tags2, tags1, tags))
+
+
+def test_cold_blocks_walk_each_counted_history_once(monkeypatch):
+    """A cold block over the W hapax-prior candidates of an unknown word
+    as h2, h1 and t walks the order-3 chain once per counted (h2, h1)
+    pair among its W² histories, and not at all with l3 = 0; every other
+    pair shares its h1's history-free row.  The order-1 chain P(t) is
+    walked once per distinct tag per model: not again for a second
+    block, and again for another model on the same counts."""
+    schema, seqs = wide_corpus(np.random.default_rng(5))
+    model = train(seqs, None, schema)
+    walked = []  # the history of each chain walk, as tag ids
+    hist_of = {}  # id of a counted history's prefix counts -> that history
+    counts_after, row = _Tables.counts_after, TransitionStats.row
+
+    def spy_counts_after(self, hist):
+        counts = counts_after(self, hist)
+        hist_of[id(counts)] = hist
+        return counts
+
+    def spy_row(self, counts, chains):
+        if counts.get(ROOT, 0):  # a history that was counted: a walk
+            walked.append(hist_of[id(counts)])
+        return row(self, counts, chains)
+
+    monkeypatch.setattr(_Tables, "counts_after", spy_counts_after)
+    monkeypatch.setattr(TransitionStats, "row", spy_row)
+    tags, ids = model.candidates("oov")[:2]
+    intern = model.stats.tables.intern
+    pairs = {(intern(a), intern(b)) for a, b, _ in model.stats.trigram_counts
+             if a in tags and b in tags}
+    assert 0 < len(pairs) < len(ids) ** 2
+    model.transition_block(ids, ids, ids)
+    assert Counter(h for h in walked if len(h) == 2) == Counter(pairs)
+    assert walked.count(()) == len(ids)
+    model.transition_block(ids[:3], ids[1:], ids[::-1])
+    assert walked.count(()) == len(ids)
+    walked.clear()
+    rescored(model, lambdas=(0.5, 0.5, 0.0)).transition_block(ids, ids, ids)
+    assert not [h for h in walked if len(h) == 2]
+    assert walked.count(()) == len(ids)
 
 
 def test_sequence_log_prob_length_mismatch(toy_model, toy_schema):
