@@ -338,6 +338,9 @@ class Model:
             if key in trigram_counts:
                 raise FormatError("trigram given twice", path, no)
             trigram_counts[key] = int(fields[3])
+        if not trigram_counts:
+            raise FormatError("[trigrams] section has no rows (untrained model)",
+                              path, starts["trigrams"])
 
         stats = TransitionStats(schema, _Tables(trigram_counts), smoothed=smoothed,
                                 chain_weights=chain_weights, floor=floor)

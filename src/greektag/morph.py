@@ -203,6 +203,9 @@ class RuleSet:
                     raise FormatError("prefix pattern must be non-empty", path, no)
                 prefix_rules.append(PrefixRule(pattern, tagfield == "strip", literals))
                 continue
+            if klass in ("", "-") or "," in klass:  # a lexicon row could not carry it
+                raise FormatError(f"paradigm class {klass!r} must be non-empty, not '-', "
+                                  "and hold no ','", path, no)
             tags = []
             probs = {}
             weighted = False
@@ -283,15 +286,13 @@ class Lexicon:
             rows.append((entry.form, "fullform", entry.paradigm_classes,
                          entry.tag_probs))
         if self.hapax_prior:
-            items = sorted(self.hapax_prior.items(), key=lambda kv: format_tag(kv[0]))
-            rows.append((_PRIOR_FORM, "prior", frozenset(), tuple(items)))
+            rows.append((_PRIOR_FORM, "prior", frozenset(), _sorted_scores(self.hapax_prior)))
         for entry in self.stems.values():
             rows.append((entry.form, "stem", entry.paradigm_classes,
                          entry.tag_probs))
         for literal, probs in self.suffix_probs.items():
-            items = sorted(probs.items(), key=lambda kv: format_tag(kv[0]))
             rows.append((literal or _EMPTY_PATTERN, "suffix",
-                         frozenset(), tuple(items)))
+                         frozenset(), _sorted_scores(probs)))
         rows.sort(key=lambda r: (r[1], r[0]))
         lines = []
         for form, kind, classes, probs in rows:
@@ -317,7 +318,11 @@ class Lexicon:
                     f"expected 4 tab-separated fields, got {len(fields)}", path, no
                 )
             form, kind, cls_field, body = fields
+            if not form:
+                raise FormatError("empty form", path, no)
             classes = frozenset() if cls_field == "-" else frozenset(cls_field.split(","))
+            if "" in classes:
+                raise FormatError(f"empty paradigm class in {cls_field!r}", path, no)
             probs = []
             for item in body.split():
                 tagstring, eq, prob = item.rpartition("=")
@@ -352,7 +357,8 @@ class Lexicon:
 
 
 def _sorted_scores(scores: dict) -> tuple[tuple[Tag, float], ...]:
-    return tuple(sorted(scores.items(), key=lambda kv: format_tag(kv[0])))
+    """The items of a tag-keyed dict in canonical tag string order."""
+    return tuple([(t, scores[t]) for t in sorted(scores, key=format_tag)])
 
 
 def _splits(word: str, rules: RuleSet):
@@ -449,13 +455,13 @@ def lexical_prob(word: str, lexicon: Lexicon) -> list[tuple[Tag, float]]:
     for analysis in segment(word, lexicon):
         for tag, score in analysis.tag_probs:
             scores[tag] += score
-    items = sorted(scores.items(), key=lambda kv: format_tag(kv[0]))
+    tags = sorted(scores, key=format_tag)
     total = 0.0
-    for _, s in items:
-        total += s
+    for t in tags:
+        total += scores[t]
     if total <= 0.0:
         return []
-    return [(t, s / total) for t, s in items]
+    return [(t, scores[t] / total) for t in tags]
 
 
 class LexiconCounts:
@@ -526,7 +532,7 @@ class LexiconCounts:
         stems, fullforms = dict(whole.stems), dict(whole.fullforms)
         suffix_probs, suffix_rules = dict(whole.suffix_probs), list(whole.rules.suffix_rules)
         for form, counts in part.stems.items():
-            rest = self.stems[form] - counts
+            rest = _less(self.stems[form], counts)
             if rest:
                 classes = frozenset(k for k in stems[form].paradigm_classes
                                     if self.classes[form, k] > part.classes[form, k])
@@ -534,36 +540,41 @@ class LexiconCounts:
             else:
                 del stems[form]
         for form, counts in part.fullforms.items():
-            rest = self.fullforms[form] - counts
+            rest = _less(self.fullforms[form], counts)
             if rest:
                 fullforms[form] = LexiconEntry(form, frozenset(), _distribution(rest))
             else:
                 del fullforms[form]
         for literal, counts in part.suffixes.items():
-            rest = self.suffixes[literal] - counts
+            rest = _less(self.suffixes[literal], counts)
             if rest:
                 suffix_probs[literal] = dict(_distribution(rest))
             else:
                 del suffix_probs[literal]
         for idx, counts in part.rules.items():
-            rest, rule = self.rules[idx] - counts, suffix_rules[idx]
+            rest, rule = _less(self.rules[idx], counts), suffix_rules[idx]
             suffix_rules[idx] = SuffixRule(
                 rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
                 dict(_distribution(rest)) if rest else rules.suffix_rules[idx].tag_probs)
         return Lexicon(whole.schema, RuleSet(suffix_rules, rules.prefix_rules),
                        stems.values(), fullforms.values(), suffix_probs,
-                       _hapax_prior(self.words - part.words))
+                       _hapax_prior(_less(self.words, part.words)))
 
 
-def _distribution(counter: Counter) -> tuple[tuple[Tag, float], ...]:
-    """Relative frequencies of a ``Counter`` of tags, in canonical tag
-    string order."""
+def _distribution(counter: dict) -> tuple[tuple[Tag, float], ...]:
+    """Relative frequencies of a tag-keyed dict of counts, in canonical
+    tag string order."""
     total = sum(counter.values())
-    items = sorted(counter.items(), key=lambda kv: format_tag(kv[0]))
-    return tuple((t, n / total) for t, n in items)
+    return tuple([(t, counter[t] / total) for t in sorted(counter, key=format_tag)])
 
 
-def _hapax_prior(words: Counter) -> dict[Tag, float]:
+def _less(counts: dict, part: dict) -> dict:
+    """``counts`` less ``part``, keeping the keys left with a positive
+    count, as ``Counter.__sub__`` does for non-negative counts."""
+    return {k: m for k, n in counts.items() if (m := n - part.get(k, 0)) > 0}
+
+
+def _hapax_prior(words: dict) -> dict[Tag, float]:
     """The tag distribution of the hapax legomena of the (word, gold
     tag) counts ``words``, the words seen once; with none, that of
     every token."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import FormatError, ModelError, TagError, check_distinct, open_utf8
@@ -29,39 +29,55 @@ BOUNDARY_CATEGORY = "<s>"
 _FORBIDDEN = set(" \t\n,:=|#<>")
 
 
-@dataclass(frozen=True)
+#: The one Tag of each (category, features) built in this process.
+_TAGS: dict[tuple, Tag] = {}
+
+
 class Tag:
     """A category plus its ``(feature, value)`` string pairs, in the
     schema's canonical feature order.
 
-    A tag keeps its canonical string once ``format_tag`` has made it,
-    and hashes as that string, which caches its own hash: equal tags
-    have equal strings.  Equality compares the fields."""
+    There is one ``Tag`` per (category, features): building it again
+    returns the first object, so tags hash and compare by identity, both
+    in C, and pickling or copying one gives the same object back.
+    ``name`` is the canonical string, made when the tag is first built.
+    Tags are immutable."""
 
-    category: str
-    features: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("category", "features", "name")
 
-    _name = None  # the canonical string, once made; not a field
+    def __new__(cls, category: str, features=()):
+        features = tuple(features)
+        tag = _TAGS.get((category, features))
+        if tag is None:
+            tag = object.__new__(cls)
+            name = category
+            if features:
+                name += ":" + ",".join(f"{f}={v}" for f, v in features)
+            init = object.__setattr__
+            init(tag, "category", category)
+            init(tag, "features", features)
+            init(tag, "name", name)
+            tag = _TAGS.setdefault((category, features), tag)
+        return tag
 
-    def __hash__(self) -> int:
-        return hash(self._name or format_tag(self))
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Tag is immutable: cannot set or delete {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Tag, (self.category, self.features)
+
+    def __repr__(self) -> str:
+        return f"Tag(category={self.category!r}, features={self.features!r})"
 
 
 #: History padding used before the first and second token of a sequence.
 BOUNDARY = Tag(BOUNDARY_CATEGORY)
 
-
-def format_tag(tag: Tag) -> str:
-    """Canonical string form: ``category`` or ``category:f=v,f=v,...``."""
-    name = tag._name
-    if name is None:
-        if tag.features:
-            inner = ",".join(f"{f}={v}" for f, v in tag.features)
-            name = f"{tag.category}:{inner}"
-        else:
-            name = tag.category
-        object.__setattr__(tag, "_name", name)
-    return name
+#: Canonical string form of a tag: ``category`` or
+#: ``category:f=v,f=v,...``; a C-level getter, so it is a cheap sort key.
+format_tag = attrgetter("name")
 
 
 def _check_ident(name: str, what: str) -> str:

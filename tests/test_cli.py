@@ -136,6 +136,23 @@ def test_train_rejects_bad_rule_pattern(workdir, capsys):
     assert not (workdir / "toy.model").exists()
 
 
+def test_train_rejects_class_the_lexicon_cannot_carry(workdir, capsys):
+    """A paradigm class named ``w,verb`` would come back from the model's
+    lexicon rows as the two classes ``w`` and ``verb``; the rule file is
+    rejected at the line of its first such class."""
+    rules = workdir / "toy.rules"
+    text = rules.read_text(encoding="utf-8")
+    no = next(i for i, line in enumerate(text.splitlines(), 1) if "\tw-verb\t" in line)
+    rules.write_text(text.replace("\tw-verb\t", "\tw,verb\t"), encoding="utf-8")
+    code = main(["train", str(workdir / "toy.corpus"), "--schema", str(workdir / "toy.schema"),
+                 "--rules", str(rules), "--out", str(workdir / "toy.model")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"toy.rules: line {no}: paradigm class 'w,verb'" in err
+    assert "Traceback" not in err
+    assert not (workdir / "toy.model").exists()
+
+
 def test_tag_empty_input(workdir, capsys):
     _train(workdir, capsys)
     empty = workdir / "empty.txt"
@@ -271,6 +288,20 @@ def test_tag_rejects_bad_trigram_row(workdir, capsys, field, value):
     code, err = _tag_with_edited_model(workdir, capsys, edit)
     assert code == 1
     assert f"bad.model: line {edit.line}: " in err
+    assert "Traceback" not in err
+
+
+def test_tag_rejects_empty_trigram_section(workdir, capsys):
+    """A model file whose [trigrams] section holds no row fails at that
+    section's line, not as an untrained model without a path."""
+    def edit(lines):
+        start = lines.index("[trigrams]")
+        del lines[start + 1:lines.index("[lexicon]")]
+        edit.line = start + 1
+
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: [trigrams] section has no rows" in err
     assert "Traceback" not in err
 
 

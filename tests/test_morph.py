@@ -68,6 +68,17 @@ def test_rule_file_rejects_empty_pattern(toy_schema, rest):
         RuleSet.from_lines([f"ος\t{rest}", f"\t{rest}"], toy_schema, path="my.rules")
 
 
+@pytest.mark.parametrize("klass", ["", "-", "w,verb", ",", "verb,"],
+                         ids=["empty", "dash", "inner-comma", "comma", "trailing-comma"])
+def test_rule_file_rejects_class_the_lexicon_cannot_carry(toy_schema, klass):
+    """A lexicon row comma-joins its stem's paradigm classes and writes
+    ``-`` for none, so a rule class that is empty, ``-`` or holds a
+    comma would not come back from a saved model."""
+    with pytest.raises(FormatError, match=f"my.rules: line 2: paradigm class {klass!r}"):
+        RuleSet.from_lines([f"ος\to-noun\t{SUBS_NOM}", f"ου\t{klass}\t{SUBS_NOM}"],
+                           toy_schema, path="my.rules")
+
+
 @given(st.text(alphabet="ος-" + "".join(sorted(_OPERATORS)), max_size=12),
        st.sampled_from([f"o-noun\t{SUBS_NOM}", "@prefix\tstrip"]))
 def test_rule_patterns_fuzz(toy_schema, pattern, rest):
@@ -415,6 +426,22 @@ def test_lexicon_file_errors(toy_schema):
     with pytest.raises(FormatError, match="line 2: prior row named 'foo'"):
         Lexicon.from_lines(["x\tstem\t-\tkonj=1", "foo\tprior\t-\tkonj=1"], toy_schema,
                            RuleSet.empty())
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x\tstem\ta,,b\tkonj=1", "empty paradigm class in 'a,,b'"),
+    ("x\tstem\t,a\tkonj=1", "empty paradigm class in ',a'"),
+    ("x\tstem\t\tkonj=1", "empty paradigm class in ''"),
+    ("\tstem\t-\tkonj=1", "empty form"),
+    ("\tfullform\t-\tkonj=1", "empty form"),
+    ("\tsuffix\t-\tkonj=1", "empty form"),
+], ids=["inner", "leading", "field", "stem", "fullform", "suffix"])
+def test_lexicon_file_rejects_rows_it_cannot_write(toy_schema, row, message):
+    """``to_lines`` never writes an empty class name or an empty form
+    (the empty suffix is ``-``), so reading one is an error at its line."""
+    with pytest.raises(FormatError, match=f"my.lexicon: line 2: {message}"):
+        Lexicon.from_lines(["y\tstem\t-\tkonj=1", row], toy_schema, RuleSet.empty(),
+                           path="my.lexicon")
 
 
 # -- golden lexical probabilities ------------------------------------------------

@@ -1,6 +1,8 @@
+import copy
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -104,8 +106,8 @@ def test_parse_memo_keeps_no_failure(toy_schema, bad):
 
 
 def test_parsed_and_built_tags_hash_alike(toy_schema):
-    """A tag built by hand, hashed before its canonical string is made,
-    and an equal parsed tag find each other in sets and dicts."""
+    """A tag built by hand and an equal parsed tag find each other in
+    sets and dicts, whichever was made first."""
     built = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
     h = hash(built)
     parsed = toy_schema.parse("subs:num=sg,case=nom,gend=masc")
@@ -115,6 +117,53 @@ def test_parsed_and_built_tags_hash_alike(toy_schema):
     other = Tag("subs", (("case", "gen"), ("num", "sg"), ("gend", "masc")))
     assert other != parsed and other not in {parsed}
     assert Tag("konj") in {toy_schema.parse("konj")}
+
+
+def test_building_a_tag_again_gives_the_same_object(toy_schema):
+    """One object per (category, features), however the features are
+    passed; the canonical string is made with it."""
+    feats = [("case", "nom"), ("num", "sg"), ("gend", "masc")]
+    tag = Tag("subs", tuple(feats))
+    assert Tag("subs", tuple(feats)) is tag
+    assert Tag("subs", feats) is tag
+    assert Tag(category="subs", features=iter(feats)) is tag
+    assert toy_schema.parse("subs:gend=masc,num=sg,case=nom") is tag
+    assert Tag("subs", feats[::-1]) is not tag  # another feature order is another tag
+    assert Tag("konj") is Tag("konj", ()) is toy_schema.parse("konj")
+    assert tag.name == format_tag(tag) == "subs:case=nom,num=sg,gend=masc"
+    assert repr(tag) == ("Tag(category='subs', "
+                         "features=(('case', 'nom'), ('num', 'sg'), ('gend', 'masc')))")
+
+
+def test_tags_hash_and_compare_by_identity():
+    """``object``'s hash and equality apply, both in C."""
+    assert Tag.__hash__ is object.__hash__
+    assert Tag.__eq__ is object.__eq__
+    assert Tag.__ne__ is object.__ne__
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.copy,
+    copy.deepcopy,
+    *(lambda t, p=p: pickle.loads(pickle.dumps(t, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+], ids=["copy", "deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+def test_copies_of_a_tag_are_the_tag(copy_of):
+    tag = Tag("subs", (("case", "gen"), ("num", "pl"), ("gend", "fem")))
+    assert copy_of(tag) is tag
+    again, table = copy_of((tag, {tag: [tag]}))
+    assert again is tag and table[tag][0] is tag
+
+
+def test_tags_are_immutable():
+    tag = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
+    for attr in ("category", "features", "name", "other"):
+        with pytest.raises(AttributeError):
+            setattr(tag, attr, "x")
+        with pytest.raises(AttributeError):
+            delattr(tag, attr)
+    assert (tag.category, tag.name) == ("subs", "subs:case=nom,num=sg,gend=masc")
+    assert Tag("subs", tag.features) is tag
 
 
 _DUMP = """
@@ -131,7 +180,7 @@ import pickle, sys
 from greektag import Tag
 tag, table = pickle.loads(sys.stdin.buffer.read())
 built = Tag("subs", (("case", "nom"), ("num", "sg"), ("gend", "masc")))
-assert table[built] == 1 and {built: 2}[tag] == 2 and tag == built
+assert table[built] == 1 and {built: 2}[tag] == 2 and tag is built
 """
 
 
