@@ -50,13 +50,10 @@ class Tag:
         tag = _TAGS.get((category, features))
         if tag is None:
             tag = object.__new__(cls)
-            name = category
-            if features:
-                name += ":" + ",".join(f"{f}={v}" for f, v in features)
             init = object.__setattr__
             init(tag, "category", category)
             init(tag, "features", features)
-            init(tag, "name", name)
+            init(tag, "name", _tag_name(category, features))
             tag = _TAGS.setdefault((category, features), tag)
         return tag
 
@@ -72,11 +69,19 @@ class Tag:
         return f"Tag(category={self.category!r}, features={self.features!r})"
 
 
+def _tag_name(category: str, features) -> str:
+    """Canonical string form: ``category`` or ``category:f=v,f=v,...``."""
+    name = category
+    if features:
+        name += ":" + ",".join(f"{f}={v}" for f, v in features)
+    return name
+
+
 #: History padding used before the first and second token of a sequence.
 BOUNDARY = Tag(BOUNDARY_CATEGORY)
 
-#: Canonical string form of a tag: ``category`` or
-#: ``category:f=v,f=v,...``; a C-level getter, so it is a cheap sort key.
+#: The canonical string of a tag, its ``name``; a C-level getter, so it
+#: is a cheap sort key.
 format_tag = attrgetter("name")
 
 
@@ -143,25 +148,30 @@ class TagSchema:
         """Raise TagError unless ``tag`` carries exactly its category's features."""
         if self._parsed.get(format_tag(tag)) is tag:
             return  # a parse of this schema
-        feats = self.features_of(tag.category)
-        seen = [f for f, _ in tag.features]
+        self._check(tag.category, tag.features)
+
+    def _check(self, category: str, features) -> None:
+        """``validate`` of the tag (category, features), without building
+        it, so that no invalid tag enters the intern table."""
+        feats = self.features_of(category)
+        seen = [f for f, _ in features]
         if len(set(seen)) != len(seen):
-            raise TagError(f"duplicate feature in tag: {format_tag(tag)}")
-        for f, v in tag.features:
+            raise TagError(f"duplicate feature in tag: {_tag_name(category, features)}")
+        for f, v in features:
             if f not in self.feature_values:
                 raise TagError(f"unknown feature: {f}")
             if f not in feats:
-                raise TagError(f"feature {f} not allowed for category {tag.category}")
+                raise TagError(f"feature {f} not allowed for category {category}")
             if v not in self.feature_values[f]:
                 raise TagError(f"unknown value {v} for feature {f}")
         missing = [f for f in feats if f not in seen]
         if missing:
             raise TagError(
-                f"tag {format_tag(tag)} misses feature(s) {','.join(missing)} "
-                f"required for category {tag.category}"
+                f"tag {_tag_name(category, features)} misses feature(s) {','.join(missing)} "
+                f"required for category {category}"
             )
         if tuple(seen) != feats:
-            raise TagError(f"features out of canonical order: {format_tag(tag)}")
+            raise TagError(f"features out of canonical order: {_tag_name(category, features)}")
 
     def parse(self, s: str) -> Tag:
         """Parse ``category`` or ``category:f=v,...``; reorders to canon.
@@ -194,11 +204,10 @@ class TagSchema:
                     raise TagError(f"malformed feature-value pair {item!r} in {s!r}")
                 pairs.append((feat, value))
         order = {f: i for i, f in enumerate(self.features_of(category))}
-        # a feature foreign to the category sorts first; validate rejects it
+        # a feature foreign to the category sorts first; _check rejects it
         pairs.sort(key=lambda fv: order.get(fv[0], -1))
-        tag = Tag(category, tuple(pairs))
-        self.validate(tag)
-        return tag
+        self._check(category, pairs)
+        return Tag(category, pairs)
 
     # -- schema file format -------------------------------------------------
 

@@ -22,7 +22,7 @@ from greektag import (
     train,
 )
 from greektag.cli import default_schema_path
-from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
+from greektag.tags import _TAGS, BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.model import _instances
 from greektag.text import read_annotated_corpus
 
@@ -103,6 +103,17 @@ def test_parse_memo_keeps_no_failure(toy_schema, bad):
     assert errors[0] == errors[1]
     assert bad not in schema._parsed
     assert bad.strip() not in schema._parsed
+
+
+def test_failed_parse_builds_no_tag(toy_schema):
+    """A string that fails to parse leaves the intern table as it was,
+    such as a weighted rule item, which is first parsed as a bare tag."""
+    before = dict(_TAGS)
+    for bad in ["verf:pers=9", "subs:case=nom,num=sg,gend=masc=0.5", "prae:case=nom",
+                "subs:gend=masc,case=nom,case=gen,num=sg", "verf:pers=1"]:
+        with pytest.raises(TagError):
+            toy_schema.parse(bad)
+    assert _TAGS == before
 
 
 def test_parsed_and_built_tags_hash_alike(toy_schema):
