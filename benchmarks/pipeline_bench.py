@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Run the pipeline benchmark several times and write ``BENCH_pipeline.json``.
 
-Each run is ``python3 pipebench/run.py --workload all --seed SEED
---seconds SECONDS``, whose last line of output is one JSON object with
-every end-to-end metric of every workload.  The file keeps, per workload
+Each of the ``RUNS`` runs is ``python3 pipebench/run.py --workload all
+--seed 7 --seconds 30`` (the run length of BENCHMARK.json), whose last
+line of output is one JSON object with every end-to-end metric of every
+workload.  The file keeps, per workload
 and metric, the unit, the median and quartiles over the runs and each
 run's value, next to the command, the runs' operation counts and the
 environment (Python and numpy versions, CPU count, git revision).
 
 Usage:
     python3 benchmarks/pipeline_bench.py                    # 5 runs of 30 s
-    python3 benchmarks/pipeline_bench.py --runs 3 --seed 7 --out BENCH_pipeline.json
     python3 benchmarks/pipeline_bench.py --smoke --out /tmp/bench.json   # seconds
 """
 
@@ -24,24 +24,30 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5
+SEED = 7
 #: the run length of BENCHMARK.json
-SECONDS = 30.0
+SECONDS = 30
+#: ``--smoke``: one run of the benchmark's smoke inputs, 1 s per workload
+SMOKE_RUNS = 1
+SMOKE_SECONDS = 1
 
 
-def command(seed: int, seconds: float, smoke: bool) -> list[str]:
-    cmd = ["python3", "pipebench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", f"{seconds:g}"]
-    return cmd + ["--smoke"] if smoke else cmd
+def run_args(smoke: bool) -> list[str]:
+    """The arguments of ``python3`` for one benchmark run."""
+    args = ["pipebench/run.py", "--workload", "all", "--seed", str(SEED),
+            "--seconds", str(SMOKE_SECONDS if smoke else SECONDS)]
+    return args + ["--smoke"] if smoke else args
 
 
-def run_once(cmd: list[str]) -> dict:
+def run_once(args: list[str]) -> dict:
     """The JSON object on the last line of one benchmark run."""
-    done = subprocess.run([sys.executable, *cmd[1:]], cwd=ROOT, capture_output=True,
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
                           text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise SystemExit(f"pipeline_bench: {' '.join(cmd)} exited {done.returncode}:\n"
-                         + done.stderr[-2000:])
+        raise SystemExit(f"pipeline_bench: {sys.executable} {' '.join(args)} exited "
+                         f"{done.returncode}:\n" + done.stderr[-2000:])
     return json.loads(lines[-1])
 
 
@@ -86,27 +92,23 @@ def summarize(results: list[dict]) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=5, help="benchmark runs (default 5)")
-    ap.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
-    ap.add_argument("--seconds", type=float, default=SECONDS,
-                    help=f"seconds per workload and run (default {SECONDS:g})")
     ap.add_argument("--smoke", action="store_true",
-                    help="one run of the benchmark's smoke inputs for 1 s, to check that it runs")
+                    help=f"{SMOKE_RUNS} run of the benchmark's smoke inputs for {SMOKE_SECONDS} s "
+                         f"per workload, in place of {RUNS} runs of {SECONDS} s, "
+                         "to check that it runs")
     ap.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"),
                     help="file to write (default BENCH_pipeline.json at the repo root)")
-    args = ap.parse_args()
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
-    runs, seconds = (1, 1.0) if args.smoke else (args.runs, args.seconds)
-    cmd = command(args.seed, seconds, args.smoke)
+    opts = ap.parse_args()
+    runs = SMOKE_RUNS if opts.smoke else RUNS
+    args = run_args(opts.smoke)
     env = environment()  # the revision that is measured
     results = []
     for i in range(runs):
-        results.append(run_once(cmd))
+        results.append(run_once(args))
         print(f"run {i + 1}/{runs}: correct {results[-1]['correct']}, "
               f"failed {results[-1]['failed']}/{results[-1]['attempted']}", file=sys.stderr)
     bench = {
-        "command": " ".join(cmd),
+        "command": " ".join(["python3", *args]),
         "runs": runs,
         "environment": env,
         "correct": all(r["correct"] for r in results),
@@ -114,8 +116,8 @@ def main() -> int:
         "failed": sum(r["failed"] for r in results),
         "workloads": summarize(results),
     }
-    Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}", file=sys.stderr)
+    Path(opts.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {opts.out}", file=sys.stderr)
     return 0 if bench["correct"] and not bench["failed"] else 1
 
 
