@@ -323,6 +323,10 @@ class Lexicon:
             classes = frozenset() if cls_field == "-" else frozenset(cls_field.split(","))
             if "" in classes:
                 raise FormatError(f"empty paradigm class in {cls_field!r}", path, no)
+            if classes and kind in ("suffix", "prior"):
+                # ``to_lines`` writes ``-`` for these rows, which keep no classes
+                raise FormatError(f"{kind} row with paradigm classes {cls_field!r}, not -",
+                                  path, no)
             probs = []
             for item in body.split():
                 tagstring, eq, prob = item.rpartition("=")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, TagError, open_utf8
 from .tags import Tag, TagSchema, format_tag
@@ -21,11 +22,20 @@ DEFAULT_BOUNDARY = frozenset({".", ";", ";", "?"})
 PUNCT_CATEGORY = "punct"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its surface, its normalized form and its position in
+    its sequence.  A named tuple, so it equals the plain tuple of its
+    fields, and ``index`` is the field, not ``tuple.index``."""
+
     surface: str
     norm: str
     index: int
+
+
+#: ``_new_token(Token, (surface, norm, index))`` builds a ``Token`` as
+#: ``Token._make`` does, without the named tuple's Python-level ``__new__``
+#: frame; the hot loops below call it once per token.
+_new_token = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -74,21 +84,26 @@ def tokenize(text: str) -> list[Sequence]:
     separate single-character tokens; a token from ``DEFAULT_BOUNDARY``
     closes the current sequence.  Every non-whitespace character of the
     input lands in exactly one token.
+
+    Each distinct whitespace chunk is split and normalized once per
+    call: ``pieces`` maps it to its (piece, norm, closes) triples and
+    dies with the call.
     """
     sequences: list[Sequence] = []
     current: list[Token] = []
-
-    def close():
-        if current:
-            sequences.append(Sequence(tuple(current)))
-            current.clear()
-
+    pieces: dict[str, tuple[tuple[str, str, bool], ...]] = {}
     for chunk in text.split():
-        for piece in _split_punct(chunk):
-            current.append(Token(piece, normalize(piece), len(current)))
-            if piece in DEFAULT_BOUNDARY:
-                close()
-    close()
+        split = pieces.get(chunk)
+        if split is None:
+            split = pieces[chunk] = tuple(
+                (p, normalize(p), p in DEFAULT_BOUNDARY) for p in _split_punct(chunk))
+        for piece, norm, closes in split:
+            current.append(_new_token(Token, (piece, norm, len(current))))
+            if closes:
+                sequences.append(Sequence(tuple(current)))
+                current = []
+    if current:
+        sequences.append(Sequence(tuple(current)))
     return sequences
 
 
@@ -99,9 +114,16 @@ def tokenize(text: str) -> list[Sequence]:
 
 
 def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence]:
+    """Sequences of tokens with gold tags from ``surface<TAB>tag`` lines.
+
+    A surface is checked and normalized at its first occurrence only:
+    ``norms`` maps each surface that passed to its normalized form and
+    dies with the call.  A surface that fails is never stored, so it
+    raises at its first line."""
     sequences: list[Sequence] = []
     tokens: list[Token] = []
     tags: list[Tag] = []
+    norms: dict[str, str] = {}
 
     def close():
         if tokens:
@@ -122,19 +144,23 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
                 f"expected 2 tab-separated fields, got {len(fields)}", path, no
             )
         surface, tagstring = fields
-        if surface.split() != [surface]:
-            # ``tokenize`` never yields such a token, so none could use it
-            raise FormatError(f"surface {surface!r} is empty or holds whitespace", path, no)
-        if len(surface) > 1 and (unicodedata.category(surface[0]).startswith("P")
-                                 or unicodedata.category(surface[-1]).startswith("P")):
-            # ``tokenize`` splits such punctuation off into tokens of its own
-            raise FormatError(f"surface {surface!r} starts or ends with punctuation",
-                              path, no)
+        norm = norms.get(surface)
+        if norm is None:
+            if surface.split() != [surface]:
+                # ``tokenize`` never yields such a token, so none could use it
+                raise FormatError(f"surface {surface!r} is empty or holds whitespace",
+                                  path, no)
+            if len(surface) > 1 and (unicodedata.category(surface[0]).startswith("P")
+                                     or unicodedata.category(surface[-1]).startswith("P")):
+                # ``tokenize`` splits such punctuation off into tokens of its own
+                raise FormatError(f"surface {surface!r} starts or ends with punctuation",
+                                  path, no)
+            norm = norms[surface] = normalize(surface)
         try:
             tag = schema.parse(tagstring)
         except TagError as exc:
             raise FormatError(f"bad tag {tagstring!r}: {exc}", path, no) from None
-        tokens.append(Token(surface, normalize(surface), len(tokens)))
+        tokens.append(_new_token(Token, (surface, norm, len(tokens))))
         tags.append(tag)
     close()
     return sequences

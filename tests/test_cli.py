@@ -340,7 +340,9 @@ def _replace_line(workdir, capsys, prefix, replacement):
     ("καί\t", "καί\tfullform\t-\tkonj=-0.5"),
     ("καί\t", "καί\tfullform\t-\tkonj=0.5"),
     ("σας\t", "σας\tw-verb\tpart:case=nom,num=sg,tense=aor,voice=act,gend=masc=nan"),
-], ids=["nan", "inf", "negative", "sum-0.5", "rule-nan"])
+    ("ει\tsuffix\t", "ει\tsuffix\tw-verb\tverf:pers=3,num=sg,mood=ind,tense=pres,voice=act=1"),
+    ("__hapax__\t", "__hapax__\tprior\tw-verb\tprae=1"),
+], ids=["nan", "inf", "negative", "sum-0.5", "rule-nan", "suffix-classes", "prior-classes"])
 def test_tag_rejects_bad_lexicon_row(workdir, capsys, prefix, replacement):
     code, err, line = _replace_line(workdir, capsys, prefix, replacement)
     assert code == 1

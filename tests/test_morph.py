@@ -435,10 +435,14 @@ def test_lexicon_file_errors(toy_schema):
     ("\tstem\t-\tkonj=1", "empty form"),
     ("\tfullform\t-\tkonj=1", "empty form"),
     ("\tsuffix\t-\tkonj=1", "empty form"),
-], ids=["inner", "leading", "field", "stem", "fullform", "suffix"])
+    ("ος\tsuffix\tbar,baz\tkonj=1", "suffix row with paradigm classes 'bar,baz', not -"),
+    ("__hapax__\tprior\tfoo\tkonj=1", "prior row with paradigm classes 'foo', not -"),
+], ids=["inner", "leading", "field", "stem", "fullform", "suffix",
+        "suffix-classes", "prior-classes"])
 def test_lexicon_file_rejects_rows_it_cannot_write(toy_schema, row, message):
-    """``to_lines`` never writes an empty class name or an empty form
-    (the empty suffix is ``-``), so reading one is an error at its line."""
+    """``to_lines`` never writes an empty class name, an empty form (the
+    empty suffix is ``-``) or a class on a suffix or prior row, so reading
+    one is an error at its line."""
     with pytest.raises(FormatError, match=f"my.lexicon: line 2: {message}"):
         Lexicon.from_lines(["y\tstem\t-\tkonj=1", row], toy_schema, RuleSet.empty(),
                            path="my.lexicon")

@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,9 @@ def test_tokenize_two_sentences():
     assert [len(s) for s in seqs] == [2, 2]
     assert [t.surface for t in seqs[0].tokens] == ["x", "."]
     assert [t.surface for t in seqs[1].tokens] == ["y", "."]
+    # a chunk met again is split once per call, and closes its sequence each time
+    seqs = tokenize("Λόγος. Λόγος.")
+    assert [s.tokens for s in seqs] == [(Token("Λόγος", "λόγος", 0), Token(".", ".", 1))] * 2
 
 
 def test_tokenize_strips_punctuation():
@@ -42,6 +47,18 @@ def test_tokenize_strips_punctuation():
 def test_tokenize_greek_question_mark_is_boundary():
     seqs = tokenize("τίς; καί")
     assert [len(s) for s in seqs] == [2, 1]
+
+
+def test_token_is_an_immutable_named_record():
+    tok = tokenize("Λόγος")[0].tokens[0]
+    assert (tok.surface, tok.norm, tok.index) == ("Λόγος", "λόγος", 0)
+    assert tok == Token("Λόγος", "λόγος", 0) == ("Λόγος", "λόγος", 0)
+    assert hash(tok) == hash(Token("Λόγος", "λόγος", 0))
+    assert repr(tok) == "Token(surface='Λόγος', norm='λόγος', index=0)"
+    with pytest.raises(AttributeError):
+        tok.index = 1
+    for again in (pickle.loads(pickle.dumps(tok)), copy.copy(tok), copy.deepcopy(tok)):
+        assert type(again) is Token and again == tok and again.index == 0
 
 
 def test_token_indices_are_contiguous():
@@ -114,9 +131,13 @@ def test_read_reports_bad_tag_string(toy_schema):
                               "trailing-punct", "leading-punct", "punct-run"])
 def test_read_rejects_surface_no_token_has(toy_schema, surface):
     """``tokenize`` never yields an empty token, one with whitespace, or
-    one longer than a character that starts or ends with punctuation."""
+    one longer than a character that starts or ends with punctuation.
+    A surface that recurs is rejected at its first line."""
     with pytest.raises(FormatError, match="line 2: surface"):
         read_annotated_corpus(io.StringIO(f"a\tkonj\n{surface}\tnega\n"), toy_schema)
+    with pytest.raises(FormatError, match="line 3: surface"):
+        read_annotated_corpus(io.StringIO(f"a\tkonj\n\n{surface}\tnega\n{surface}\tnega\n"),
+                              toy_schema)
 
 
 def test_read_accepts_surface_tokenize_yields(toy_schema):
