@@ -15,17 +15,17 @@ normalizes each distinct chunk of a call once, and ``read_annotated_corpus``
 checks and normalizes each distinct surface once, so the lower the share,
 the more of the input is a repeat.
 
-The default input is one text made of the texts under
-``tests/fixtures/texts``, joined, ``COPIES`` times over, tagged by a model
-trained on the toy fixtures.  Raw text files given as arguments are read
-instead, one text each; ``--model`` names the model that tags them (for
-example a pipeline benchmark workload's ``model.gtm``).
+By default the input is the texts under ``tests/fixtures/texts``, one
+text each: small, and nearly every chunk distinct within its text, so
+the default measures the low-repeat case.  Raw text files given as
+arguments are read instead, one text each (for example a pipeline
+benchmark workload's texts, for the share real text has).  Every text is
+tagged by a model trained on the toy fixtures.
 
 Usage:
     python benchmarks/text_bench.py
     python benchmarks/text_bench.py --repeats 1
-    python benchmarks/text_bench.py .pipebench/long-unpunct-s7/inputs/texts/*.txt \\
-        --model .pipebench/long-unpunct-s7/model.gtm
+    python benchmarks/text_bench.py .pipebench/long-unpunct-s7/inputs/texts/*.txt
 """
 
 import argparse
@@ -33,13 +33,10 @@ import io
 import time
 from pathlib import Path
 
-from greektag import Model, RuleSet, TagSchema, load_annotated_corpus, tag_corpus, train
+from greektag import RuleSet, TagSchema, load_annotated_corpus, tag_corpus, train
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
-
-#: Times the joined fixture texts are repeated in the default input.
-COPIES = 200
 
 
 def toy_model():
@@ -63,19 +60,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("texts", nargs="*", help="raw text files (default: the fixture texts)")
-    parser.add_argument("--model", help="model that tags the texts (default: the toy model)")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    if args.texts:
-        raws = [Path(p).read_text(encoding="utf-8") for p in args.texts]
-    else:
-        fixture = " ".join(p.read_text(encoding="utf-8")
-                           for p in sorted((FIXTURES / "texts").glob("*.txt")))
-        raws = [" ".join([fixture] * COPIES)]
-    model = Model.load(args.model) if args.model else toy_model()
+    paths = args.texts or sorted((FIXTURES / "texts").glob("*.txt"))
+    raws = [Path(p).read_text(encoding="utf-8") for p in paths]
+    model = toy_model()
 
     tagged = [tag_corpus(model, tokenize(raw)) for raw in raws]
     annotated = []

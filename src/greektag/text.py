@@ -32,12 +32,6 @@ class Token(NamedTuple):
     index: int
 
 
-#: ``_new_token(Token, (surface, norm, index))`` builds a ``Token`` as
-#: ``Token._make`` does, without the named tuple's Python-level ``__new__``
-#: frame; the hot loops below call it once per token.
-_new_token = tuple.__new__
-
-
 @dataclass(frozen=True)
 class Sequence:
     tokens: tuple[Token, ...]
@@ -98,7 +92,7 @@ def tokenize(text: str) -> list[Sequence]:
             split = pieces[chunk] = tuple(
                 (p, normalize(p), p in DEFAULT_BOUNDARY) for p in _split_punct(chunk))
         for piece, norm, closes in split:
-            current.append(_new_token(Token, (piece, norm, len(current))))
+            current.append(Token(piece, norm, len(current)))
             if closes:
                 sequences.append(Sequence(tuple(current)))
                 current = []
@@ -118,8 +112,7 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
 
     A surface is checked and normalized at its first occurrence only:
     ``norms`` maps each surface that passed to its normalized form and
-    dies with the call.  A surface that fails is never stored, so it
-    raises at its first line."""
+    dies with the call."""
     sequences: list[Sequence] = []
     tokens: list[Token] = []
     tags: list[Tag] = []
@@ -160,7 +153,7 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
             tag = schema.parse(tagstring)
         except TagError as exc:
             raise FormatError(f"bad tag {tagstring!r}: {exc}", path, no) from None
-        tokens.append(_new_token(Token, (surface, norm, len(tokens))))
+        tokens.append(Token(surface, norm, len(tokens)))
         tags.append(tag)
     close()
     return sequences
