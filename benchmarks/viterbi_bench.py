@@ -5,9 +5,11 @@ Every position of an instance has the same number of candidate tags
 (the width).  Width 1 times the kernel's per-position cost where a
 position offers no choice.  Prints the best of ``--repeats`` wall-clock
 times per length:width pair, on two instances of that size: random
-log-probability increments, where no paths tie and the max pass alone
-decodes, and all increments equal, where every path ties and the
-sequence is decoded again by the ranked pass (the worst case).
+log-probability increments, where no paths tie and the max pass's
+scalar read-back decodes, and all increments equal, where every path
+ties and the tie walk reads the path back (the worst case).  On the
+all-tied instance the tie-break must return the smallest path, all
+zeros; the script exits with an error if it does not.
 
 Usage:
     python benchmarks/viterbi_bench.py
@@ -15,6 +17,7 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -36,12 +39,13 @@ def dense_instance(rng, length, width, tied=False):
 
 
 def best_time(instance, repeats):
+    """The best wall-clock time of ``repeats`` decodes, and the path."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _viterbi.viterbi(*instance, 0)
+        path = _viterbi.viterbi(*instance, 0)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, path
 
 
 def main():
@@ -58,8 +62,10 @@ def main():
     print("-" * len(header))
     for item in args.sizes.split(","):
         length, width = (int(v) for v in item.split(":"))
-        random_s = best_time(dense_instance(rng, length, width), args.repeats)
-        tied_s = best_time(dense_instance(rng, length, width, tied=True), args.repeats)
+        random_s, _ = best_time(dense_instance(rng, length, width), args.repeats)
+        tied_s, path = best_time(dense_instance(rng, length, width, tied=True), args.repeats)
+        if path.any():
+            sys.exit(f"all-tied {length}:{width} decoded {path.tolist()}, not all zeros")
         print(f"{length:>7} {width:>6} {random_s:>11.4f} {tied_s:>13.4f}")
 
 

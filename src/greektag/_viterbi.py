@@ -13,26 +13,27 @@ back, it takes each path state's backpointer and tie count from the
 sums that state maximised (its predecessors' scores plus its block
 column, kept from the forward pass): the first predecessor that reaches
 the best score, and how many reach it.  If the final maximum is reached
-by one state only, and every state on the path has tie count 1, then
-exactly one path links optimally at every position, and it is the path
-the tie-break picks: ``_ranked`` computes the same scores and prunes
-the same states (pruning reads only the scores), starts from the same
-unique final state and, at each state on the way back, chooses among
-the predecessors that reach its best score, of which there is one.
-Otherwise the best path ties somewhere, and ``_ranked`` decodes the
-sequence again and breaks the tie.  Ties off the best path, such as the
-``-inf`` states a beam prunes, are never looked at.  A sequence whose
-best path ties pays the max pass on top of the ranked pass: on
-all-tied dense instances from 64 x 8 to 256 x 24, about 1.3 to 1.4
-times the ranked pass alone (``benchmarks/viterbi_bench.py``).  Memory is O(K·S) kept scores plus
-the increments (K positions, S states per position).
+by one state only, and every state on the path has tie count 1, exactly
+one path links optimally at every position, and it is returned.
+Otherwise ``_tie_walk`` reads the path back from the same sums.  A tie
+off the best path, such as among the ``-inf`` states a beam prunes,
+does not start the walk.  Memory is O(K·S) kept scores plus the
+increments (K positions, S states per position).
 
-``_ranked`` keeps every state's rank, no path copies: each state carries
-the rank of its best path in the lexicographic order of the best paths
-of all states at its position.  Among tied predecessors the one of
-smallest rank wins, and the states at the next position are ranked by
-(rank of the chosen predecessor, current candidate), which is the order
-of the extended paths.
+An edge from a state at k-1 to one at k is tight where the state's
+pruned score plus the edge's increment equals the unpruned max at k:
+these are the sums the max pass compared, so the optimal paths are the
+paths of tight edges from position 0 to a best final state.  The
+pruned score at k would not do: into a state the beam dropped, the
+edges that reached its max would fail the test and its ``-inf`` edges
+would pass, and such states lie on optimal paths when every path
+scores ``-inf``.  ``_tie_walk`` marks, backward from the best final
+states, each state with a tight edge to a marked state; then, forward
+from the first position, it takes the smallest marked candidate over a
+tight edge.  Every marked state extends to an optimal path, and
+candidate indices are in canonical tag order, so this is the smallest
+optimal path.  It holds one boolean per state, and per position one
+per increment cell while it marks.
 
 Instance layout: position ``k`` has ``counts[k]`` candidates and an
 increment block of shape ``(adims[k], bdims[k], counts[k])`` flattened
@@ -44,8 +45,7 @@ there and at the two positions before it) offers no choice: its one
 state adds the cell to the one score, with no numpy reduction, and a
 position with one candidate two back (``X = 1``) gives each state one
 predecessor, so it is one broadcast add, with backpointer 0 and no
-tie.  ``_ranked`` takes its general step at both; at a one-cell block
-that step keeps the one predecessor, and pruning one state is a no-op.
+tie.  The tie walk treats the one edge into each such state as tight.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
     position, plus any tied with the last of them.
 
     States are flat indices ``y * Z + z`` into the (previous, current)
-    candidate grid.  ``steps[k]`` keeps the scores and the increment
-    block that position k maximised over, or None where every state has
+    candidate grid.  ``steps[k]`` keeps the scores, the increment block
+    and the unpruned max of position k, or None where every state has
     one predecessor (``x = 0``).
     """
     K = len(counts)
@@ -86,13 +86,14 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
         if X == 1:  # one predecessor per state: nothing to choose or tie
             scores = _prune(scores.reshape(Y, 1) + block[0], beam)
             continue
-        steps[k] = (scores, block)
-        scores = _prune((scores[:, :, None] + block).max(axis=0), beam)
+        best = (scores[:, :, None] + block).max(axis=0)
+        steps[k] = (scores, block, best)
+        scores = _prune(best, beam)
 
     final = scores.ravel().tolist()
     best = max(final)
     if final.count(best) > 1:  # the best final states tie
-        return _ranked(counts, adims, bdims, off, inc, beam)
+        return _tie_walk(steps, scores)
     state = final.index(best)
     out = np.empty(K, np.int32)
     for k in range(K - 1, 0, -1):
@@ -101,47 +102,37 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
         x = 0
         if steps[k] is not None:
             # the sums position k maximised for this state, one per predecessor
-            prev, block = steps[k]
+            prev, block, _ = steps[k]
             cand = (prev[:, y] + block[:, y, z]).tolist()
             best = max(cand)
             if cand.count(best) > 1:  # two predecessors reach this state's best
-                return _ranked(counts, adims, bdims, off, inc, beam)
+                return _tie_walk(steps, scores)
             x = cand.index(best)
         state = x * ys[k] + y
     out[0] = state
     return out
 
 
-def _ranked(counts, adims, bdims, off, inc, beam=0):
-    """``viterbi`` with the tie-break kept at every state.
-
-    ``order`` lists the states by rank, ``rank`` inverts it.
-    """
-    K = len(counts)
-    n0 = int(counts[0])
-    scores = _prune(inc[off[0] : off[0] + n0].reshape(1, n0), beam)
-    order = np.arange(n0)
-    rank = order.reshape(1, n0)
-    backptrs = [None]  # backptrs[k][state at k] = its predecessor at k-1
-
-    for k in range(1, K):
-        X, Y, Z = int(adims[k]), int(bdims[k]), int(counts[k])
-        block = inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
-        cand = scores[:, :, None] + block
-        best = cand.max(axis=0)
-        # rank of the smallest-rank predecessor among those tied at the max
-        prev = np.where(cand == best, rank[:, :, None], X * Y).min(axis=0)
-        backptrs.append(order[prev.ravel()])
-        order = np.argsort(prev * Z + np.arange(Z), axis=None)
-        rank = np.empty(Y * Z, np.int64)
-        rank[order] = np.arange(Y * Z)
-        rank = rank.reshape(Y, Z)
-        scores = _prune(best, beam)
-
-    state = order[np.where(scores == scores.max(), rank, rank.size).min()]
-    out = np.empty(K, np.int32)
+def _tie_walk(steps, scores):
+    """The smallest path over tight edges to a best final state of
+    ``scores``; ``on[k]`` marks the states at k that lie on such a path."""
+    K = len(steps)
+    on = [None] * K
+    on[-1] = scores == scores.max()
     for k in range(K - 1, 0, -1):
-        out[k] = state % counts[k]
-        state = backptrs[k][state]
-    out[0] = state
+        if steps[k] is None:  # every edge tight
+            on[k - 1] = on[k].any(axis=1)[None, :]
+        else:
+            prev, block, best = steps[k]
+            on[k - 1] = ((prev[:, :, None] + block == best) & on[k]).any(axis=2)
+    out = np.empty(K, np.int32)
+    x, y = 0, int(on[0][0].argmax())
+    out[0] = y
+    for k in range(1, K):
+        marked = on[k][y]
+        if steps[k] is not None:
+            prev, block, best = steps[k]
+            marked = marked & (prev[x, y] + block[x, y] == best[y])
+        x, y = y, int(marked.argmax())
+        out[k] = y
     return out

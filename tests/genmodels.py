@@ -1,6 +1,10 @@
-"""Random toy models for decoder-oracle testing (seeded, deterministic)."""
+"""Random toy models for decoder-oracle testing (seeded, deterministic),
+and damaged file lines for loader fuzzing."""
+
+import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from greektag import RuleSet, Sequence, TagSchema, Token, train
 from greektag.cli import default_schema_path
@@ -116,3 +120,36 @@ def symmetric_tie_instance():
     model = train(sequences, None, schema)
     tokens = [Token("w", "w", i) for i in range(3)]
     return model, tokens
+
+
+#: field values a damaged file may hold: non-finite, out-of-range and
+#: empty numbers, stray separators and bits of other rows
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "", "0", "1", "2.5", "x",
+                     "-", ",", "=", "konj=1", "konj=nan", "a\tb", "[lexicon]", "<s>"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mangled_lines(draw, lines):
+    """``lines`` with one to three edits, each of which replaces one tab-
+    or space-separated field, or the value after its last ``=``, by an
+    odd value, or drops, repeats or inserts a line."""
+    out = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        no = draw(st.integers(0, max(len(out) - 1, 0)))
+        edit = draw(st.sampled_from(["field", "value", "drop", "repeat", "insert"]))
+        if edit == "insert" or not out:
+            out.insert(no, draw(_ODD_VALUES))
+        elif edit == "drop":
+            del out[no]
+        elif edit == "repeat":
+            out.insert(no, out[no])
+        else:
+            parts = re.split(r"([\t ])", out[no])  # fields at the even indices
+            i = 2 * draw(st.integers(0, len(parts) // 2))
+            head, eq, _ = parts[i].rpartition("=")
+            parts[i] = (head + eq if edit == "value" else "") + draw(_ODD_VALUES)
+            out[no] = "".join(parts)
+    return out

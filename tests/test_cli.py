@@ -1,14 +1,17 @@
+import contextlib
 import hashlib
 import io
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greektag.cli import main
 from greektag.stylometry import load_counts_csv
 from greektag.tags import TagSchema
 from greektag.text import load_annotated_corpus
 
+from genmodels import mangled_lines
 from test_stylometry import alpha_pattern_counts
 
 
@@ -348,6 +351,23 @@ def test_tag_rejects_bad_lexicon_row(workdir, capsys, prefix, replacement):
     assert code == 1
     assert f"bad.model: line {line}: " in err
     assert "Traceback" not in err
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_tag_with_damaged_model_fails_cleanly(toy_model, fixtures_dir, tmp_path_factory, data):
+    """``greektag tag`` with a damaged toy model file tags (exit 0) or
+    exits 1 or 2 with an ``error:`` line, never with a traceback."""
+    base = tmp_path_factory.getbasetemp()
+    model = base / "damaged.model"
+    lines = data.draw(mangled_lines(toy_model.to_lines()))
+    model.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["tag", str(fixtures_dir / "texts" / "alpha.txt"),
+                     "--model", str(model), "--out", str(base / "damaged.out")])
+    assert code in (0, 1, 2)
+    assert err.getvalue().startswith("error: ") == (code != 0)
 
 
 VERF_3SG = "verf:pers=3,num=sg,mood=ind,tense=pres,voice=act"

@@ -243,38 +243,38 @@ def _no_choice_instances(seed, trials, max_len):
         yield counts, adims, bdims, off, np.full(total, value), trial % 5
 
 
-def test_kernel_matches_reference_loops_on_no_choice_runs(ranked_calls):
-    """Among these, the tied instances re-run the ranked pass, which
-    takes its general step at their no-choice positions."""
-    no_choice = ranked_no_choice = 0
+def test_kernel_matches_reference_loops_on_no_choice_runs(tie_walks):
+    """Among these, the tied instances run the tie walk, which crosses
+    their no-choice positions as edges that are always tight."""
+    no_choice = walked_no_choice = 0
     for args in _no_choice_instances(7, 400, 40):
         counts, adims, bdims = args[:3]
         n = int(((adims == 1) & (bdims == 1) & (counts == 1))[1:].sum())
         no_choice += n
-        if _reruns(args, ranked_calls):
-            ranked_no_choice += n
+        if _walks(args, tie_walks):
+            walked_no_choice += n
     assert no_choice > 5000
-    assert ranked_no_choice > 1000
+    assert walked_no_choice > 1000
 
 
 @pytest.fixture
-def ranked_calls(monkeypatch):
-    """The argument tuples ``_viterbi.viterbi`` hands to ``_ranked``, the
-    tie-breaking pass it re-runs when the best path ties."""
+def tie_walks(monkeypatch):
+    """The argument tuples ``_viterbi.viterbi`` hands to ``_tie_walk``,
+    the read-back it runs when the best path ties."""
     calls = []
-    ranked = _viterbi._ranked
+    walk = _viterbi._tie_walk
 
     def spy(*args):
         calls.append(args)
-        return ranked(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(_viterbi, "_ranked", spy)
+    monkeypatch.setattr(_viterbi, "_tie_walk", spy)
     return calls
 
 
-def _reruns(args, calls):
-    """How often decoding ``args`` ran the ranked pass; the path must
-    equal the plain-loop reference's either way."""
+def _walks(args, calls):
+    """How often decoding ``args`` ran the tie walk; the path must equal
+    the plain-loop reference's either way."""
     before = len(calls)
     assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
     return len(calls) - before
@@ -316,14 +316,14 @@ def _twin(args, j, c, twin):
     return counts, adims, bdims, off, inc, beam
 
 
-def test_kernel_skips_ranked_pass_without_ties(ranked_calls):
+def test_kernel_skips_tie_walk_without_ties(tie_walks):
     rng = np.random.default_rng(41)
     for trial in range(300):
         args = _continuous_instance(rng, int(rng.integers(1, 40)), 5, trial % 5)
-        assert _reruns(args, ranked_calls) == 0
+        assert _walks(args, tie_walks) == 0
 
 
-def test_kernel_skips_ranked_pass_for_ties_off_best_path(ranked_calls):
+def test_kernel_skips_tie_walk_for_ties_off_best_path(tie_walks):
     """Pruned states leave ``-inf`` columns whose predecessors all tie,
     and a losing state may be reached by two predecessors at once: the
     best path is still unique, so the max pass returns it."""
@@ -332,7 +332,7 @@ def test_kernel_skips_ranked_pass_for_ties_off_best_path(ranked_calls):
     for trial in range(200):
         args = _continuous_instance(rng, int(rng.integers(3, 40)), 5, 1 + trial % 4)
         tied += _tied_states(*args)
-        assert _reruns(args, ranked_calls) == 0
+        assert _walks(args, tie_walks) == 0
     assert tied > 1000
     # best path 0, 0, 0 scores -3; state (1, 1) at the last position is
     # reached at -7 from both candidates two back
@@ -343,14 +343,14 @@ def test_kernel_skips_ranked_pass_for_ties_off_best_path(ranked_calls):
     inc = np.concatenate([[-1.0, -3.0], [-1.0, -2.0, -1.0, -2.0], last.ravel()])
     args = (counts, adims, bdims, off, inc, 0)
     assert _tied_states(*args) == 1
-    assert _reruns(args, ranked_calls) == 0
+    assert _walks(args, tie_walks) == 0
     assert list(_viterbi.viterbi(*args)) == [0, 0, 0]
 
 
-def test_kernel_reruns_ranked_pass_for_ties_on_best_path(ranked_calls):
+def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
     """A tie on the best path, between two predecessors of one of its
-    states or between two final states, re-runs the ranked pass once, and
-    that pass's path is returned."""
+    states or between two final states, runs the tie walk once, and the
+    walk's path is returned."""
     rng = np.random.default_rng(47)
     twins = Counter()
     for trial in range(300):
@@ -367,20 +367,20 @@ def test_kernel_reruns_ranked_pass_for_ties_on_best_path(ranked_calls):
         j = spots[int(rng.integers(0, len(spots)))]
         twin = int(rng.integers(0, counts[j] - 1))
         twin += twin >= path[j]
-        assert _reruns(_twin(args, j, path[j], twin), ranked_calls) == 1
+        assert _walks(_twin(args, j, path[j], twin), tie_walks) == 1
         twins[where] += 1
     assert min(twins.values()) > 50
     model, tokens = symmetric_tie_instance()
-    before = len(ranked_calls)
+    before = len(tie_walks)
     assert tag_sequence(model, tokens) == brute_force_best(model, tokens)
-    assert len(ranked_calls) == before + 1
+    assert len(tie_walks) == before + 1
     # every path ties: all increments equal, or all -inf
     for trial in range(20):
         counts = _run_widths(rng, int(rng.integers(20, 120)), False)
         adims, bdims, off, total = _layout(counts)
         value = -np.inf if trial % 2 else np.log(0.5)
         args = (counts, adims, bdims, off, np.full(total, value), trial % 5)
-        assert _reruns(args, ranked_calls) == 1
+        assert _walks(args, tie_walks) == 1
 
 
 def _tag_capturing(monkeypatch, model, texts):

@@ -7,15 +7,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greektag import Model, ModelError, Sequence, TagSchema, Token, tag_corpus, train
 from greektag.cli import default_schema_path
-from greektag.errors import FormatError
+from greektag.errors import FormatError, GreektagError
 from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolation
 from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
-from genmodels import random_corpus, wide_corpus
+from genmodels import mangled_lines, random_corpus, wide_corpus
 from reference import (
     all_tags,
     fit_interpolation_reference,
@@ -380,6 +381,23 @@ def test_model_load_errors(tmp_path):
     truncated.write_text("greektag-model 1\nlambdas 1.0 0.0 0.0\n")
     with pytest.raises(FormatError):
         Model.load(truncated)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_model_loader_fuzz(toy_model, tmp_path_factory, data):
+    """Only a ``GreektagError`` escapes from loading a damaged toy model
+    file, and a model that loads saves a file that loads to the same
+    model."""
+    lines = data.draw(mangled_lines(toy_model.to_lines()))
+    path = tmp_path_factory.getbasetemp() / "fuzz.model"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+    try:
+        model = Model.load(path)
+    except GreektagError:
+        return
+    model.save(path)
+    assert Model.load(path).to_lines() == model.to_lines()
 
 
 def _transition_lines(model, tags, uncounted, stride=11):

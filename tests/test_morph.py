@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from greektag import (
     FormatError,
+    GreektagError,
     Lexicon,
     LexiconEntry,
     RuleSet,
@@ -15,6 +16,7 @@ from greektag import (
 from greektag.morph import _OPERATORS, _expand_pattern
 from greektag.tags import Tag, format_tag
 
+from genmodels import mangled_lines
 from reference import all_tags
 
 PART_GEN = "part:tense=aor,voice=act,case=gen,num=sg,gend=masc"
@@ -446,6 +448,21 @@ def test_lexicon_file_rejects_rows_it_cannot_write(toy_schema, row, message):
     with pytest.raises(FormatError, match=f"my.lexicon: line 2: {message}"):
         Lexicon.from_lines(["y\tstem\t-\tkonj=1", row], toy_schema, RuleSet.empty(),
                            path="my.lexicon")
+
+
+@given(data=st.data())
+def test_lexicon_loader_fuzz(toy_model, toy_schema, data):
+    """Only a ``GreektagError`` escapes from reading damaged toy lexicon
+    lines, and a lexicon that loads writes lines that load to the same
+    lexicon."""
+    rules = toy_model.lexicon.rules
+    lines = data.draw(mangled_lines(toy_model.lexicon.to_lines()))
+    try:
+        lexicon = Lexicon.from_lines(lines, toy_schema, rules, path="f.lexicon")
+    except GreektagError:
+        return
+    again = Lexicon.from_lines(lexicon.to_lines(), toy_schema, rules)
+    assert again.to_lines() == lexicon.to_lines()
 
 
 # -- golden lexical probabilities ------------------------------------------------
