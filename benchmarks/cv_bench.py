@@ -5,11 +5,10 @@ Runs ``greektag.cli.cross_validation`` on a corpus and reports the best
 of ``--repeats`` wall-clock times, split into counting (trigram tables,
 their leave-one-out index and lexicon counts), fitting the
 interpolation weights of every fold (``model.fit_interpolation``),
-normalizing the lexicons (the corpus's once with
-``LexiconCounts.to_lexicon``, then each fold's entries with
-``LexiconCounts.rest_lexicon``) and tagging the held-out sequences (the
-rest is building fold models and taking out and putting back trigram
-counts).
+normalizing the lexicons (``LexiconCounts.to_lexicon``: the corpus's
+once, then each fold's entries from the counts less the fold's) and
+tagging the held-out sequences (the rest is building fold models and
+taking out and putting back trigram counts).
 Next to it, the best time of ``cross_validation_reference`` from ``tests/``, which
 trains every fold from scratch.  The two accuracies must be equal.
 
@@ -35,8 +34,7 @@ from reference import cross_validation_reference  # noqa: E402
 STAGES = {
     "count": [(model, "count_sequences"), (morph, "count_lexicon")],
     "fit": [(model, "fit_interpolation")],
-    "normalize": [(morph.LexiconCounts, "to_lexicon"),
-                  (morph.LexiconCounts, "rest_lexicon")],
+    "normalize": [(morph.LexiconCounts, "to_lexicon")],
     "tag": [(cli, "tag_sequence")],
 }
 

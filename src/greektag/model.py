@@ -397,9 +397,9 @@ def _fold_models(corpus, rules, schema, folds):
     leave-one-out index, and the lexicon counts of each fold, summed
     and normalized once.  For each fold, the fold's counts are taken out
     of the tables, the weights are fitted from the index less the fold,
-    the lexicon is ``LexiconCounts.rest_lexicon``, and the counts go
-    back when the caller asks for the next fold.  A fold model reads the
-    shared tables, so it is valid only until then.
+    the lexicon is ``LexiconCounts.to_lexicon`` less the fold's counts,
+    and the counts go back when the caller asks for the next fold.  A
+    fold model reads the shared tables, so it is valid only until then.
     """
     if rules is None:
         rules = morph.RuleSet.empty()
@@ -432,7 +432,7 @@ def _fold_models(corpus, rules, schema, folds):
             tables.add(seq_counts[i], -1)
         if not tables.counts_after(()).get(ROOT, 0):
             raise ModelError("empty training corpus")
-        lexicon = lexicon_counts.rest_lexicon(held_lexicon, rules, whole)
+        lexicon = lexicon_counts.to_lexicon(rules, schema, held_lexicon, whole)
         yield held, _fitted_model(schema, tables, seq_counts, lexicon, held)
         for i in held:
             tables.add(seq_counts[i])

@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import FormatError, GreektagError, check_distinct, open_utf8
 from .tags import Tag, TagSchema, format_tag
-from .text import PUNCT_CATEGORY, Sequence, is_punct
+from .text import PUNCT_CATEGORY, Sequence, is_comment, is_punct
 
 _EMPTY_PATTERN = "-"
 _PREFIX_CLASS = "@prefix"
@@ -147,10 +148,10 @@ class RuleSet:
         The stem part must stay non-empty, so literals as long as the
         word itself never match.  Longest literals first.
         """
-        found = []
+        found, end = [], len(word)
         for n in self._suffix_lengths:
-            if n < len(word):
-                literal = word[len(word) - n:]
+            if n < end:
+                literal = word[end - n:]
                 rule_ids = self._suffix_ids.get(literal)
                 if rule_ids:
                     found.append((literal, rule_ids))
@@ -187,7 +188,7 @@ class RuleSet:
         prefix_rules = []
         for no, raw in enumerate(lines, start=first_line):
             line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or is_comment(line):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
@@ -310,7 +311,7 @@ class Lexicon:
         seen = set()
         for no, raw in enumerate(lines, start=first_line):
             line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or is_comment(line):
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
@@ -472,12 +473,12 @@ class LexiconCounts:
     """The additive counts behind a trained lexicon.
 
     ``stems``, ``fullforms``, ``suffixes`` and ``rules`` map a form, a
-    suffix literal or a suffix rule index to a ``Counter`` of gold tags.
-    ``classes`` counts (stem, paradigm class) pairs, a class for each
-    rule that admitted a token of the stem, and ``words`` counts (word,
-    gold tag) pairs, which give each word's frequency for the hapax
-    prior.  ``log`` is the training log of the corpus ``count_lexicon``
-    counted, in corpus order; ``add`` leaves it alone.
+    suffix literal or a suffix rule index to a ``Counter`` of gold tags,
+    and ``classes`` maps a stem to a ``Counter`` of paradigm classes, a
+    class for each rule that admitted a token of the stem.  ``words``
+    counts (word, gold tag) pairs, which give each word's frequency for
+    the hapax prior.  ``log`` is the training log of the corpus
+    ``count_lexicon`` counted, in corpus order; ``add`` leaves it alone.
     """
 
     def __init__(self):
@@ -485,84 +486,67 @@ class LexiconCounts:
         self.fullforms = defaultdict(Counter)
         self.suffixes = defaultdict(Counter)
         self.rules = defaultdict(Counter)
-        self.classes = Counter()
+        self.classes = defaultdict(Counter)
         self.words = Counter()
         self.log: list[str] = []
 
     def add(self, other: "LexiconCounts") -> None:
         """Add the counts of ``other`` to these."""
-        for name in ("stems", "fullforms", "suffixes", "rules"):
+        for name in ("stems", "fullforms", "suffixes", "rules", "classes"):
             table = getattr(self, name)
             for key, counts in getattr(other, name).items():
                 table[key].update(counts)
-        self.classes.update(other.classes)
         self.words.update(other.words)
 
-    def to_lexicon(self, rules: RuleSet, schema: TagSchema) -> "Lexicon":
+    def to_lexicon(self, rules: RuleSet, schema: TagSchema,
+                   part: "LexiconCounts | None" = None,
+                   whole: "Lexicon | None" = None) -> "Lexicon":
         """Normalize the counts into a lexicon: every table becomes
         conditional distributions by relative frequency, including the
         per-rule tag weights and the prior over hapax legomena (over
-        all tokens when no word occurs once)."""
-        classes = defaultdict(set)
-        for stem, klass in self.classes:
-            classes[stem].add(klass)
-        stems = [LexiconEntry(form, frozenset(classes[form]), _distribution(self.stems[form]))
-                 for form in sorted(self.stems)]
-        fullforms = [LexiconEntry(form, frozenset(), _distribution(self.fullforms[form]))
-                     for form in sorted(self.fullforms)]
-        suffix_probs = {literal: dict(_distribution(self.suffixes[literal]))
-                        for literal in sorted(self.suffixes)}
-        trained_rules = RuleSet(
-            [
-                SuffixRule(rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
-                           dict(_distribution(self.rules[idx])) if idx in self.rules
-                           else rule.tag_probs)
-                for idx, rule in enumerate(rules.suffix_rules)
-            ],
-            rules.prefix_rules,
-        )
-        return Lexicon(schema, trained_rules, stems, fullforms, suffix_probs,
-                       _hapax_prior(self.words), self.log)
+        all tokens when no word occurs once).  ``rules`` is the rule
+        file the counts were made with.
 
-    def rest_lexicon(self, part: "LexiconCounts", rules: RuleSet,
-                     whole: "Lexicon") -> "Lexicon":
-        """``to_lexicon`` of these counts less those of ``part``, whose
-        counts must be part of them, but without a training log.
-        ``whole`` is the lexicon of these counts and ``rules`` the rule
-        file it was trained with.  Only the entries of ``part``'s keys
-        and the hapax prior are normalized again; the others are
-        ``whole``'s.  A rule the rest does not count goes back to its
-        weights in ``rules``.  Neither the counts nor ``whole`` change."""
-        stems, fullforms = dict(whole.stems), dict(whole.fullforms)
-        suffix_probs, suffix_rules = dict(whole.suffix_probs), list(whole.rules.suffix_rules)
-        for form, counts in part.stems.items():
-            rest = _less(self.stems[form], counts)
-            if rest:
-                classes = frozenset(k for k in stems[form].paradigm_classes
-                                    if self.classes[form, k] > part.classes[form, k])
-                stems[form] = LexiconEntry(form, classes, _distribution(rest))
-            else:
-                del stems[form]
-        for form, counts in part.fullforms.items():
-            rest = _less(self.fullforms[form], counts)
-            if rest:
-                fullforms[form] = LexiconEntry(form, frozenset(), _distribution(rest))
-            else:
-                del fullforms[form]
-        for literal, counts in part.suffixes.items():
-            rest = _less(self.suffixes[literal], counts)
-            if rest:
-                suffix_probs[literal] = dict(_distribution(rest))
-            else:
-                del suffix_probs[literal]
-        for idx, counts in part.rules.items():
-            rest, rule = _less(self.rules[idx], counts), suffix_rules[idx]
-            suffix_rules[idx] = SuffixRule(
-                rule.pattern, rule.paradigm_class, rule.tags, rule.literals,
-                dict(_distribution(rest)) if rest else rules.suffix_rules[idx].tag_probs)
-        return Lexicon(whole.schema, RuleSet(suffix_rules, rules.prefix_rules),
-                       stems.values(), fullforms.values(), suffix_probs,
-                       _hapax_prior(_less(self.words, part.words)))
+        With ``part``, counts that must be part of these, and ``whole``,
+        the lexicon of these counts, the lexicon is that of these counts
+        less ``part``'s, without a training log: only the entries of
+        ``part``'s keys and the hapax prior are normalized again, the
+        others are ``whole``'s.  An entry with no counts left is
+        dropped, and a rule with none goes back to its weights in
+        ``rules``.  Neither the counts nor ``whole`` change."""
+        if (part is None) != (whole is None):
+            raise ValueError("part and whole are given together or not at all")
+        keys, base = (self, Lexicon(schema, rules)) if part is None else (part, whole)
+
+        def left(name, key):  # counts of ``key`` in table ``name`` less part's
+            counts = getattr(self, name)[key]
+            held = getattr(part, name).get(key) if part else None
+            return _less(counts, held) if held else counts
+
+        def normalized(name, entries, make):  # held: part's table, or these counts'
+            entries, mine, held = dict(entries), getattr(self, name), getattr(keys, name)
+            for key in held:
+                if counts := mine[key] if part is None else _less(mine[key], held[key]):
+                    entries[key] = make(key, _distribution(counts))
+                else:
+                    del entries[key]
+            return entries
+
+        stems = normalized("stems", base.stems, lambda form, probs: LexiconEntry(
+            form, frozenset(left("classes", form)), probs))
+        fullforms = normalized("fullforms", base.fullforms,
+                               lambda form, probs: LexiconEntry(form, frozenset(), probs))
+        suffix_probs = normalized("suffixes", base.suffix_probs, lambda _, probs: dict(probs))
+        suffix_rules = list(base.rules.suffix_rules)
+        for idx in keys.rules:
+            r, counts = rules.suffix_rules[idx], left("rules", idx)
+            suffix_rules[idx] = SuffixRule(r.pattern, r.paradigm_class, r.tags, r.literals,
+                                           dict(_distribution(counts))) if counts else r
+        words = self.words if part is None else _less(self.words, part.words)
+        lexicon = Lexicon(schema, RuleSet(suffix_rules, rules.prefix_rules), (), (),
+                          suffix_probs, _hapax_prior(words), self.log if part is None else ())
+        lexicon.stems, lexicon.fullforms = stems, fullforms  # already keyed by form
+        return lexicon
 
 
 def _distribution(counter: dict) -> tuple[tuple[Tag, float], ...]:
@@ -582,7 +566,7 @@ def _hapax_prior(words: dict) -> dict[Tag, float]:
     """The tag distribution of the hapax legomena of the (word, gold
     tag) counts ``words``, the words seen once; with none, that of
     every token."""
-    tags_of = Counter(word for word, _ in words)
+    tags_of = Counter(map(itemgetter(0), words))
     hapax = Counter(gold for (word, gold), n in words.items()
                     if n == 1 and tags_of[word] == 1)
     if not hapax:
@@ -634,7 +618,7 @@ def count_lexicon(corpus: list[Sequence], rules: RuleSet,
         counts.stems[stem][gold] += n
         counts.suffixes[literal][gold] += n
         for rid in admitting:
-            counts.classes[(stem, rules.suffix_rules[rid].paradigm_class)] += n
+            counts.classes[stem][rules.suffix_rules[rid].paradigm_class] += n
             counts.rules[rid][gold] += n
     if unsegmented:
         counts.log = [

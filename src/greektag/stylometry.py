@@ -167,14 +167,7 @@ def render_table(report: DeviationReport) -> str:
     """Aligned plain-text table: categories as rows, texts as columns,
     chi-square cells, and a final row with the standardized scores."""
     headers = ["category"] + list(report.texts)
-    rows = []
-    for j, cat in enumerate(report.categories):
-        rows.append([cat] + [f"{report.chi2[i, j]:.4g}" for i in range(len(report.texts))])
-    rows.append(["alpha"] + [str(a) for a in report.alpha])
-    if report.rho is None:
-        rows.append(["rho"] + ["undef"] * len(report.texts))
-    else:
-        rows.append(["rho"] + [f"{r:.4g}" for r in report.rho])
+    rows = _rows(report, "{:.4g}".format)
     widths = [max(len(headers[c]), *(len(r[c]) for r in rows)) for c in range(len(headers))]
     out = []
 
@@ -205,16 +198,20 @@ def render_table(report: DeviationReport) -> str:
 def render_csv(report: DeviationReport) -> str:
     """Machine-readable report: chi-square matrix plus alpha and rho rows."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category"] + list(report.texts))
-    for j, cat in enumerate(report.categories):
-        writer.writerow([cat] + [repr(report.chi2[i, j].item()) for i in range(len(report.texts))])
-    writer.writerow(["alpha"] + [str(a) for a in report.alpha])
-    if report.rho is None:
-        writer.writerow(["rho"] + ["undef"] * len(report.texts))
-    else:
-        writer.writerow(["rho"] + [repr(r) for r in report.rho])
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["category"] + list(report.texts)] + _rows(report, repr))
     return buf.getvalue()
+
+
+def _rows(report: DeviationReport, cell) -> list[list[str]]:
+    """A row per category, then the ``alpha`` and ``rho`` rows, with
+    each chi-square and rho score written by ``cell``."""
+    n = len(report.texts)
+    rows = [[cat] + [cell(report.chi2[i, j].item()) for i in range(n)]
+            for j, cat in enumerate(report.categories)]
+    rows.append(["alpha"] + [str(a) for a in report.alpha])
+    rows.append(["rho"] + (["undef"] * n if report.rho is None else [cell(r) for r in report.rho]))
+    return rows
 
 
 def render_report(report: DeviationReport) -> tuple[str, str]:

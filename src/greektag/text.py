@@ -104,7 +104,14 @@ def tokenize(text: str) -> list[Sequence]:
 # -- annotated corpus format ----------------------------------------------
 #
 # UTF-8 text, one `surface<TAB>tag` per line, blank line ends a sequence,
-# `#` starts a comment line.
+# and a line that starts with `#` and holds no tab is a comment.
+
+
+def is_comment(line: str) -> bool:
+    """Whether ``line`` of a corpus, rule or lexicon file is a comment:
+    it starts with ``#`` and holds no tab, so the row of a ``#`` token
+    or form is data."""
+    return line.startswith("#") and "\t" not in line
 
 
 def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence]:
@@ -126,13 +133,13 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
 
     for no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
-        if line.startswith("#"):
-            continue
         if not line.strip():
             close()
             continue
         fields = line.split("\t")
         if len(fields) != 2:
+            if is_comment(line):  # holds no tab, so never two fields
+                continue
             raise FormatError(
                 f"expected 2 tab-separated fields, got {len(fields)}", path, no
             )

@@ -280,7 +280,7 @@ def _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus, n=100):
 
 
 def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
-    """``rest_lexicon`` of a corpus's lexicon counts less a fold's writes
+    """``to_lexicon`` of a corpus's lexicon counts less a fold's writes
     the lexicon and rule lines of ``train_lexicon`` of the rest, byte for
     byte, without a training log, and leaves the counts and the corpus's
     lexicon as they were."""
@@ -300,7 +300,7 @@ def test_lexicon_subtraction_round_trip(toy_corpus, toy_rules, toy_schema):
             held = set(range(start, len(corpus), 3))
             rest = [seq for i, seq in enumerate(corpus) if i not in held]
             fold = count_lexicon([corpus[i] for i in sorted(held)], rules, schema)
-            got = counts.rest_lexicon(fold, rules, whole)
+            got = counts.to_lexicon(rules, schema, fold, whole)
             want = train_lexicon(rest, rules, schema)
             assert got.to_lines() == want.to_lines()
             assert got.rules.to_lines() == want.rules.to_lines()
@@ -334,16 +334,17 @@ def test_each_fold_normalizes_only_its_own_keys(toy_corpus, toy_rules, toy_schem
     calls = []
     real = morph._distribution
     monkeypatch.setattr(morph, "_distribution", lambda *a: calls.append(1) or real(*a))
-    per_fold = []  # _distribution calls of each rest_lexicon
-    rest_lexicon = LexiconCounts.rest_lexicon
+    per_fold = []  # _distribution calls of each fold's to_lexicon
+    to_lexicon = LexiconCounts.to_lexicon
 
-    def counted(*args):
+    def counted(counts, rules, schema, part=None, whole=None):
         calls.clear()
-        lexicon = rest_lexicon(*args)
-        per_fold.append(len(calls))
+        lexicon = to_lexicon(counts, rules, schema, part, whole)
+        if part is not None:
+            per_fold.append(len(calls))
         return lexicon
 
-    monkeypatch.setattr(LexiconCounts, "rest_lexicon", counted)
+    monkeypatch.setattr(LexiconCounts, "to_lexicon", counted)
     rng = np.random.default_rng(31)
     for schema, rules, corpus in _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus):
         if len(corpus) < 3:

@@ -342,6 +342,20 @@ def test_model_file_round_trip(toy_corpus, toy_rules, toy_schema, smooth, tmp_pa
     assert again.stats.trigram_counts == model.stats.trigram_counts
 
 
+def test_model_with_hash_form_round_trips(toy_corpus, toy_rules, toy_schema, tmp_path):
+    """A corpus row ``#<TAB>punct`` is a token, not a comment: the model
+    trained on it has a ``#`` full form, and its file loads to the same
+    lines."""
+    corpus = toy_corpus + read_annotated_corpus(
+        io.StringIO("λόγος\tsubs:case=nom,num=sg,gend=masc\n#\tpunct\n.\tpunct\n"), toy_schema)
+    assert [t.surface for t in corpus[-1].tokens] == ["λόγος", "#", "."]
+    model = train(corpus, toy_rules, toy_schema)
+    assert "#" in model.lexicon.fullforms
+    path = tmp_path / "m"
+    model.save(path)
+    assert Model.load(path).to_lines() == model.to_lines()
+
+
 #: sha256 of the model file trained on ``_deep_chain_corpus()`` with the
 #: built-in schema
 DEEP_CHAIN_MODEL_SHA256 = "468cac6c15bc29ffc0513a238d7ffba8d95ee978cd7fe7f79e9758ca775c9239"

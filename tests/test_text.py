@@ -13,6 +13,7 @@ from greektag import (
     Token,
     normalize,
     read_annotated_corpus,
+    tag_corpus,
     tokenize,
     write_annotated_corpus,
 )
@@ -151,6 +152,17 @@ def test_read_skips_comments_and_extra_blank_lines(toy_schema):
     text = "# c\n\n\na\tkonj\n\n\n# c2\nb\tkonj\n"
     seqs = read_annotated_corpus(io.StringIO(text), toy_schema)
     assert [len(s) for s in seqs] == [1, 1]
+
+
+def test_hash_token_survives_tag_write_read(toy_model, toy_schema):
+    """A ``#`` token is tagged, written as ``#<TAB>tag`` and read back as a
+    token: a line is a comment only when it holds no tab."""
+    tagged = tag_corpus(toy_model, tokenize("λόγος # λόγος ."))
+    assert [t.surface for t in tagged[0].tokens] == ["λόγος", "#", "λόγος", "."]
+    buf = io.StringIO()
+    write_annotated_corpus(buf, tagged)
+    assert "#\tpunct\n" in buf.getvalue()
+    assert read_annotated_corpus(io.StringIO(buf.getvalue()), toy_schema) == tagged
 
 
 def test_read_rejects_empty_feature_list(toy_schema):
