@@ -42,74 +42,72 @@ class LeaveOneOut:
     trigram counts of each sequence (``index[i]``), and every count
     deleted interpolation reads, as flat arrays.
 
-    Every count key the fit reads has an int id: the order-1 counts of a
-    tag's root, category and full prefix, the order-2 counts of its root
-    and full prefix after h1, the order-3 counts of each of its prefixes
-    after (h2, h1), and the category-local and global feature counts.
-    ``corpus[k]`` is key k's count over the corpus; ``pair_seq``,
-    ``pair_key`` and ``pair_own`` give each sequence's own count of each
-    key it touches.  An observation, a distinct trigram (a, b, t) of a
-    sequence with its count n, becomes an order row (unigram, bigram,
-    trigram level) and a chain row per feature value of t (specific,
-    category-local, global level): per level, a numerator and a
-    denominator key id with the sequence's own counts of both.  Rows
-    keep the observation order of the sequences and their trigrams.
-    Counts are float64, exact below 2**53.
+    A count is keyed by a history and a key id of the tables, as in
+    ``_Tables.pre``, coded as one int; ``keys`` holds, in increasing
+    order, the codes of the keys that ``_Tables.add`` counts.
+    ``corpus[k]`` is the count of ``keys[k]`` over the corpus;
+    ``pair_seq``, ``pair_key`` and ``pair_own`` give each sequence's
+    own count of each key it touches.  An observation, a distinct
+    trigram (a, b, t) of a sequence with its count n, becomes an order
+    row (unigram, bigram, trigram level) and a chain row per feature
+    value of t (specific, category-local, global level): per level, a
+    numerator and a denominator key with the sequence's own counts of
+    both.  Rows keep the observation order of the sequences and their
+    trigrams.  Counts are float64, exact below 2**53.
     """
 
     def __init__(self, tables, seq_counts):
         self._counts = seq_counts
-        # per tag id, its prefix ids and its feature keys' ids, as runs
+        # per tag id, its prefix ids and its backoff key ids, as runs
         n_pre = np.array([len(p) for p in tables.prefixes], np.int64)
         pre = np.fromiter(chain.from_iterable(tables.prefixes), np.int64)
+        feat = np.fromiter(chain.from_iterable(tables.features), np.int64)
         pre_at = np.cumsum(n_pre) - n_pre
         feat_at = 3 * (pre_at - 2 * np.arange(len(n_pre)))
-        none, n_prefixes = len(n_pre), len(tables.prefix_id)  # none: no history tag
+        none, n_ids = len(n_pre), len(tables.key_id)  # none: no history tag
 
-        def code(h2, h1, p):  # a prefix count key as an int, unique per key
-            return (h2 * (none + 1) + h1) * n_prefixes + p
-
-        names: dict = {}  # feature keys take the codes after every prefix key's
-        feat = (none + 1) ** 2 * n_prefixes + np.array(
-            [names.setdefault(key, len(names)) for features in tables.features
-             for vkey, feature, ukey in features for key in (vkey, ukey, feature)], np.int64)
+        def code(h2, h1, k):  # a count key as an int, unique per (h2, h1, key id)
+            return (h2 * (none + 1) + h1) * n_ids + k
 
         a, b, t = np.fromiter(chain.from_iterable(chain.from_iterable(seq_counts)),
                               np.int64).reshape(-1, 3).T
         n = np.fromiter(chain.from_iterable(c.values() for c in seq_counts), np.float64)
         seq = np.repeat(np.arange(len(seq_counts)), [len(c) for c in seq_counts])
-        obs, root = np.arange(len(n)), np.full(len(n), code(none, none, ROOT))
         links = n_pre[t] - 2
-        category, full = pre[pre_at[t] + 1], pre[pre_at[t] + n_pre[t] - 1]
 
-        # the keys each observation counts under, once each: a tag
-        # without features has its category for its full prefix
-        r3, j3 = _runs(links + 2)
+        # the keys each observation counts under, as _Tables.add counts
+        # them: each prefix of t after (a, b), after b and after (), and
+        # t's backoff keys after ()
+        rp, jp = _runs(n_pre[t])
         rf, jf = _runs(3 * links)
-        featured = np.flatnonzero(links)
-        touched = np.concatenate([r3, obs, obs, obs, obs, featured, rf])
-        keys, key = _distinct(np.concatenate([
-            code(a[r3], b[r3], pre[pre_at[t[r3]] + j3]), code(none, b, ROOT), code(none, b, full),
-            root, code(none, none, category), code(none, none, full[featured]),
-            feat[feat_at[t[rf]] + jf]]))
-        n_keys = max(len(keys), 1)
+        p = pre[pre_at[t[rp]] + jp]
+        touched = np.concatenate([rp, rp, rp, rf])
+        self.keys, key = _distinct(np.concatenate([
+            code(a[rp], b[rp], p), code(none, b[rp], p), code(none, none, p),
+            code(none, none, feat[feat_at[t[rf]] + jf])]))
+        keys, n_keys = self.keys, max(len(self.keys), 1)
         pairs, pair = _distinct(seq[touched] * n_keys + key)
         self.pair_own = np.bincount(pair, weights=n[touched])
         self.pair_seq, self.pair_key = np.divmod(pairs, n_keys)
         self.corpus = np.bincount(self.pair_key, weights=self.pair_own, minlength=n_keys)
 
         def rows(levels, row_seq, row_n):
-            ids = np.searchsorted(keys, np.stack(levels, axis=1).reshape(-1, 3, 2))
+            levels = np.stack(np.broadcast_arrays(*levels), axis=1)
+            ids = np.searchsorted(keys, levels.reshape(-1, 3, 2))
             own = self.pair_own[np.searchsorted(pairs, row_seq[:, None, None] * n_keys + ids)]
             return ids, own, row_seq, row_n
 
-        self.order_rows = rows([code(none, none, full), root, code(none, b, full),
-                                code(none, b, ROOT), code(a, b, full), code(a, b, ROOT)], seq, n)
+        # a tag without features has its category for its full prefix
+        full = pre[pre_at[t] + n_pre[t] - 1]
+        self.order_rows = rows([code(none, none, full), code(none, none, ROOT),
+                                code(none, b, full), code(none, b, ROOT),
+                                code(a, b, full), code(a, b, ROOT)], seq, n)
         rc, jc = _runs(links)
         ac, bc, at, ft = a[rc], b[rc], pre_at[t[rc]], feat_at[t[rc]] + 3 * jc
         self.chain_rows = rows([code(ac, bc, pre[at + jc + 2]), code(ac, bc, pre[at + jc + 1]),
-                                feat[ft], code(none, none, pre[at + 1]),
-                                feat[ft + 1], feat[ft + 2]], seq[rc], n[rc])
+                                code(none, none, feat[ft]), code(none, none, pre[at + 1]),
+                                code(none, none, feat[ft + 1]), code(none, none, feat[ft + 2])],
+                               seq[rc], n[rc])
 
     def __len__(self) -> int:
         return len(self._counts)

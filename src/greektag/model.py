@@ -28,6 +28,7 @@ from .tags import (
     _Tables,
     format_tag,
 )
+from .text import _tab_rows
 
 NEG_INF = float("-inf")
 #: Upper bound on the float64 cells held by one model's transition block
@@ -317,12 +318,7 @@ class Model:
             return BOUNDARY if s == BOUNDARY_CATEGORY else schema.parse(s)
 
         trigram_counts: dict = {}
-        for no, line in enumerate(sections["trigrams"], start=starts["trigrams"] + 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"bad trigram row {line!r}", path, no)
+        for no, fields in _tab_rows(sections["trigrams"], 4, path, starts["trigrams"] + 1):
             try:
                 key = (parse_tag(fields[0]), parse_tag(fields[1]), parse_tag(fields[2]))
             except TagError as exc:

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .errors import FormatError, GreektagError, check_distinct, open_utf8
 from .tags import Tag, TagSchema, format_tag
-from .text import PUNCT_CATEGORY, Sequence, is_comment, is_punct
+from .text import PUNCT_CATEGORY, Sequence, _tab_rows, is_punct
 
 _EMPTY_PATTERN = "-"
 _PREFIX_CLASS = "@prefix"
@@ -186,16 +186,7 @@ class RuleSet:
     def from_lines(cls, lines, schema: TagSchema, path=None, first_line=1) -> "RuleSet":
         suffix_rules = []
         prefix_rules = []
-        for no, raw in enumerate(lines, start=first_line):
-            line = raw.rstrip("\n")
-            if not line.strip() or is_comment(line):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(
-                    f"expected 3 tab-separated fields, got {len(fields)}", path, no
-                )
-            pattern, klass, tagfield = fields
+        for no, (pattern, klass, tagfield) in _tab_rows(lines, 3, path, first_line):
             literals = _expand_pattern(pattern, path, no)
             if klass == _PREFIX_CLASS:
                 if tagfield not in ("strip", "keep"):
@@ -309,16 +300,7 @@ class Lexicon:
         suffix_probs = {}
         hapax_prior = {}
         seen = set()
-        for no, raw in enumerate(lines, start=first_line):
-            line = raw.rstrip("\n")
-            if not line.strip() or is_comment(line):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(
-                    f"expected 4 tab-separated fields, got {len(fields)}", path, no
-                )
-            form, kind, cls_field, body = fields
+        for no, (form, kind, cls_field, body) in _tab_rows(lines, 4, path, first_line):
             if not form:
                 raise FormatError("empty form", path, no)
             classes = frozenset() if cls_field == "-" else frozenset(cls_field.split(","))

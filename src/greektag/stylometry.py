@@ -116,38 +116,23 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
     )
     grand = counts.sum(axis=0)
     grand_total = int(totals.sum())
-
-    kept = []
-    dropped = []
-    for j, cat in enumerate(categories):
-        degenerate_pool = grand[j] in (0, grand_total)
-        if exclude_self:
-            rest = grand[j] - counts[:, j]
-            rest_total = grand_total - totals
-            degenerate_pool = degenerate_pool or any(
-                r in (0, rt) for r, rt in zip(rest, rest_total)
-            )
-        (dropped if degenerate_pool else kept).append(j)
-    if not kept:
+    # each text's pool and its total: the group's, or the other texts'
+    pool, pool_total = grand[None, :], np.array([[grand_total]])
+    if exclude_self:
+        pool, pool_total = grand - counts, (grand_total - totals)[:, None]
+    kept = ~((pool == 0) | (pool == pool_total)).any(axis=0)
+    if not kept.any():
         raise GreektagError("no category has a usable pooled probability")
-    dropped_names = tuple(categories[j] for j in dropped)
-    categories = tuple(categories[j] for j in kept)
+    dropped_names = tuple(c for c, k in zip(categories, kept) if not k)
+    categories = tuple(c for c, k in zip(categories, kept) if k)
     counts = counts[:, kept]
-    grand = grand[kept]
+    probs = np.broadcast_to(pool[:, kept] / pool_total, counts.shape)
+    # one call per cell: an array formula would square by x*x, not pow
+    chi2 = np.array([[chi_square_cell(int(m), int(n), p) for m, p in zip(row, prow)]
+                     for row, n, prow in zip(counts, totals, probs)])
+    pooled = dict(zip(categories, grand[kept] / grand_total))
 
-    n_texts = len(group)
-    chi2 = np.zeros((n_texts, len(categories)))
-    pooled = {}
-    for j, cat in enumerate(categories):
-        for i in range(n_texts):
-            if exclude_self:
-                p = (grand[j] - counts[i, j]) / (grand_total - totals[i])
-            else:
-                p = grand[j] / grand_total
-            chi2[i, j] = chi_square_cell(int(counts[i, j]), int(totals[i]), p)
-        pooled[cat] = grand[j] / grand_total
-
-    alpha = tuple(int((chi2[i] >= threshold).sum()) for i in range(n_texts))
+    alpha = tuple(int((row >= threshold).sum()) for row in chi2)
     mu = float(np.mean(alpha))
     sigma = float(np.sqrt(np.mean((np.array(alpha, dtype=float) - mu) ** 2)))
     if sigma == 0.0:

@@ -273,71 +273,72 @@ def _tag_prefixes(tag: Tag) -> list[tuple[str, ...]]:
     return out
 
 
-def _feature_keys(tag: Tag) -> tuple:
-    """Per feature-value pair of ``tag``, its keys in the category-local
-    and global tables: ((cat, f, v), f, (f, v))."""
-    return tuple(((tag.category, f, v), f, (f, v)) for f, v in tag.features)
+def _backoff_keys(tag: Tag) -> list[tuple]:
+    """Per feature-value pair (f, v) of ``tag``, its category-local,
+    global and feature-total backoff keys, flat: (0, category, f, v),
+    (1, f, v), (2, f).  Each leads with an int, so none equals a chain
+    prefix."""
+    cat = tag.category
+    return [key for f, v in tag.features for key in ((0, cat, f, v), (1, f, v), (2, f))]
 
 
-#: Prefix id of the root chain prefix (), which every tag extends.
+#: Key id of the root chain prefix (), which every tag extends.
 ROOT = 0
 
-#: The prefix counts of a history that was never counted; read-only, so
+#: The counts of a history that was never counted; read-only, so
 #: scoring an unseen history inserts nothing.
 _NO_COUNTS = MappingProxyType({})
 
 
-def _prefix_counts():
+def _key_counts():
     return defaultdict(int)
 
 
-def _freq(counts, prefix, parent):
-    """``counts[prefix] / counts[parent]`` over the prefix counts of one
-    history; None on a zero denominator."""
+def _freq(counts, key, parent):
+    """``counts[key] / counts[parent]`` over the counts of one history;
+    None on a zero denominator."""
     den = counts.get(parent, 0)
-    return counts.get(prefix, 0) / den if den else None
+    return counts.get(key, 0) / den if den else None
 
 
 class _Tables:
     """Count tables derived from full-tag trigram counts, on integer keys.
 
-    Every tag is interned to a dense int (``tag_id``) when it is first
-    counted or scored, and every chain prefix of such a tag to an int
-    (``prefix_id``; the root prefix () is ``ROOT``); ``prefixes[i]`` holds the
-    prefix ids of tag ``i``, root first, and ``features[i]`` the string
-    keys of its feature-value pairs in the category-local and global
-    tables.  ``tri`` maps id triples (h2, h1, t) to their counts.
-    ``pre[o]`` maps a history of o-1 tag ids to its prefix counts
-    ``{prefix id: count}`` at order ``o`` (order 1 is ``pre[1][()]``), so
-    the root entry counts the positions that carry the history.
-    ``catfeat``/``featuni`` hold the category-local and global
-    feature-value counts used as backoff levels inside the chain; every
-    counted tag carries all the features of its category, so a
-    category's count is its local denominator.  A tag with no counts
-    reads zero everywhere.
+    Every tag is interned to a dense int (``tag_id``; ``tags[i]`` is the
+    tag of id i) when it is first counted or scored, and every count key
+    of such a tag to an int in one id space (``key_id``): its chain
+    prefixes (the root prefix () is ``ROOT``) and the backoff keys of
+    its feature-value pairs.  ``prefixes[i]`` holds the prefix ids of
+    tag ``i``, root first, and ``features[i]`` its backoff key ids, per
+    feature value its category-local, global and feature-total key.
+    ``tri`` maps id triples (h2, h1, t) to their counts.  ``pre[o]``
+    maps a history of o-1 tag ids to its counts ``{key id: count}`` at
+    order ``o``: the prefix counts after the history, so the root entry
+    counts the positions that carry it, and at order 1 (``pre[1][()]``)
+    the backoff counts too.  Every counted tag carries all the features
+    of its category, so a category's count is its local denominator.  A
+    tag with no counts reads zero everywhere.
     """
 
     def __init__(self, trigram_counts):
         self.tag_id: dict[Tag, int] = {}
-        self.prefix_id: dict[tuple[str, ...], int] = {(): ROOT}
+        self.tags: list[Tag] = []
+        self.key_id: dict[tuple, int] = {(): ROOT}
         self.prefixes: list[tuple[int, ...]] = []
-        self.features: list[tuple] = []
+        self.features: list[tuple[int, ...]] = []
         self.tri = defaultdict(int)
-        self.pre = {o: defaultdict(_prefix_counts) for o in (1, 2, 3)}
-        self.catfeat = defaultdict(int)
-        self.featuni = defaultdict(int)
-        self.featuni_ctx = defaultdict(int)
+        self.pre = {o: defaultdict(_key_counts) for o in (1, 2, 3)}
         self.add({tuple(map(self.intern, key)): n for key, n in trigram_counts.items()})
 
     def intern(self, tag: Tag) -> int:
         """The id of ``tag``, assigning the next one on first sight."""
         i = self.tag_id.get(tag)
         if i is None:
-            i = self.tag_id[tag] = len(self.prefixes)
-            self.prefixes.append(tuple(
-                self.prefix_id.setdefault(p, len(self.prefix_id)) for p in _tag_prefixes(tag)
-            ))
-            self.features.append(_feature_keys(tag))
+            i = self.tag_id[tag] = len(self.tags)
+            self.tags.append(tag)
+            ids = self.key_id
+            self.prefixes.append(tuple(ids.setdefault(k, len(ids)) for k in _tag_prefixes(tag)))
+            self.features.append(tuple(ids.setdefault(k, len(ids)) for k in _backoff_keys(tag)))
         return i
 
     def add(self, counts, sign: int = 1) -> None:
@@ -345,23 +346,21 @@ class _Tables:
         to every table; ``sign=-1`` takes them out again."""
         pre2, pre3 = self.pre[2], self.pre[3]
         d1 = self.pre[1][()]
-        catfeat, featuni, featuni_ctx = self.catfeat, self.featuni, self.featuni_ctx
+        prefixes, features = self.prefixes, self.features
         for (a, b, t), n in counts.items():
             n *= sign
             self.tri[(a, b, t)] += n
             d3, d2 = pre3[(a, b)], pre2[(b,)]
-            for p in self.prefixes[t]:
+            for p in prefixes[t]:
                 d3[p] += n
                 d2[p] += n
                 d1[p] += n
-            for vkey, feature, ukey in self.features[t]:
-                catfeat[vkey] += n
-                featuni[ukey] += n
-                featuni_ctx[feature] += n
+            for k in features[t]:
+                d1[k] += n
 
     def counts_after(self, hist):
-        """The prefix counts ``{prefix id: count}`` after the history ids
-        ``hist`` (order len(hist)+1); empty for an unseen history."""
+        """The counts ``{key id: count}`` after the history ids ``hist``
+        (order len(hist)+1); empty for an unseen history."""
         return self.pre[len(hist) + 1].get(hist, _NO_COUNTS)
 
 
@@ -422,13 +421,13 @@ class TransitionStats:
 
     @property
     def trigram_counts(self) -> dict:
-        tags = list(self.tables.tag_id)
+        tags = self.tables.tags
         return {(tags[a], tags[b], tags[t]): n
                 for (a, b, t), n in self.tables.tri.items() if n}
 
     @property
     def observed_tags(self) -> list[Tag]:
-        tags = list(self.tables.tag_id)
+        tags = self.tables.tags
         return sorted({tags[t] for (_, _, t), n in self.tables.tri.items() if n},
                       key=format_tag)
 
@@ -441,19 +440,20 @@ class TransitionStats:
         chain after an unseen history; and P(t), walked at order 1."""
         tb = self.tables
         prefixes = tb.prefixes[t]
+        counts = tb.counts_after(())  # order 1, the backoff counts with it
         keep, floor = self._keep, self.floor
         w1, w2, w3 = self._weights
         unseen = 0.0
         if self.smoothed:  # escape to the category unigram
-            unseen = (keep * _freq(tb.counts_after(()), prefixes[1], ROOT)
-                      + self._category_floor)
+            unseen = keep * _freq(counts, prefixes[1], ROOT) + self._category_floor
         links = []
-        cden = tb.counts_after(()).get(prefixes[1], 0)  # the category's count
-        for prefix, (vkey, feature, ukey) in zip(prefixes[2:], tb.features[t]):
-            # the category-local and global levels; None on a zero denominator
-            uden = tb.featuni_ctx.get(feature, 0)
-            m2 = tb.catfeat.get(vkey, 0) / cden if cden else None
-            m3 = tb.featuni.get(ukey, 0) / uden if uden else None
+        keys = iter(tb.features[t])  # three backoff keys per feature value
+        for (feature, _), prefix, local, glob, total in zip(
+                tb.tags[t].features, prefixes[2:], keys, keys, keys):
+            # the category-local level over the category's count, and the
+            # global level; None on a zero denominator
+            m2 = _freq(counts, local, prefixes[1])
+            m3 = _freq(counts, glob, total)
             nvals = len(self.schema.allowed_values(feature))
             share = floor / nvals
             c2 = c3 = mixed = wsum = 0.0
@@ -472,7 +472,7 @@ class TransitionStats:
             links.append((prefix, c2, c3, wspec, absent, share))
             unseen *= absent  # an unseen history drops every specific level
         chain = (prefixes[1], tuple(links), unseen)
-        (p1,) = self.row(tb.counts_after(()), [chain + (None,)])
+        (p1,) = self.row(counts, [chain + (None,)])
         return chain + (p1,)
 
     def chains(self, ids) -> list[tuple]:

@@ -108,10 +108,27 @@ def tokenize(text: str) -> list[Sequence]:
 
 
 def is_comment(line: str) -> bool:
-    """Whether ``line`` of a corpus, rule or lexicon file is a comment:
-    it starts with ``#`` and holds no tab, so the row of a ``#`` token
-    or form is data."""
+    """Whether ``line`` of a corpus, rule or lexicon file, or of a model
+    section, is a comment: it starts with ``#`` and holds no tab, so the
+    row of a ``#`` token or form is data."""
     return line.startswith("#") and "\t" not in line
+
+
+def _tab_rows(lines, n_fields, path=None, first_line=1):
+    """``(line number, fields)`` of each data row of a rule or lexicon
+    file or a model section, numbered from ``first_line``: blank and
+    comment lines are skipped, and a row that does not split at tabs
+    into ``n_fields`` fields raises ``FormatError``."""
+    for no, raw in enumerate(lines, start=first_line):
+        line = raw.rstrip("\n")
+        if not line.strip() or is_comment(line):
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise FormatError(
+                f"expected {n_fields} tab-separated fields, got {len(fields)}", path, no
+            )
+        yield no, fields
 
 
 def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence]:

@@ -49,6 +49,12 @@ equal every cell of ``Model.transition_block`` byte for byte.
 the ``math.log`` of the word's lexical probability of t, in the
 increment layout of ``greektag._viterbi.viterbi``.
 
+``run_test_reference`` is the chi-square deviation test of
+``greektag.stylometry.run_test`` from the definition: it drops each
+category whose pool is degenerate, category by category, and computes
+each cell's pooled probability on its own, so it must give the same
+chi-square values, repr for repr.
+
 The last two helpers serve the tests, not as oracles: ``all_tags``
 lists every schema-valid tag, and ``rescored`` rebuilds a trained model
 with raw scoring or fixed interpolation weights.
@@ -63,7 +69,7 @@ import numpy as np
 
 from greektag.cli import CV_FOLDS, DEFAULT_SEED
 from greektag.decode import tag_sequence
-from greektag.errors import SearchSpaceError
+from greektag.errors import GreektagError, SearchSpaceError
 from greektag.model import NEG_INF, Model, _instances, train
 from greektag.morph import (
     Lexicon,
@@ -72,6 +78,7 @@ from greektag.morph import (
     SuffixRule,
     _splits,
 )
+from greektag.stylometry import chi_square_cell
 from greektag.tags import (
     BOUNDARY,
     DEFAULT_CHAIN_WEIGHTS,
@@ -457,6 +464,39 @@ def reference_increments(model, tokens):
                     emis = math.log(p) if p > 0.0 else NEG_INF
                     inc.append(reference_log_transition(model, t, b, a) + emis)
     return np.array(inc, np.float64)
+
+
+def run_test_reference(group, threshold, exclude_self):
+    """(categories, dropped categories, chi-square matrix, alpha) of the
+    deviation test of ``group``, cell by cell."""
+    texts = [c.counts for c in group]
+    totals = [sum(c.values()) for c in texts]
+    categories = sorted({cat for c in texts for cat in c})
+    counts = np.array([[c.get(cat, 0) for cat in categories] for c in texts], np.int64)
+    totals = np.array(totals, np.int64)
+    grand = counts.sum(axis=0)
+    grand_total = int(totals.sum())
+    kept, dropped = [], []
+    for j, cat in enumerate(categories):
+        degenerate_pool = grand[j] in (0, grand_total)
+        if exclude_self:
+            rest = grand[j] - counts[:, j]
+            rest_total = grand_total - totals
+            degenerate_pool = degenerate_pool or any(
+                r in (0, rt) for r, rt in zip(rest, rest_total))
+        (dropped if degenerate_pool else kept).append(j)
+    if not kept:
+        raise GreektagError("no category has a usable pooled probability")
+    chi2 = np.zeros((len(texts), len(kept)))
+    for col, j in enumerate(kept):
+        for i in range(len(texts)):
+            if exclude_self:
+                p = (grand[j] - counts[i, j]) / (grand_total - totals[i])
+            else:
+                p = grand[j] / grand_total
+            chi2[i, col] = chi_square_cell(int(counts[i, j]), int(totals[i]), p)
+    alpha = tuple(int((chi2[i] >= threshold).sum()) for i in range(len(texts)))
+    return ([categories[j] for j in kept], [categories[j] for j in dropped], chi2, alpha)
 
 
 def all_tags(schema):

@@ -22,7 +22,7 @@ from greektag.morph import LexiconCounts, count_lexicon, train_lexicon
 from greektag.tags import TransitionStats, format_tag
 
 from genmodels import random_corpus
-from reference import cross_validation_reference, fit_interpolation_reference
+from reference import _TagTables, cross_validation_reference, fit_interpolation_reference
 
 
 def _outcome(fn):
@@ -271,6 +271,72 @@ def test_subtraction_round_trip(toy_corpus, toy_schema):
             tables.add(seq_counts[i])
         assert built() == before
         assert 0 not in tables.tri.values()
+
+
+def _namer(tables):
+    """The function from (order, history ids, key id) to (order, history
+    tags, key) of ``tables``."""
+    key_of = {i: key for key, i in tables.key_id.items()}
+    return lambda order, hist, k: (order, tuple(tables.tags[h] for h in hist), key_of[k])
+
+
+def _table_counts(tables):
+    """Every non-zero count of ``tables`` as ``{(order, history tags,
+    key): count}``."""
+    named = _namer(tables)
+    return {named(order, hist, k): n
+            for order, table in tables.pre.items() for hist, counts in table.items()
+            for k, n in counts.items() if n}
+
+
+def _reference_counts(ref):
+    """The counts of the ``_TagTables`` ``ref`` keyed as ``_table_counts``
+    keys them: a prefix after its history, and at order 1 the
+    category-local, global and feature-total counts of each feature
+    value under (0, category, f, v), (1, f, v) and (2, f)."""
+    out = {(order, key[:-1], key[-1]): n
+           for order, table in ref.pre.items() for key, n in table.items()}
+    for (cat, f, v), n in ref.catfeat.items():
+        # every counted tag of a category carries f: its count is the
+        # category's, the local denominator the tables use
+        assert ref.catfeat_ctx[(cat, f)] == ref.pre[1][((cat,),)]
+        out[(1, (), (0, cat, f, v))] = n
+    out.update({(1, (), (1, f, v)): n for (f, v), n in ref.featuni.items()})
+    out.update({(1, (), (2, f)): n for f, n in ref.featuni_ctx.items()})
+    return out
+
+
+def test_tables_hold_the_reference_counts(toy_corpus):
+    """Every count the tables hold, the feature backoff counts included,
+    equals the count of the tag-keyed reference tables for the same
+    history and key, and no other count is non-zero: after counting the
+    corpus, and again with a fold's counts taken out.  The leave-one-out
+    index holds exactly the corpus counts of the tables, key for key."""
+    rng = np.random.default_rng(11)
+    corpora = [toy_corpus] + [random_corpus(rng)[2] for _ in range(100)]
+    featured = 0
+    for corpus in corpora:
+        seqs = [s.gold_tags for s in corpus]
+        tables, index = count_sequences(seqs)
+        want = _reference_counts(_TagTables(Counter(x for t in seqs for x in _instances(t))))
+        assert _table_counts(tables) == want
+        featured += any(key[:1] == (0,) for _, _, key in want)
+
+        none, n_ids = len(tables.tags), len(tables.key_id)  # as the index codes keys
+        named, indexed = _namer(tables), {}
+        for code, n in zip(index.keys.tolist(), index.corpus.tolist()):
+            (h2, h1), k = divmod(code // n_ids, none + 1), code % n_ids
+            hist = tuple(h for h in (h2, h1) if h != none)
+            indexed[named(len(hist) + 1, hist, k)] = n
+        assert indexed == want
+
+        held = set(rng.choice(len(seqs), size=max(1, len(seqs) // 3), replace=False).tolist())
+        for i in held:
+            tables.add(index[i], -1)
+        rest = [t for i, t in enumerate(seqs) if i not in held]
+        want = _reference_counts(_TagTables(Counter(x for t in rest for x in _instances(t))))
+        assert _table_counts(tables) == want
+    assert featured > 10
 
 
 def _lexicon_cases(rng, toy_schema, toy_rules, toy_corpus, n=100):

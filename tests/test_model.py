@@ -356,6 +356,19 @@ def test_model_with_hash_form_round_trips(toy_corpus, toy_rules, toy_schema, tmp
     assert Model.load(path).to_lines() == model.to_lines()
 
 
+def test_comment_lines_load_in_every_section(toy_model, tmp_path):
+    """A ``#`` comment line loads in every section of a model file, the
+    ``[trigrams]`` section included, and the model reads back to the
+    same lines."""
+    lines = toy_model.to_lines()
+    for section in ("[schema]", "[rules]", "[trigrams]", "[lexicon]"):
+        at = lines.index(section) + 1
+        lines[at:at] = ["# a comment"]
+    path = tmp_path / "m"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert Model.load(path).to_lines() == toy_model.to_lines()
+
+
 #: sha256 of the model file trained on ``_deep_chain_corpus()`` with the
 #: built-in schema
 DEEP_CHAIN_MODEL_SHA256 = "468cac6c15bc29ffc0513a238d7ffba8d95ee978cd7fe7f79e9758ca775c9239"

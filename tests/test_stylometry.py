@@ -22,6 +22,8 @@ from greektag.stylometry import (
 from greektag.tags import Tag
 from greektag.text import Token
 
+from reference import run_test_reference
+
 
 def alpha_pattern_counts(targets, n_cats=20, base=1000, delta=300):
     """Counts engineered so text i has exactly targets[i] significant
@@ -229,6 +231,40 @@ def test_exclude_self_changes_pool():
 
 
 # -- rendering and CSV ------------------------------------------------------------
+
+
+def test_run_test_matches_reference():
+    """On random groups, some of whose categories have a degenerate pool
+    (no word, every word, or only one text's words), ``run_test`` keeps
+    and drops the categories of the cell-by-cell reference and gives the
+    same chi-square values, repr for repr, and the same alpha, in both
+    pooling modes."""
+    rng = np.random.default_rng(5)
+    dropped_any = {False: 0, True: 0}
+    for _ in range(300):
+        n_texts, n_cats = int(rng.integers(3, 7)), int(rng.integers(1, 7))
+        group = []
+        for i in range(n_texts):
+            counts = {f"c{j}": int(rng.integers(0, 30)) * int(rng.random() < 0.7)
+                      for j in range(n_cats)}
+            counts["last"] = 1 + int(rng.integers(0, 5)) * (i == 0)
+            group.append(CategoryCounts(f"t{i}", counts))
+        for exclude_self in (False, True):
+            try:
+                expected = run_test_reference(group, 3.841, exclude_self)
+            except GreektagError as exc:
+                with pytest.raises(GreektagError, match=str(exc)):
+                    run_test(group, exclude_self=exclude_self)
+                continue
+            report = run_test(group, exclude_self=exclude_self)
+            categories, dropped, chi2, alpha = expected
+            assert list(report.categories) == categories
+            assert list(report.dropped_categories) == dropped
+            assert [repr(x) for x in report.chi2.ravel().tolist()] == \
+                [repr(x) for x in chi2.ravel().tolist()]
+            assert report.alpha == alpha
+            dropped_any[exclude_self] += bool(dropped)
+    assert all(dropped_any.values())
 
 
 def test_render_golden(fixtures_dir):
