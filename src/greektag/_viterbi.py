@@ -39,6 +39,7 @@ Instance layout: position ``k`` has ``counts[k]`` candidates and an
 increment block of shape ``(adims[k], bdims[k], counts[k])`` flattened
 at ``off[k]`` inside ``inc``, where ``adims[k]``/``bdims[k]`` are the
 candidate counts two and one positions back (1 at the boundary).
+``layout`` computes these arrays from the candidate counts.
 
 In the max pass, a position whose block is one cell (one candidate
 there and at the two positions before it) offers no choice: its one
@@ -50,7 +51,23 @@ tie.  The tie walk treats the one edge into each such state as tight.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+
+def layout(widths):
+    """``counts``, ``adims``, ``bdims`` and ``off`` of the instance whose
+    position k has ``widths[k]`` candidates, and the list of each
+    position's end offset in ``inc`` (the last is the increment count)."""
+    widths = list(widths)
+    K = len(widths)
+    awidths = ([1, 1] + widths)[:K]
+    bwidths = ([1] + widths)[:K]
+    ends = list(itertools.accumulate(x * y * z for x, y, z in zip(awidths, bwidths, widths)))
+    counts, adims, bdims, off = (np.array(w, np.int64)
+                                 for w in (widths, awidths, bwidths, ([0] + ends)[:K]))
+    return counts, adims, bdims, off, ends
 
 
 def _prune(scores, beam):

@@ -8,9 +8,6 @@ canonical tag strings.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-
 import numpy as np
 
 from . import _viterbi
@@ -29,7 +26,7 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     ``beam > 0`` keeps only the best ``beam`` trellis states per
     position (approximate; exact ties at the cut survive).  A sequence
     whose trellis would hold more than ``MAX_TRELLIS_CELLS`` increments
-    raises ``SearchSpaceError`` before anything is allocated.  A
+    raises ``SearchSpaceError`` before any block is built.  A
     ``beam`` that is not an ``int`` of at least 0 raises ``ValueError``.
     """
     if type(beam) is not int or beam < 0:
@@ -39,18 +36,13 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
         return []
     cands = [model.candidates(tok.norm) for tok in tokens]
 
-    widths = [len(c[1]) for c in cands]
-    awidths = ([1, 1] + widths)[:K]
-    bwidths = ([1] + widths)[:K]
-    ends = list(itertools.accumulate(x * y * z for x, y, z in zip(awidths, bwidths, widths)))
+    counts, adims, bdims, off, ends = _viterbi.layout([len(c[1]) for c in cands])
     if ends[-1] > MAX_TRELLIS_CELLS:
-        k = bisect.bisect_right(ends, MAX_TRELLIS_CELLS)
+        k = next(k for k, end in enumerate(ends) if end > MAX_TRELLIS_CELLS)
         raise SearchSpaceError(
             f"token {k + 1} of the sequence ({tokens[k].surface!r}) takes the "
             f"trellis past {MAX_TRELLIS_CELLS} cells"
         )
-    counts, adims, bdims = (np.array(w, np.int64) for w in (widths, awidths, bwidths))
-    off = np.array([0] + ends[:-1], np.int64)
 
     boundary = (model.boundary_id,)
     blocks = []

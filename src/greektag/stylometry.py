@@ -244,13 +244,9 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
             raise FormatError(f"category {row[0]!r} given twice", path, no)
         seen.add(row[0])
         for i, cell in enumerate(row[1:]):
-            try:
-                value = int(cell)
-            except ValueError:
-                raise FormatError(f"non-integer count {cell!r}", path, no) from None
-            if value < 0:
-                raise FormatError(f"negative count {value}", path, no)
-            per_text[i][row[0]] = value
+            if not (cell.isascii() and cell.isdigit()):
+                raise FormatError(f"count {cell!r} is not a non-negative integer", path, no)
+            per_text[i][row[0]] = int(cell)
     return [CategoryCounts(t, dict(sorted(d.items()))) for t, d in zip(texts, per_text)]
 
 

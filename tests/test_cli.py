@@ -676,6 +676,23 @@ def test_chisq_rejects_repeated_counts_rows(workdir, capsys, edit, line, message
     assert not (workdir / "report.txt").exists()
 
 
+@pytest.mark.parametrize("cell", ["1_000", " 7", "+3", "٣"])
+def test_chisq_rejects_counts_that_are_not_ascii_digits(workdir, capsys, cell):
+    """``int`` reads each of these cells as a count; a counts CSV holds
+    only ASCII digits."""
+    counts_path = workdir / "pattern.csv"
+    _write_pattern_csv(counts_path, (7, 6, 7, 7, 6, 10))
+    rows = counts_path.read_text(encoding="utf-8").splitlines()
+    name, _, rest = rows[1].split(",", 2)
+    rows[1] = f"{name},{cell},{rest}"
+    counts_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {counts_path}: line 2: "
+                   f"count {cell!r} is not a non-negative integer\n")
+    assert not (workdir / "report.txt").exists()
+
+
 def test_chisq_degenerate_exits_0(workdir, capsys):
     from greektag.stylometry import CategoryCounts, save_counts_csv
 

@@ -50,6 +50,22 @@ def test_trellis_bound(toy_model, monkeypatch):
         tag_sequence(toy_model, tokens)
 
 
+def test_trellis_bound_crossed_mid_sequence(toy_model, monkeypatch):
+    """A bound crossed at token 2 of 4 names token 2, from a bound that
+    token 1's block ends exactly at to one cell under token 2's end."""
+    from greektag import decode
+
+    tokens = [Token(w, w, i) for i, w in enumerate(["λόγους", "κωλύσαντος", "παύει", "."])]
+    widths = [1, 1] + [len(toy_model.lexical_probs(t.norm)) for t in tokens]
+    first = widths[0] * widths[1] * widths[2]
+    second = first + widths[1] * widths[2] * widths[3]
+    assert second - first >= 2
+    for cells in (first, second - 1):
+        monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", cells)
+        with pytest.raises(SearchSpaceError, match="token 2 of the sequence .'κωλύσαντος'."):
+            tag_sequence(toy_model, tokens)
+
+
 def test_known_sentence(toy_model, toy_schema):
     seq = Sequence(tuple(Token(w, w, i) for i, w in enumerate(
         ["παιδεύομεν", "λόγους", "."])))
@@ -163,19 +179,6 @@ def test_brute_force_guard():
         brute_force_best(model, tokens, limit=100)
 
 
-def _layout(counts):
-    """adims, bdims, off and the increment count for candidate counts."""
-    K = len(counts)
-    adims = np.array([counts[k - 2] if k >= 2 else 1 for k in range(K)], np.int64)
-    bdims = np.array([counts[k - 1] if k >= 1 else 1 for k in range(K)], np.int64)
-    off = np.zeros(K, np.int64)
-    total = 0
-    for k in range(K):
-        off[k] = total
-        total += adims[k] * bdims[k] * counts[k]
-    return adims, bdims, off, int(total)
-
-
 def _kernel_instances(seed, trials, max_len):
     """Random trellises: tie-heavy, tie-heavy with zero-probability
     (``-inf``) increments, and continuous; beams 0 to 4.  Then long
@@ -186,7 +189,7 @@ def _kernel_instances(seed, trials, max_len):
         K = int(rng.integers(1, max_len + 1))
         width = int(rng.integers(1, 6))
         counts = rng.integers(1, width + 1, K).astype(np.int64)
-        adims, bdims, off, total = _layout(counts)
+        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
         if trial % 3 == 2:
             inc = np.log(rng.random(total))
         else:
@@ -198,7 +201,7 @@ def _kernel_instances(seed, trials, max_len):
     for K, value, beam in ((300, np.log(0.5), 0), (300, -np.inf, 0),
                            (200, np.log(0.5), 3), (200, -np.inf, 2)):
         counts = rng.integers(1, 4, K).astype(np.int64)
-        adims, bdims, off, total = _layout(counts)
+        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
         yield counts, adims, bdims, off, np.full(total, value), beam
 
 
@@ -226,7 +229,7 @@ def _no_choice_instances(seed, trials, max_len):
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         counts = _run_widths(rng, int(rng.integers(1, max_len + 1)), trial % 2 == 0)
-        adims, bdims, off, total = _layout(counts)
+        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
         kind = (trial // 2) % 3
         if kind == 2:
             inc = np.log(rng.random(total))
@@ -238,7 +241,7 @@ def _no_choice_instances(seed, trials, max_len):
     for trial in range(20):
         K = int(rng.integers(150, 301))
         counts = _run_widths(rng, K, trial % 4 == 0)
-        adims, bdims, off, total = _layout(counts)
+        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
         value = -np.inf if trial % 2 else np.log(0.5)
         yield counts, adims, bdims, off, np.full(total, value), trial % 5
 
@@ -283,7 +286,7 @@ def _walks(args, calls):
 def _continuous_instance(rng, K, max_width, beam):
     """Random log-probability increments: no two sums are equal."""
     counts = rng.integers(1, max_width + 1, K).astype(np.int64)
-    adims, bdims, off, total = _layout(counts)
+    counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
     return counts, adims, bdims, off, np.log(rng.random(total)), beam
 
 
@@ -337,7 +340,7 @@ def test_kernel_skips_tie_walk_for_ties_off_best_path(tie_walks):
     # best path 0, 0, 0 scores -3; state (1, 1) at the last position is
     # reached at -7 from both candidates two back
     counts = np.array([2, 2, 2], np.int64)
-    adims, bdims, off, _ = _layout(counts)
+    counts, adims, bdims, off, _ = _viterbi.layout(counts)
     last = np.full((2, 2, 2), -8.0)
     last[0, 0, 0], last[0, 1, 1], last[1, 1, 1] = -1.0, -4.0, -2.0
     inc = np.concatenate([[-1.0, -3.0], [-1.0, -2.0, -1.0, -2.0], last.ravel()])
@@ -377,7 +380,7 @@ def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
     # every path ties: all increments equal, or all -inf
     for trial in range(20):
         counts = _run_widths(rng, int(rng.integers(20, 120)), False)
-        adims, bdims, off, total = _layout(counts)
+        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
         value = -np.inf if trial % 2 else np.log(0.5)
         args = (counts, adims, bdims, off, np.full(total, value), trial % 5)
         assert _walks(args, tie_walks) == 1
