@@ -2,7 +2,7 @@
 """Time the pipeline's stages on one trained model, and check their results.
 
 Trains a model on ``--corpus``, ``--schema`` and ``--rules``, then prints
-four sections in this order, each time the best of ``--repeats``:
+five sections in this order, each time the best of ``--repeats``:
 
 - chain: cold transition scoring.  A hapax run (``HAPAX_WORDS`` and a
   period: W hapax-prior candidates a word, one W³ block) with the
@@ -12,6 +12,9 @@ four sections in this order, each time the best of ``--repeats``:
   to ``cross_validation_reference``, which trains every fold afresh.
 - text: ns per token of ``tokenize`` on the ``--texts`` (default: the
   fixture texts), and of reading and writing them tagged, in memory.
+- fill: a warm ``tag_sequence`` pass over the ``--texts``, split into
+  its stages: candidates, increments lookup, concatenate plus layout,
+  and kernel, with the sizes of the model's two array caches.
 - kernel: ``_viterbi.viterbi`` on a dense trellis per ``--sizes``
   length:width pair, random and all tied (the tie walk's worst case).
 
@@ -19,6 +22,7 @@ Chain runs first so that the hapax run's peak RSS is read before the
 kernel allocates its largest trellis (512:32: 16.8 M cells, 134 MB).
 It exits with an error if a hapax word's candidates are not the whole
 hapax prior, if the cross-validation accuracy is not the reference's,
+if the staged fill pass tags a text otherwise than ``tag_sequence``,
 or if an all-tied trellis does not decode to all zeros.
 
 Usage:
@@ -34,6 +38,7 @@ import resource
 import sys
 import time
 from collections import defaultdict, deque
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +194,52 @@ def text_section(model, paths, repeats):
         print(f"  {name:<24} {best * 1e9 / tokens:8.0f}")
 
 
+def fill_section(model, paths, repeats):
+    texts = [seq.tokens for p in paths for seq in tokenize(Path(p).read_text(encoding="utf-8"))]
+    texts = [tokens for tokens in texts if tokens]
+    tagged = [tag_sequence(model, tokens) for tokens in texts]  # warms every cache
+    boundary = (model.boundary_id,)
+
+    def candidates(_):
+        return [[model.candidates(tok.norm) for tok in tokens] for tokens in texts]
+
+    def increments(_):  # the fill loop of tag_sequence
+        out = []
+        for tokens, cands in zip(texts, staged["candidates"]):
+            prev2 = prev1 = boundary
+            blocks = []
+            for tok, (_, ids, _) in zip(tokens, cands):
+                blocks.append(model.increments(prev2, prev1, tok.norm))
+                prev2, prev1 = prev1, ids
+            out.append(blocks)
+        return out
+
+    def join(_):
+        return [(*_viterbi.layout([len(c[1]) for c in cands])[:4], np.concatenate(blocks))
+                for cands, blocks in zip(staged["candidates"], staged["increments"])]
+
+    def kernel(_):
+        return [_viterbi.viterbi(*instance) for instance in staged["concatenate + layout"]]
+
+    staged, times = {}, {}
+    for name, fn in (("candidates", candidates), ("increments", increments),
+                     ("concatenate + layout", join), ("kernel", kernel)):
+        times[name], staged[name] = best_of(repeats, fn)
+    total, _ = best_of(repeats, lambda _: deque(map(partial(tag_sequence, model), texts), 0))
+    for k, (cands, path) in enumerate(zip(staged["candidates"], staged["kernel"])):
+        if [c[0][i] for c, i in zip(cands, path.tolist())] != tagged[k]:
+            sys.exit(f"the staged fill pass tags sequence {k + 1} otherwise than tag_sequence")
+
+    positions = sum(len(tokens) for tokens in texts)
+    print(f"input: {len(texts)} sequences, {positions} positions; "
+          f"increments cache {len(model._incs)} entries, {model._incs.cells} cells; "
+          f"block cache {len(model._blocks)} blocks, {model._blocks.cells} cells")
+    print(f"warm tag_sequence, best of {repeats}: {total * 1e3:.3f} ms")
+    for name, best in times.items():
+        print(f"  {name:<22} {best * 1e3:.3f} ms")
+    print(f"  {'other':<22} {(total - sum(times.values())) * 1e3:.3f} ms")
+
+
 def dense_instance(rng, length, width, tied=False):
     """The kernel's arguments: ``length`` positions of ``width`` candidates."""
     *arrays, ends = _viterbi.layout([width] * length)
@@ -242,6 +293,7 @@ def main():
         ("chain", lambda: chain_section(model, args.repeats)),
         ("cv", lambda: cv_section(corpus, rules, schema, args.repeats)),
         ("text", lambda: text_section(model, args.texts, args.repeats)),
+        ("fill", lambda: fill_section(model, args.texts, args.repeats)),
         ("kernel", lambda: kernel_section(args.sizes, args.repeats)),
     ):
         print(f"== {title}")

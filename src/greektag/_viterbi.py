@@ -89,9 +89,10 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
     one predecessor (``x = 0``).
     """
     K = len(counts)
-    n0 = int(counts[0])
-    scores = _prune(inc[off[0] : off[0] + n0].reshape(1, n0), beam)
     xs, ys, zs, offs = adims.tolist(), bdims.tolist(), counts.tolist(), off.tolist()
+    scores = inc[offs[0] : offs[0] + zs[0]].reshape(1, zs[0])
+    if beam:
+        scores = _prune(scores, beam)
     steps = [None] * K
 
     for k in range(1, K):
@@ -101,20 +102,23 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
             continue
         block = inc[offs[k] : offs[k] + X * Y * Z].reshape(X, Y, Z)
         if X == 1:  # one predecessor per state: nothing to choose or tie
-            scores = _prune(scores.reshape(Y, 1) + block[0], beam)
-            continue
-        best = (scores[:, :, None] + block).max(axis=0)
-        steps[k] = (scores, block, best)
-        scores = _prune(best, beam)
+            scores = scores.reshape(Y, 1) + block[0]
+        else:
+            best = (scores[:, :, None] + block).max(axis=0)
+            steps[k] = (scores, block, best)
+            scores = best
+        if beam:
+            scores = _prune(scores, beam)
 
     final = scores.ravel().tolist()
     best = max(final)
     if final.count(best) > 1:  # the best final states tie
         return _tie_walk(steps, scores)
     state = final.index(best)
-    out = np.empty(K, np.int32)
+    out = [0] * K
     for k in range(K - 1, 0, -1):
-        y, z = divmod(state, zs[k])
+        Z = zs[k]
+        y, z = divmod(state, Z) if Z > 1 else (state, 0)
         out[k] = z
         x = 0
         if steps[k] is not None:
@@ -127,7 +131,7 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
             x = cand.index(best)
         state = x * ys[k] + y
     out[0] = state
-    return out
+    return np.array(out, np.int32)
 
 
 def _tie_walk(steps, scores):

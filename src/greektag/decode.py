@@ -44,17 +44,16 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
             f"trellis past {MAX_TRELLIS_CELLS} cells"
         )
 
-    boundary = (model.boundary_id,)
+    increments = model.increments
+    prev2 = prev1 = (model.boundary_id,)
     blocks = []
-    for k in range(K):
-        prev2 = cands[k - 2][1] if k >= 2 else boundary
-        prev1 = cands[k - 1][1] if k >= 1 else boundary
-        _, ids, emis = cands[k]
-        blocks.append(model.transition_block(prev2, prev1, ids) + emis)
-    inc = np.concatenate(blocks, axis=None)  # float64: 8 bytes a cell, as the bound assumes
+    for tok, (_, ids, _) in zip(tokens, cands):
+        blocks.append(increments(prev2, prev1, tok.norm))
+        prev2, prev1 = prev1, ids
+    inc = np.concatenate(blocks)  # float64: 8 bytes a cell, as the bound assumes
 
     path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
-    return [cands[k][0][path[k]] for k in range(K)]
+    return [tags[i] for (tags, _, _), i in zip(cands, path.tolist())]
 
 
 def tag_corpus(model: Model, sequences, beam: int = 0) -> list[Sequence]:

@@ -31,8 +31,9 @@ from .tags import (
 from .text import _tab_rows
 
 NEG_INF = float("-inf")
-#: Upper bound on the float64 cells held by one model's transition block
-#: cache (8 MB); the block that would pass it clears the cache first.
+#: Upper bound on the float64 cells held by each of one model's two array
+#: caches, transition blocks and increments (8 MB each); the array that
+#: would pass it clears its cache first, and a larger one is not cached.
 MAX_BLOCK_CACHE_CELLS = 1_000_000
 
 _FORMAT = "greektag-model 1"
@@ -106,6 +107,26 @@ def _header_numbers(header, name, count, path) -> tuple[float, ...]:
     return values
 
 
+class _ArrayCache(dict):
+    """A dict of read-only arrays that holds at most
+    ``MAX_BLOCK_CACHE_CELLS`` cells in all (``cells``)."""
+
+    cells = 0
+
+    def put(self, key, array: np.ndarray) -> np.ndarray:
+        """Make ``array`` read-only and cache it under ``key``, first
+        clearing the cache if it would pass the bound; an array larger
+        than the bound is returned uncached."""
+        array.flags.writeable = False
+        if array.size <= MAX_BLOCK_CACHE_CELLS:
+            if self.cells + array.size > MAX_BLOCK_CACHE_CELLS:
+                self.clear()
+                self.cells = 0
+            self[key] = array
+            self.cells += array.size
+        return array
+
+
 class Model:
     """Immutable trained model: trigram statistics, interpolation
     weights, and the morphological lexicon."""
@@ -123,8 +144,8 @@ class Model:
         self._intern = stats.tables.intern
         #: tag id of the boundary padding before a sequence's first tag
         self.boundary_id = self._intern(BOUNDARY)
-        self._blocks: dict = {}  # (h2 ids, h1 ids, t ids) -> read-only (X, Y, Z) array
-        self._block_cells = 0  # cells held by _blocks
+        self._blocks = _ArrayCache()  # (h2 ids, h1 ids, t ids) -> (X, Y, Z) log transitions
+        self._incs = _ArrayCache()  # (h2 ids, h1 ids, word) -> increments(...)
         self._cands: dict = {}  # word -> candidates(word)
 
     # -- probabilities ------------------------------------------------------
@@ -172,15 +193,24 @@ class Model:
         block = self._blocks.get(key)
         if block is None:
             block = np.array(self._log_probs(prev2_ids, prev1_ids, ids), np.float64)
-            block = block.reshape(len(prev2_ids), len(prev1_ids), len(ids))
-            block.flags.writeable = False
-            if block.size <= MAX_BLOCK_CACHE_CELLS:
-                if self._block_cells + block.size > MAX_BLOCK_CACHE_CELLS:
-                    self._blocks.clear()
-                    self._block_cells = 0
-                self._blocks[key] = block
-                self._block_cells += block.size
+            block = self._blocks.put(key, block.reshape(len(prev2_ids), len(prev1_ids), len(ids)))
         return block
+
+    def increments(self, prev2_ids, prev1_ids, norm: str) -> np.ndarray:
+        """Read-only flat float64 array of the trellis increments of word
+        ``norm`` after candidate ids ``prev2_ids`` and ``prev1_ids``:
+        ``transition_block(prev2_ids, prev1_ids, ids) + emis`` in (h2,
+        h1, t) order, with the word's ``candidates`` ids and log
+        emissions.  Each cell is the double ``sequence_log_prob`` adds.
+        One array is made per distinct key, from the cached block, and
+        cached under the same bound as the blocks."""
+        key = (prev2_ids, prev1_ids, norm)
+        inc = self._incs.get(key)
+        if inc is None:
+            _, ids, emis = self.candidates(norm)
+            inc = self._incs.put(key, (self.transition_block(prev2_ids, prev1_ids, ids)
+                                       + emis).reshape(-1))
+        return inc
 
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
         intern = self._intern

@@ -455,8 +455,8 @@ class LexiconCounts:
     """The additive counts behind a trained lexicon.
 
     ``stems``, ``fullforms``, ``suffixes`` and ``rules`` map a form, a
-    suffix literal or a suffix rule index to a ``Counter`` of gold tags,
-    and ``classes`` maps a stem to a ``Counter`` of paradigm classes, a
+    suffix literal or a suffix rule index to a dict of gold tag counts,
+    and ``classes`` maps a stem to a dict of paradigm class counts, a
     class for each rule that admitted a token of the stem.  ``words``
     counts (word, gold tag) pairs, which give each word's frequency for
     the hapax prior.  ``log`` is the training log of the corpus
@@ -464,11 +464,11 @@ class LexiconCounts:
     """
 
     def __init__(self):
-        self.stems = defaultdict(Counter)
-        self.fullforms = defaultdict(Counter)
-        self.suffixes = defaultdict(Counter)
-        self.rules = defaultdict(Counter)
-        self.classes = defaultdict(Counter)
+        self.stems = defaultdict(dict)
+        self.fullforms = defaultdict(dict)
+        self.suffixes = defaultdict(dict)
+        self.rules = defaultdict(dict)
+        self.classes = defaultdict(dict)
         self.words = Counter()
         self.log: list[str] = []
 
@@ -477,7 +477,12 @@ class LexiconCounts:
         for name in ("stems", "fullforms", "suffixes", "rules", "classes"):
             table = getattr(self, name)
             for key, counts in getattr(other, name).items():
-                table[key].update(counts)
+                row = table.get(key)
+                if row is None:
+                    table[key] = dict(counts)
+                    continue
+                for item, n in counts.items():
+                    row[item] = row.get(item, 0) + n
         self.words.update(other.words)
 
     def to_lexicon(self, rules: RuleSet, schema: TagSchema,
@@ -593,15 +598,20 @@ def count_lexicon(corpus: list[Sequence], rules: RuleSet,
             split = _training_split(word, gold, rules)
             if split is None:
                 unsegmented.add((word, gold))
+        # plain dicts: a Counter per new key would cost a Python-level __init__
         if split is None:
-            counts.fullforms[word][gold] += n
+            row = counts.fullforms[word]
+            row[gold] = row.get(gold, 0) + n
             continue
         stem, literal, admitting = split
-        counts.stems[stem][gold] += n
-        counts.suffixes[literal][gold] += n
+        for row in (counts.stems[stem], counts.suffixes[literal]):
+            row[gold] = row.get(gold, 0) + n
+        classes = counts.classes[stem]
         for rid in admitting:
-            counts.classes[stem][rules.suffix_rules[rid].paradigm_class] += n
-            counts.rules[rid][gold] += n
+            klass = rules.suffix_rules[rid].paradigm_class
+            classes[klass] = classes.get(klass, 0) + n
+            row = counts.rules[rid]
+            row[gold] = row.get(gold, 0) + n
     if unsegmented:
         counts.log = [
             f"no segmentation for {token.norm!r} with tag {format_tag(gold)}; "

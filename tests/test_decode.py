@@ -428,28 +428,53 @@ def test_increments_match_reference_on_fixture_texts(monkeypatch, fixtures_dir, 
 
 
 def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_schema):
-    """With the block cache capped at a few cells, tagging the fixture
-    texts cold and then warm gives the same tags and hands the kernel the
-    same increments as under the default cap, and the cache never holds
-    more cells than its cap."""
+    """With the block and increments caches capped at a few cells,
+    tagging the fixture texts cold and then warm gives the same tags and
+    hands the kernel the same increments as under the default cap, and
+    neither cache ever holds more cells than the cap."""
     from greektag import model as model_module
 
     texts = _fixture_texts(fixtures_dir) * 2
     expected = _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema), texts)
-    held = []
-    build = Model.transition_block
+    held = {"_blocks": [], "_incs": []}
+    make = Model.increments
 
     def checked(self, *args):
-        block = build(self, *args)
-        held.append(sum(b.size for b in self._blocks.values()))
-        assert held[-1] == self._block_cells <= model_module.MAX_BLOCK_CACHE_CELLS
-        return block
+        inc = make(self, *args)
+        for name, sizes in held.items():
+            cache = getattr(self, name)
+            sizes.append(sum(a.size for a in cache.values()))
+            assert sizes[-1] == cache.cells <= model_module.MAX_BLOCK_CACHE_CELLS
+        return inc
 
     monkeypatch.setattr(model_module, "MAX_BLOCK_CACHE_CELLS", 24)
-    monkeypatch.setattr(Model, "transition_block", checked)
+    monkeypatch.setattr(Model, "increments", checked)
     assert _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema),
                           texts) == expected
-    assert any(b < a for a, b in zip(held, held[1:]))  # the cap cleared the cache
+    for sizes in held.values():
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the cache
+
+
+def test_warm_pass_builds_no_block(monkeypatch, fixtures_dir, toy_corpus, toy_rules,
+                                   toy_schema):
+    """A cold pass over the fixture texts builds each distinct transition
+    block once; a second pass takes every position's increments from the
+    increments cache and calls ``Model.transition_block`` zero times."""
+    model = train(toy_corpus, toy_rules, toy_schema)
+    texts = _fixture_texts(fixtures_dir)
+    calls = Counter()
+    for name in ("transition_block", "_log_probs"):
+        def counted(self, *args, _fn=getattr(Model, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(Model, name, counted)
+    cold = [tag_sequence(model, tokens) for tokens in texts]
+    assert calls["_log_probs"] == len(model._blocks) < calls["transition_block"]
+    assert calls["transition_block"] == len(model._incs)
+    calls.clear()
+    assert [tag_sequence(model, tokens) for tokens in texts] == cold
+    assert calls == Counter()
 
 
 def test_lexical_analysis_runs_once_per_word(monkeypatch, fixtures_dir, toy_corpus, toy_rules,
