@@ -198,36 +198,29 @@ def fill_section(model, paths, repeats):
     texts = [seq.tokens for p in paths for seq in tokenize(Path(p).read_text(encoding="utf-8"))]
     texts = [tokens for tokens in texts if tokens]
     tagged = [tag_sequence(model, tokens) for tokens in texts]  # warms every cache
-    boundary = (model.boundary_id,)
 
-    def candidates(_):
-        return [[model.candidates(tok.norm) for tok in tokens] for tokens in texts]
+    def increments(tokens, cands):  # the fill loop of tag_sequence
+        prev2 = prev1 = (model.boundary_id,)
+        blocks = []
+        for tok, (_, ids, _) in zip(tokens, cands):
+            blocks.append(model.increments(prev2, prev1, tok.norm))
+            prev2, prev1 = prev1, ids
+        return blocks
 
-    def increments(_):  # the fill loop of tag_sequence
-        out = []
-        for tokens, cands in zip(texts, staged["candidates"]):
-            prev2 = prev1 = boundary
-            blocks = []
-            for tok, (_, ids, _) in zip(tokens, cands):
-                blocks.append(model.increments(prev2, prev1, tok.norm))
-                prev2, prev1 = prev1, ids
-            out.append(blocks)
-        return out
+    def join(cands, blocks):
+        return (*_viterbi.layout([len(c[1]) for c in cands])[:4], np.concatenate(blocks))
 
-    def join(_):
-        return [(*_viterbi.layout([len(c[1]) for c in cands])[:4], np.concatenate(blocks))
-                for cands, blocks in zip(staged["candidates"], staged["increments"])]
-
-    def kernel(_):
-        return [_viterbi.viterbi(*instance) for instance in staged["concatenate + layout"]]
-
-    staged, times = {}, {}
-    for name, fn in (("candidates", candidates), ("increments", increments),
-                     ("concatenate + layout", join), ("kernel", kernel)):
-        times[name], staged[name] = best_of(repeats, fn)
+    times = {}
+    times["candidates"], cands = best_of(repeats, lambda _: [
+        [model.candidates(tok.norm) for tok in tokens] for tokens in texts])
+    times["increments"], blocks = best_of(repeats, lambda _: list(map(increments, texts, cands)))
+    times["concatenate + layout"], instances = best_of(
+        repeats, lambda _: list(map(join, cands, blocks)))
+    times["kernel"], paths = best_of(
+        repeats, lambda _: [_viterbi.viterbi(*instance) for instance in instances])
     total, _ = best_of(repeats, lambda _: deque(map(partial(tag_sequence, model), texts), 0))
-    for k, (cands, path) in enumerate(zip(staged["candidates"], staged["kernel"])):
-        if [c[0][i] for c, i in zip(cands, path.tolist())] != tagged[k]:
+    for k, (seq_cands, path) in enumerate(zip(cands, paths)):
+        if [c[0][i] for c, i in zip(seq_cands, path.tolist())] != tagged[k]:
             sys.exit(f"the staged fill pass tags sequence {k + 1} otherwise than tag_sequence")
 
     positions = sum(len(tokens) for tokens in texts)
