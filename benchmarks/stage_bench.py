@@ -13,8 +13,9 @@ five sections in this order, each time the best of ``--repeats``:
 - text: ns per token of ``tokenize`` on the ``--texts`` (default: the
   fixture texts), and of reading and writing them tagged, in memory.
 - fill: a warm ``tag_sequence`` pass over the ``--texts``, split into
-  its stages: candidates, increments lookup, concatenate plus layout,
-  and kernel, with the sizes of the model's two array caches.
+  its stages: candidates, increments lookup (``decode._fill``),
+  concatenate plus layout, and kernel, with the sizes of the model's
+  two array caches.
 - kernel: ``_viterbi.viterbi`` on a dense trellis per ``--sizes``
   length:width pair, random and all tied (the tie walk's worst case).
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from greektag import (Model, RuleSet, TagSchema, _viterbi, cli, load_annotated_corpus,
                       model as model_module, morph, tag_corpus, train)
-from greektag.decode import tag_sequence
+from greektag.decode import _fill, tag_sequence
 from greektag.tags import TransitionStats, format_tag
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
@@ -199,28 +200,21 @@ def fill_section(model, paths, repeats):
     texts = [tokens for tokens in texts if tokens]
     tagged = [tag_sequence(model, tokens) for tokens in texts]  # warms every cache
 
-    def increments(tokens, cands):  # the fill loop of tag_sequence
-        prev2 = prev1 = (model.boundary_id,)
-        blocks = []
-        for tok, (_, ids, _) in zip(tokens, cands):
-            blocks.append(model.increments(prev2, prev1, tok.norm))
-            prev2, prev1 = prev1, ids
-        return blocks
-
     def join(cands, blocks):
         return (*_viterbi.layout([len(c[1]) for c in cands])[:4], np.concatenate(blocks))
 
     times = {}
     times["candidates"], cands = best_of(repeats, lambda _: [
         [model.candidates(tok.norm) for tok in tokens] for tokens in texts])
-    times["increments"], blocks = best_of(repeats, lambda _: list(map(increments, texts, cands)))
+    times["increments"], blocks = best_of(
+        repeats, lambda _: list(map(partial(_fill, model), texts, cands)))
     times["concatenate + layout"], instances = best_of(
         repeats, lambda _: list(map(join, cands, blocks)))
     times["kernel"], paths = best_of(
         repeats, lambda _: [_viterbi.viterbi(*instance) for instance in instances])
     total, _ = best_of(repeats, lambda _: deque(map(partial(tag_sequence, model), texts), 0))
     for k, (seq_cands, path) in enumerate(zip(cands, paths)):
-        if [c[0][i] for c, i in zip(seq_cands, path.tolist())] != tagged[k]:
+        if [c[0][i] for c, i in zip(seq_cands, path)] != tagged[k]:
             sys.exit(f"the staged fill pass tags sequence {k + 1} otherwise than tag_sequence")
 
     positions = sum(len(tokens) for tokens in texts)
@@ -252,8 +246,8 @@ def kernel_section(sizes, repeats):
     for length, width in sizes:
         random_s, _ = decode(dense_instance(rng, length, width))
         tied_s, path = decode(dense_instance(rng, length, width, tied=True))
-        if path.any():
-            sys.exit(f"all-tied {length}:{width} decoded {path.tolist()}, not all zeros")
+        if any(path):
+            sys.exit(f"all-tied {length}:{width} decoded {path}, not all zeros")
         print(f"{length:>7} {width:>6} {random_s:>11.4f} {tied_s:>13.4f}")
 
 

@@ -51,23 +51,20 @@ tie.  The tie walk treats the one edge into each such state as tight.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 
 def layout(widths):
     """``counts``, ``adims``, ``bdims`` and ``off`` of the instance whose
-    position k has ``widths[k]`` candidates, and the list of each
-    position's end offset in ``inc`` (the last is the increment count)."""
-    widths = list(widths)
-    K = len(widths)
-    awidths = ([1, 1] + widths)[:K]
-    bwidths = ([1] + widths)[:K]
-    ends = list(itertools.accumulate(x * y * z for x, y, z in zip(awidths, bwidths, widths)))
-    counts, adims, bdims, off = (np.array(w, np.int64)
-                                 for w in (widths, awidths, bwidths, ([0] + ends)[:K]))
-    return counts, adims, bdims, off, ends
+    position k has ``widths[k]`` candidates, and each position's end
+    offset in ``inc`` (the last is the increment count), as int64
+    arrays.  ``counts``, ``bdims`` and ``adims`` are views of one array,
+    ``[1, 1, *widths]``."""
+    padded = np.array([1, 1, *widths], np.int64)
+    counts, bdims, adims = padded[2:], padded[1:-1], padded[:-2]
+    sizes = adims * bdims * counts
+    ends = np.cumsum(sizes)
+    return counts, adims, bdims, ends - sizes, ends
 
 
 def _prune(scores, beam):
@@ -80,8 +77,9 @@ def _prune(scores, beam):
 
 def viterbi(counts, adims, bdims, off, inc, beam=0):
     """Candidate index per position of the best path (smallest path
-    among exact ties); ``beam > 0`` keeps the ``beam`` best states per
-    position, plus any tied with the last of them.
+    among exact ties), as a list of ints; ``beam > 0`` keeps the
+    ``beam`` best states per position, plus any tied with the last of
+    them.
 
     States are flat indices ``y * Z + z`` into the (previous, current)
     candidate grid.  ``steps[k]`` keeps the scores, the increment block
@@ -131,7 +129,7 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
             x = cand.index(best)
         state = x * ys[k] + y
     out[0] = state
-    return np.array(out, np.int32)
+    return out
 
 
 def _tie_walk(steps, scores):
@@ -146,7 +144,7 @@ def _tie_walk(steps, scores):
         else:
             prev, block, best = steps[k]
             on[k - 1] = ((prev[:, :, None] + block == best) & on[k]).any(axis=2)
-    out = np.empty(K, np.int32)
+    out = [0] * K
     x, y = 0, int(on[0][0].argmax())
     out[0] = y
     for k in range(1, K):

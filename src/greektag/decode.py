@@ -38,22 +38,28 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
 
     counts, adims, bdims, off, ends = _viterbi.layout([len(c[1]) for c in cands])
     if ends[-1] > MAX_TRELLIS_CELLS:
-        k = next(k for k, end in enumerate(ends) if end > MAX_TRELLIS_CELLS)
+        k = int(np.searchsorted(ends, MAX_TRELLIS_CELLS, side="right"))
         raise SearchSpaceError(
             f"token {k + 1} of the sequence ({tokens[k].surface!r}) takes the "
             f"trellis past {MAX_TRELLIS_CELLS} cells"
         )
 
+    # float64: 8 bytes a cell, as the bound assumes
+    inc = np.concatenate(_fill(model, tokens, cands))
+    path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
+    return [tags[i] for (tags, _, _), i in zip(cands, path)]
+
+
+def _fill(model: Model, tokens, cands) -> list:
+    """Each position's flat increments, for the candidates ``cands`` of
+    ``tokens``, from ``Model.increments``."""
     increments = model.increments
     prev2 = prev1 = (model.boundary_id,)
     blocks = []
     for tok, (_, ids, _) in zip(tokens, cands):
         blocks.append(increments(prev2, prev1, tok.norm))
         prev2, prev1 = prev1, ids
-    inc = np.concatenate(blocks)  # float64: 8 bytes a cell, as the bound assumes
-
-    path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
-    return [tags[i] for (tags, _, _), i in zip(cands, path.tolist())]
+    return blocks
 
 
 def tag_corpus(model: Model, sequences, beam: int = 0) -> list[Sequence]:

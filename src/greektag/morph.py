@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import FormatError, GreektagError, check_distinct, open_utf8
+from .errors import FormatError, GreektagError, ModelError, check_distinct, open_utf8
 from .tags import Tag, TagSchema, format_tag
 from .text import PUNCT_CATEGORY, Sequence, _tab_rows, is_punct
 
@@ -589,7 +589,7 @@ def count_lexicon(corpus: list[Sequence], rules: RuleSet,
     pairs = counts.words
     for seq in corpus:
         if seq.gold_tags is None:
-            raise GreektagError("training corpus must carry gold tags")
+            raise ModelError("training corpus must carry gold tags")
         pairs.update(zip([token.norm for token in seq.tokens], seq.gold_tags))
     unsegmented = set()
     for (word, gold), n in pairs.items():

@@ -179,6 +179,34 @@ def test_brute_force_guard():
         brute_force_best(model, tokens, limit=100)
 
 
+def _layout_loop(widths):
+    """``_viterbi.layout`` as a plain loop: the candidate counts two and
+    one positions back are 1 before the first position."""
+    padded = [1, 1, *widths]
+    counts, adims, bdims, off, ends = [], [], [], [], []
+    end = 0
+    for k, z in enumerate(widths):
+        x, y = padded[k], padded[k + 1]
+        counts.append(z)
+        adims.append(x)
+        bdims.append(y)
+        off.append(end)
+        end += x * y * z
+        ends.append(end)
+    return counts, adims, bdims, off, ends
+
+
+def test_layout_matches_plain_loop():
+    rng = np.random.default_rng(17)
+    for K in range(1, 9):
+        for trial in range(50):
+            widths = rng.integers(1, 13 if trial % 2 else 3, K).tolist()
+            got = _viterbi.layout(widths)
+            for array, want in zip(got, _layout_loop(widths)):
+                assert array.dtype == np.int64
+                assert array.tolist() == want
+
+
 def _kernel_instances(seed, trials, max_len):
     """Random trellises: tie-heavy, tie-heavy with zero-probability
     (``-inf``) increments, and continuous; beams 0 to 4.  Then long

@@ -8,6 +8,7 @@ from greektag import (
     GreektagError,
     Lexicon,
     LexiconEntry,
+    ModelError,
     RuleSet,
     lexical_prob,
     segment,
@@ -342,6 +343,16 @@ def test_train_lexicon_fullform_fallback(toy_schema):
     assert "x" in lexicon.fullforms
     assert lexicon.fullforms["x"].tag_probs == ((toy_schema.parse(SUBS_NOM), 1.0),)
     assert any("no segmentation" in line for line in lexicon.log)
+
+
+def test_train_lexicon_rejects_untagged_corpus(toy_schema):
+    """A sequence without gold tags is a ``ModelError``, as in ``train``."""
+    from greektag.text import Sequence, Token
+
+    tagged = Sequence((Token("x", "x", 0),), (toy_schema.parse(SUBS_NOM),))
+    untagged = Sequence((Token("y", "y", 0),))
+    with pytest.raises(ModelError, match="training corpus must carry gold tags"):
+        train_lexicon([tagged, untagged], RuleSet.empty(), toy_schema)
 
 
 def test_train_lexicon_matches_reference(toy_corpus, toy_rules, toy_schema):
