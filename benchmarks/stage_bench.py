@@ -12,10 +12,13 @@ five sections in this order, each time the best of ``--repeats``:
   to ``cross_validation_reference``, which trains every fold afresh.
 - text: ns per token of ``tokenize`` on the ``--texts`` (default: the
   fixture texts), and of reading and writing them tagged, in memory.
-- fill: a warm ``tag_sequence`` pass over the ``--texts``, split into
-  its stages: candidates, increments lookup (``decode._fill``),
-  concatenate plus layout, and kernel, with the sizes of the model's
-  two array caches.
+- fill: a warm ``tag_sequence`` pass over the ``--texts``, and a staged
+  pass that takes its steps one at a time: candidates, then, for the
+  sequences with a choice only, increments lookup (``decode._fill``),
+  concatenate plus layout, and kernel, summed over the sequences of the
+  fastest staged pass, with ``other`` the rest of that pass; the number
+  of sequences with one candidate per token and the sizes of the
+  model's two array caches.
 - kernel: ``_viterbi.viterbi`` on a dense trellis per ``--sizes``
   length:width pair, random and all tied (the tie walk's worst case).
 
@@ -23,7 +26,9 @@ Chain runs first so that the hapax run's peak RSS is read before the
 kernel allocates its largest trellis (512:32: 16.8 M cells, 134 MB).
 It exits with an error if a hapax word's candidates are not the whole
 hapax prior, if the cross-validation accuracy is not the reference's,
-if the staged fill pass tags a text otherwise than ``tag_sequence``,
+if ``tag_sequence`` runs the kernel on a sequence with one candidate
+per token, if the staged fill pass tags a text otherwise than
+``tag_sequence``,
 or if an all-tied trellis does not decode to all zeros.
 
 Usage:
@@ -195,36 +200,77 @@ def text_section(model, paths, repeats):
         print(f"  {name:<24} {best * 1e9 / tokens:8.0f}")
 
 
+def staged_pass(model, texts):
+    """``tag_sequence`` at beam 0 over ``texts``, one step at a time: the
+    pass's wall time, each stage's time summed over the sequences, and
+    the tags.  A sequence with one candidate per token returns its one
+    path after the candidates stage, as in ``tag_sequence``."""
+    clock = time.perf_counter
+    spent = dict.fromkeys(("candidates", "increments", "concatenate + layout", "kernel"), 0.0)
+    tagged = []
+    start = clock()
+    for tokens in texts:
+        t0 = clock()
+        cands = [model.candidates(tok.norm) for tok in tokens]
+        widths = [len(c[1]) for c in cands]
+        t1 = clock()
+        spent["candidates"] += t1 - t0
+        if max(widths) == 1:
+            tagged.append([c[0][0] for c in cands])
+            continue
+        blocks = _fill(model, tokens, cands)
+        t2 = clock()
+        counts, adims, bdims, off, _ = _viterbi.layout(widths)
+        inc = np.concatenate(blocks)
+        t3 = clock()
+        path = _viterbi.viterbi(counts, adims, bdims, off, inc, 0)
+        t4 = clock()
+        spent["increments"] += t2 - t1
+        spent["concatenate + layout"] += t3 - t2
+        spent["kernel"] += t4 - t3
+        tagged.append([c[0][i] for c, i in zip(cands, path)])
+    return clock() - start, spent, tagged
+
+
 def fill_section(model, paths, repeats):
     texts = [seq.tokens for p in paths for seq in tokenize(Path(p).read_text(encoding="utf-8"))]
     texts = [tokens for tokens in texts if tokens]
-    tagged = [tag_sequence(model, tokens) for tokens in texts]  # warms every cache
+    forced = sum(all(len(model.candidates(tok.norm)[1]) == 1 for tok in tokens)
+                 for tokens in texts)
 
-    def join(cands, blocks):
-        return (*_viterbi.layout([len(c[1]) for c in cands])[:4], np.concatenate(blocks))
+    kernel, kernel_forced = _viterbi.viterbi, []
 
-    times = {}
-    times["candidates"], cands = best_of(repeats, lambda _: [
-        [model.candidates(tok.norm) for tok in tokens] for tokens in texts])
-    times["increments"], blocks = best_of(
-        repeats, lambda _: list(map(partial(_fill, model), texts, cands)))
-    times["concatenate + layout"], instances = best_of(
-        repeats, lambda _: list(map(join, cands, blocks)))
-    times["kernel"], paths = best_of(
-        repeats, lambda _: [_viterbi.viterbi(*instance) for instance in instances])
+    def spy(counts, *args):
+        if counts.max() == 1:
+            kernel_forced.append(len(counts))
+        return kernel(counts, *args)
+
+    _viterbi.viterbi = spy
+    try:
+        tagged = [tag_sequence(model, tokens) for tokens in texts]  # warms every cache
+    finally:
+        _viterbi.viterbi = kernel
+    if kernel_forced:
+        sys.exit(f"tag_sequence ran the kernel on {len(kernel_forced)} sequences "
+                 f"with one candidate per token")
+
     total, _ = best_of(repeats, lambda _: deque(map(partial(tag_sequence, model), texts), 0))
-    for k, (seq_cands, path) in enumerate(zip(cands, paths)):
-        if [c[0][i] for c, i in zip(seq_cands, path)] != tagged[k]:
+    staged, spent, staged_tags = min((staged_pass(model, texts) for _ in range(repeats)),
+                                     key=lambda run: run[0])
+    for k, (tags, want) in enumerate(zip(staged_tags, tagged)):
+        if tags != want:
             sys.exit(f"the staged fill pass tags sequence {k + 1} otherwise than tag_sequence")
 
     positions = sum(len(tokens) for tokens in texts)
-    print(f"input: {len(texts)} sequences, {positions} positions; "
-          f"increments cache {len(model._incs)} entries, {model._incs.cells} cells; "
-          f"block cache {len(model._blocks)} blocks, {model._blocks.cells} cells")
+    print(f"input: {len(texts)} sequences, {forced} with one candidate per token, "
+          f"{positions} positions; increments cache {len(model._incs)} entries, "
+          f"{model._incs.cells} cells; block cache {len(model._blocks)} blocks, "
+          f"{model._blocks.cells} cells")
     print(f"warm tag_sequence, best of {repeats}: {total * 1e3:.3f} ms")
-    for name, best in times.items():
-        print(f"  {name:<22} {best * 1e3:.3f} ms")
-    print(f"  {'other':<22} {(total - sum(times.values())) * 1e3:.3f} ms")
+    print(f"staged pass, best of {repeats}: {staged * 1e3:.3f} ms")
+    for name, t in spent.items():
+        print(f"  {name:<22} {t * 1e3:.3f} ms")
+    print(f"  {'other':<22} {(staged - sum(spent.values())) * 1e3:.3f} ms")
 
 
 def dense_instance(rng, length, width, tied=False):

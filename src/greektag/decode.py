@@ -3,7 +3,8 @@
 ``tag_sequence`` runs the trigram Viterbi kernel over per-position
 candidate sets (the tags with nonzero lexical probability), breaking
 exact score ties by the lexicographically smallest sequence of
-canonical tag strings.
+canonical tag strings.  A sequence with one candidate per token has one
+path, which it returns without building a trellis.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
 
     ``beam > 0`` keeps only the best ``beam`` trellis states per
     position (approximate; exact ties at the cut survive).  A sequence
-    whose trellis would hold more than ``MAX_TRELLIS_CELLS`` increments
-    raises ``SearchSpaceError`` before any block is built.  A
-    ``beam`` that is not an ``int`` of at least 0 raises ``ValueError``.
+    with one candidate per token has one path, the kernel's answer at
+    every beam whatever its score, and it is returned with no trellis
+    built.  A sequence whose trellis would hold more than
+    ``MAX_TRELLIS_CELLS`` increments (a one-path sequence included)
+    raises ``SearchSpaceError`` before any block is built.  A ``beam``
+    that is not an ``int`` of at least 0 raises ``ValueError``.
     """
     if type(beam) is not int or beam < 0:
         raise ValueError(f"beam must be an int of at least 0, got {beam!r}")
@@ -35,8 +39,11 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     if K == 0:
         return []
     cands = [model.candidates(tok.norm) for tok in tokens]
+    widths = [len(c[1]) for c in cands]
+    if K <= MAX_TRELLIS_CELLS and max(widths) == 1:
+        return [tags[0] for tags, _, _ in cands]
 
-    counts, adims, bdims, off, ends = _viterbi.layout([len(c[1]) for c in cands])
+    counts, adims, bdims, off, ends = _viterbi.layout(widths)
     if ends[-1] > MAX_TRELLIS_CELLS:
         k = int(np.searchsorted(ends, MAX_TRELLIS_CELLS, side="right"))
         raise SearchSpaceError(

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from greektag import (
     tag_sequence,
     train,
 )
-from greektag import _viterbi
+from greektag import _viterbi, decode
 from greektag.cli import default_schema_path
 from greektag.decode import tag_corpus
 from greektag.tags import format_tag
@@ -38,8 +39,6 @@ def test_single_token_point_mass(toy_model, toy_schema):
 def test_trellis_bound(toy_model, monkeypatch):
     """A trellis of exactly ``MAX_TRELLIS_CELLS`` increments decodes; one
     cell fewer raises, naming the token that crosses the bound."""
-    from greektag import decode
-
     tokens = [Token(w, w, i) for i, w in enumerate(["παύει", "λόγους", "κωλύσαντος"])]
     widths = [1, 1] + [len(toy_model.lexical_probs(t.norm)) for t in tokens]
     cells = sum(widths[k] * widths[k + 1] * widths[k + 2] for k in range(len(tokens)))
@@ -53,8 +52,6 @@ def test_trellis_bound(toy_model, monkeypatch):
 def test_trellis_bound_crossed_mid_sequence(toy_model, monkeypatch):
     """A bound crossed at token 2 of 4 names token 2, from a bound that
     token 1's block ends exactly at to one cell under token 2's end."""
-    from greektag import decode
-
     tokens = [Token(w, w, i) for i, w in enumerate(["λόγους", "κωλύσαντος", "παύει", "."])]
     widths = [1, 1] + [len(toy_model.lexical_probs(t.norm)) for t in tokens]
     first = widths[0] * widths[1] * widths[2]
@@ -63,6 +60,22 @@ def test_trellis_bound_crossed_mid_sequence(toy_model, monkeypatch):
     for cells in (first, second - 1):
         monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", cells)
         with pytest.raises(SearchSpaceError, match="token 2 of the sequence .'κωλύσαντος'."):
+            tag_sequence(toy_model, tokens)
+
+
+def test_trellis_bound_on_forced_sequence(toy_model, monkeypatch):
+    """A sequence with one candidate per token has a one-cell block a
+    token: at a bound of its length it decodes, and under that it
+    raises, naming token bound + 1."""
+    tokens = [Token(w, w, i) for i, w in enumerate(["λόγος", "παύει", "τέχνην", "."])]
+    assert all(len(toy_model.candidates(t.norm)[1]) == 1 for t in tokens)
+    tags = tag_sequence(toy_model, tokens)
+    monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", len(tokens))
+    assert tag_sequence(toy_model, tokens) == tags
+    for bound in range(len(tokens)):
+        monkeypatch.setattr(decode, "MAX_TRELLIS_CELLS", bound)
+        match = re.escape(f"token {bound + 1} of the sequence ({tokens[bound].surface!r})")
+        with pytest.raises(SearchSpaceError, match=match):
             tag_sequence(toy_model, tokens)
 
 
@@ -430,18 +443,35 @@ def _tag_capturing(monkeypatch, model, texts):
     return tags, captured
 
 
+def _increments_by_text(monkeypatch, model, texts):
+    """The bytes of each token list's increments, in the order of
+    ``texts``: those ``tag_sequence`` hands the kernel, or, for a
+    sequence with one candidate per token, which does not reach the
+    kernel, the ``decode._fill`` blocks joined.  Texts are taken in turn,
+    so the model's caches fill as in one tagging pass."""
+    out = []
+    for tokens in texts:
+        cands = [model.candidates(tok.norm) for tok in tokens]
+        forced = all(len(c[1]) == 1 for c in cands)
+        captured = _tag_capturing(monkeypatch, model, [tokens])[1]
+        assert len(captured) == (not forced)
+        out += captured or [np.concatenate(decode._fill(model, tokens, cands)).tobytes()]
+    return out
+
+
 def _check_increments(monkeypatch, make_model, texts, warm_text):
-    """The increments ``tag_sequence`` hands the kernel for each token
-    list of ``texts`` equal ``reference_increments`` byte for byte
-    (``-inf`` cells included), on a fresh model and on one whose caches
-    were warmed by tagging ``warm_text`` first."""
+    """The increments of each token list of ``texts`` equal
+    ``reference_increments`` byte for byte (``-inf`` cells included),
+    on a fresh model and on one whose caches were warmed by tagging
+    ``warm_text`` first: at the kernel for a sequence with a choice,
+    from ``decode._fill`` for one with one candidate per token."""
     reference = make_model()
     warm = make_model()
     for tokens in warm_text:
         tag_sequence(warm, tokens)
     expected = [reference_increments(reference, tokens).tobytes() for tokens in texts]
     for model in (make_model(), warm):
-        assert _tag_capturing(monkeypatch, model, texts)[1] == expected
+        assert _increments_by_text(monkeypatch, model, texts) == expected
 
 
 def _fixture_texts(fixtures_dir):
@@ -485,11 +515,14 @@ def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_s
 
 def test_warm_pass_builds_no_block(monkeypatch, fixtures_dir, toy_corpus, toy_rules,
                                    toy_schema):
-    """A cold pass over the fixture texts builds each distinct transition
-    block once; a second pass takes every position's increments from the
-    increments cache and calls ``Model.transition_block`` zero times."""
+    """A cold pass over the fixture texts, and two more sentences whose
+    unknown words share the hapax prior's candidate ids with one of
+    them, builds each distinct transition block once, and reuses some;
+    a second pass takes every position's increments from the increments
+    cache and calls ``Model.transition_block`` zero times."""
     model = train(toy_corpus, toy_rules, toy_schema)
-    texts = _fixture_texts(fixtures_dir)
+    texts = _fixture_texts(fixtures_dir) + [
+        seq.tokens for seq in tokenize("παύομεν ζζζ. παύομεν ξξξ.")]
     calls = Counter()
     for name in ("transition_block", "_log_probs"):
         def counted(self, *args, _fn=getattr(Model, name), _name=name):
@@ -547,6 +580,72 @@ def test_increments_match_reference_with_zero_emissions(monkeypatch, tmp_path, t
     texts = [[Token(w, w, i) for i, w in enumerate(["καί", "ζζζ", "λόγος", "ζζζ", "."])]]
     _check_increments(monkeypatch, lambda: Model.load(path), texts,
                       [seq.tokens for seq in toy_corpus])
+
+
+def test_forced_sequences_match_oracle_and_kernel(tmp_path, fixtures_dir, toy_corpus,
+                                                  toy_rules, toy_schema):
+    """A sequence with one candidate per token decodes, at beams 0 to 4,
+    to the oracle's path and to the kernel's on its reference
+    increments, whatever its score.  The models: the toy model, the
+    zero-emission model, and raw trigram frequencies on the toy counts,
+    under which an unseen trigram makes a sentence score ``-inf``.  (A
+    zero emission cannot be a word's only candidate: a word whose every
+    candidate scores 0 has none, and raises ``ModelError``.)"""
+    toy = train(toy_corpus, toy_rules, toy_schema)
+    models = [toy, _zero_emission_model(tmp_path / "zero.model", toy_corpus, toy_rules,
+                                        toy_schema),
+              rescored(toy, smooth=False, lambdas=(0.0, 0.0, 1.0))]
+    texts = _fixture_texts(fixtures_dir) + [seq.tokens for seq in toy_corpus]
+    scores = []
+    for model in models:
+        for tokens in texts:
+            cands = [model.candidates(tok.norm) for tok in tokens]
+            if any(len(ids) > 1 for _, ids, _ in cands):
+                continue
+            counts, adims, bdims, off, _ = _viterbi.layout([1] * len(tokens))
+            inc = reference_increments(model, tokens)
+            oracle = brute_force_best(model, tokens)
+            for beam in range(5):
+                path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
+                assert [tags[i] for (tags, _, _), i in zip(cands, path)] == oracle
+                assert tag_sequence(model, tokens, beam) == oracle
+            scores.append(model.sequence_log_prob(tokens, oracle))
+    assert len(scores) >= 60
+    assert sum(np.isfinite(scores)) >= 40 and scores.count(-np.inf) >= 5
+
+
+def test_forced_sequence_skips_trellis(monkeypatch, tmp_path, toy_corpus, toy_rules,
+                                       toy_schema):
+    """Neither ``Model.increments`` nor the kernel runs for a sequence
+    with one candidate per token, at beam 0 or 4; a sequence with a
+    choice anywhere, a zero-emission candidate included, fills every
+    position and runs the kernel once."""
+    model = _zero_emission_model(tmp_path / "zero.model", toy_corpus, toy_rules, toy_schema)
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(Model, "increments")
+    counted(_viterbi, "viterbi")
+    for tokens in (seq.tokens for seq in toy_corpus):
+        assert all(len(model.candidates(t.norm)[1]) == 1 for t in tokens)
+        for beam in (0, 4):
+            assert tag_sequence(model, tokens, beam) == brute_force_best(model, tokens)
+    assert calls == Counter()
+    for words in (["ζζζ", "λόγος", "."], ["καί", "ζζζ", "λόγος", "."],
+                  ["λόγος", "παύει", "τέχνην", "ζζζ"]):
+        tokens = [Token(w, w, i) for i, w in enumerate(words)]
+        for beam in (0, 4):
+            calls.clear()
+            tag_sequence(model, tokens, beam)
+            assert calls == Counter(increments=len(tokens), viterbi=1)
 
 
 def test_scores_stay_python_floats(tmp_path, toy_corpus, toy_rules, toy_schema):
