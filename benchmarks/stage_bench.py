@@ -11,7 +11,10 @@ five sections in this order, each time the best of ``--repeats``:
 - cv: ``cli.cross_validation`` split into ``STAGES`` and ``other``, next
   to ``cross_validation_reference``, which trains every fold afresh.
 - text: ns per token of ``tokenize`` on the ``--texts`` (default: the
-  fixture texts), and of reading and writing them tagged, in memory.
+  fixture texts), and of reading and writing them tagged, in memory;
+  ns per distinct word of ``Model.candidates`` on a model whose
+  lexicon was just read back from the model's lexicon lines, so every
+  memo is empty, as after ``Model.load``.
 - fill: a warm ``tag_sequence`` pass over the ``--texts``, and a staged
   pass that takes its steps one at a time: candidates, then, for the
   sequences with a choice only, increments lookup (``decode._fill``),
@@ -26,6 +29,9 @@ Chain runs first so that the hapax run's peak RSS is read before the
 kernel allocates its largest trellis (512:32: 16.8 M cells, 134 MB).
 It exits with an error if a hapax word's candidates are not the whole
 hapax prior, if the cross-validation accuracy is not the reference's,
+if ``lexical_prob`` or ``segment`` gives a word of the ``--texts``
+other analyses or doubles than ``lexical_prob_reference`` or
+``segment_reference``, on the trained lexicon or on a read-back one,
 if ``tag_sequence`` runs the kernel on a sequence with one candidate
 per token, if the staged fill pass tags a text otherwise than
 ``tag_sequence``,
@@ -58,7 +64,8 @@ from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpu
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
-from reference import cross_validation_reference  # noqa: E402
+from reference import (cross_validation_reference, lexical_prob_reference,  # noqa: E402
+                       segment_reference)
 
 #: The hapax run's three words: letter runs that no lexicon entry or
 #: suffix rule of the fixture or the generated corpora matches.
@@ -198,6 +205,41 @@ def text_section(model, paths, repeats):
     for name, (fn, inputs) in timings.items():
         best, _ = best_of(repeats, lambda _: deque(map(fn, inputs), 0))
         print(f"  {name:<24} {best * 1e9 / tokens:8.0f}")
+
+    words = sorted({tok.norm for seqs in tagged for seq in seqs for tok in seq.tokens})
+    lex = model.lexicon
+
+    def fresh():
+        lexicon = morph.Lexicon.from_lines(lex.to_lines(), model.schema, lex.rules)
+        return Model(model.schema, cold_model(model).stats, model.lambdas, lexicon)
+
+    def lookup(m):
+        deque(map(m.candidates, words), 0)
+        return m
+
+    best, cold = best_of(repeats, lookup, fresh)
+    print(f"best of {repeats}, ns per distinct word ({len(words)}):")
+    print(f"  {'Model.candidates, cold':<24} {best * 1e9 / len(words):8.0f}")
+    for lexicon in (lex, cold.lexicon):
+        for word in words:
+            check_analysis(word, lexicon)
+
+
+def check_analysis(word, lexicon):
+    """Exit unless ``segment`` and ``lexical_prob`` give ``word`` the
+    reference's analyses and doubles."""
+    def hexed(pairs):
+        return [(format_tag(t), p.hex()) for t, p in pairs]
+
+    got = [(a.prefix, a.stem, a.suffix, hexed(a.tag_probs)) for a in morph.segment(word, lexicon)]
+    want = [(a.prefix, a.stem, a.suffix, hexed(a.tag_probs))
+            for a in segment_reference(word, lexicon)]
+    if got != want:
+        sys.exit(f"segment({word!r}) differs from the reference: {got} against {want}")
+    got = hexed(morph.lexical_prob(word, lexicon))
+    want = hexed(lexical_prob_reference(word, lexicon))
+    if got != want:
+        sys.exit(f"lexical_prob({word!r}) differs from the reference: {got} against {want}")
 
 
 def staged_pass(model, texts):

@@ -35,6 +35,9 @@ NEG_INF = float("-inf")
 #: caches, transition blocks and increments (8 MB each); the array that
 #: would pass it clears its cache first, and a larger one is not cached.
 MAX_BLOCK_CACHE_CELLS = 1_000_000
+#: Upper bound on the words held by a model's candidate cache; the word
+#: that would pass it clears that cache and the distribution memo first.
+MAX_CANDIDATE_WORDS = 100_000
 
 _FORMAT = "greektag-model 1"
 _HEADER = ("lambdas", "chain", "floor", "smoothed")
@@ -147,6 +150,7 @@ class Model:
         self._blocks = _ArrayCache()  # (h2 ids, h1 ids, t ids) -> (X, Y, Z) log transitions
         self._incs = _ArrayCache()  # (h2 ids, h1 ids, word) -> increments(...)
         self._cands: dict = {}  # word -> candidates(word)
+        self._dists: dict = {}  # tuple(lexical_probs(word)) -> candidates(word)
 
     # -- probabilities ------------------------------------------------------
 
@@ -223,16 +227,27 @@ class Model:
         """The candidate tags of a word in canonical tag string order,
         with their ids and a read-only float64 array of their log
         emission probabilities (``-inf`` for 0).  Raises ``ModelError``
-        when the word has none."""
+        when the word has none.  Words with equal distributions share
+        one triple, so never change it.  At most ``MAX_CANDIDATE_WORDS``
+        words are cached."""
         cands = self._cands.get(norm)
         if cands is None:
             probs = self.lexical_probs(norm)
             if not probs:
                 raise ModelError(f"no candidate tags for {norm!r} (empty lexicon?)")
-            tags = [t for t, _ in probs]  # sorted by canonical tag string
-            emis = np.array([math.log(p) if p > 0.0 else NEG_INF for _, p in probs], np.float64)
-            emis.flags.writeable = False
-            cands = self._cands[norm] = (tags, tuple(self._intern(t) for t in tags), emis)
+            if len(self._cands) >= MAX_CANDIDATE_WORDS:
+                self._cands.clear()
+                self._dists.clear()
+            key = tuple(probs)
+            cands = self._dists.get(key)
+            if cands is None:
+                tags = [t for t, _ in probs]  # sorted by canonical tag string
+                emis = np.array([math.log(p) if p > 0.0 else NEG_INF for _, p in probs],
+                                np.float64)
+                emis.flags.writeable = False
+                ids = tuple(self._intern(t) for t in tags)
+                cands = self._dists[key] = (tags, ids, emis)
+            self._cands[norm] = cands
         return cands
 
     def sequence_log_prob(self, tokens, tags) -> float:

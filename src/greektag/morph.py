@@ -11,13 +11,20 @@ admissible analyses.
 Unknown words fall back to the suffix table alone (the suffix restricts
 the candidate tags), and words without any matching suffix fall back to
 the prior over hapax legomena seen in training.
+
+A word is analysed in one walk over its splits.  The fallbacks depend on
+the word's longest matching suffix literal alone, so a lexicon scores
+them once per literal and keeps the result (``Lexicon._unknown``, at
+most one entry per literal plus two); a lexicon entry builds the dict
+of its positive tag probabilities once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import FormatError, GreektagError, ModelError, check_distinct, open_utf8
@@ -239,6 +246,12 @@ class LexiconEntry:
     paradigm_classes: frozenset[str]
     tag_probs: tuple[tuple[Tag, float], ...]
 
+    @cached_property
+    def positive(self) -> dict[Tag, float]:
+        """The tags of ``tag_probs`` with a positive probability, in row
+        order, mapped to it; built once, on first use, and shared."""
+        return {t: p for t, p in self.tag_probs if p > 0}
+
 
 @dataclass(frozen=True)
 class MorphAnalysis:
@@ -262,6 +275,7 @@ class Lexicon:
         self.suffix_probs: dict[str, dict[Tag, float]] = dict(suffix_probs or {})
         self.hapax_prior: dict[Tag, float] = dict(hapax_prior or {})
         self.log: tuple[str, ...] = tuple(log)
+        self._unknown: dict = {}  # see _unknown
 
     def __len__(self) -> int:
         return len(self.stems) + len(self.fullforms)
@@ -362,19 +376,21 @@ def _splits(word: str, rules: RuleSet):
 
 
 def _scores(lexicon: Lexicon, literal: str, rule_ids,
-            stem: LexiconEntry | None = None) -> tuple[tuple[Tag, float], ...]:
-    """Positive per-tag scores of one analysis, summed over its rules.
+            stem: LexiconEntry | None = None) -> dict[Tag, float]:
+    """Positive per-tag scores of one analysis, summed over its rules, in
+    the order the rules give the tags.
 
     P(tag | suffix) is the trained table of ``literal``, else the rule's
     trained weights, else uniform over the rule's tags.  A known stem
     skips the rules outside its paradigm classes and multiplies each
     score by P(tag | stem); with no rule ids it stands alone, the suffix
-    factor being 1."""
+    factor being 1, and the dict is the stem's own ``positive``, shared,
+    so a caller never changes the dict it gets."""
     if not rule_ids:
-        return tuple((t, p) for t, p in stem.tag_probs if p > 0)
+        return stem.positive
     table = lexicon.suffix_probs.get(literal)
-    stem_probs = None if stem is None else dict(stem.tag_probs)
-    scores: dict[Tag, float] = defaultdict(float)
+    stem_probs = None if stem is None else stem.positive
+    scores: dict[Tag, float] = {}
     for rid in rule_ids:
         rule = lexicon.rules.suffix_rules[rid]
         if stem is not None and rule.paradigm_class not in stem.paradigm_classes:
@@ -385,8 +401,93 @@ def _scores(lexicon: Lexicon, literal: str, rule_ids,
             if stem_probs is not None:
                 p = stem_probs.get(tag, 0.0) * p
             if p > 0:
-                scores[tag] += p
-    return _sorted_scores(scores)
+                scores[tag] = scores.get(tag, 0.0) + p
+    return scores
+
+
+def _known_analyses(word: str, lexicon: Lexicon):
+    """One walk over the splits of ``word``: its known analyses, as
+    (prefix, stem, suffix, rule ids, tag -> score dict) in ``segment``'s
+    order, and the longest non-empty suffix literal that ends the whole
+    word, the first of the splits without a prefix ("" for none).
+
+    The full form and each split of a known stem with a positive score
+    are known analyses.  A bare stem's or full form's dict is its
+    entry's ``positive`` (no rule ids); the others are in rule order."""
+    known = []
+    entry = lexicon.fullforms.get(word)
+    if entry is not None and entry.positive:
+        known.append(("", word, "", (), entry.positive))
+    longest = ""
+    stems = lexicon.stems
+    for prefix, stem, literal, rule_ids in _splits(word, lexicon.rules):
+        if literal and not longest and not prefix:
+            longest = literal
+        entry = stems.get(stem)
+        if entry is not None:
+            scores = _scores(lexicon, literal, rule_ids, entry)
+            if scores:
+                known.append((prefix, stem, literal, rule_ids, scores))
+    if len(known) > 1:
+        # the longer suffix first, then the longer stem; stable, as ties keep walk order
+        known.sort(key=lambda a: (-len(a[2]), -len(a[1])))
+    return known, longest
+
+
+def _normalized(scores: dict) -> list[tuple[Tag, float]]:
+    """Summed per-tag scores in canonical tag string order, each divided
+    by their total added in that order; empty when the total is not
+    positive."""
+    tags = sorted(scores, key=format_tag)
+    total = 0.0
+    for t in tags:
+        total += scores[t]
+    if total <= 0.0:
+        return []
+    return [(t, scores[t] / total) for t in tags]
+
+
+def _unknown(word: str, longest: str, lexicon: Lexicon):
+    """The analyses of a word with no known analysis, as (suffix, tag ->
+    score dict) pairs, and its distribution.
+
+    Every suffix literal that matches the word is a suffix of its
+    longest match ``longest``, so both depend only on that literal, or
+    on the word being punctuation: each is built once per lexicon and
+    kept in ``lexicon._unknown``, which holds at most one entry per
+    suffix literal plus two (no match, punctuation).  The stored dicts
+    and distribution are shared; ``lexical_prob`` returns a copy."""
+    punct = is_punct(word) and PUNCT_CATEGORY in lexicon.schema.category_features
+    key = None if punct else longest
+    memo = lexicon._unknown.get(key)
+    if memo is None:
+        if punct:
+            analyses = [("", {Tag(PUNCT_CATEGORY): 1.0})]
+        else:
+            analyses = []
+            for literal, rule_ids in lexicon.rules.match_suffixes(word):
+                if not literal:
+                    continue  # an empty suffix tells nothing about an unknown stem
+                scores = _scores(lexicon, literal, rule_ids)
+                if scores:
+                    analyses.append((literal, scores))
+            if not analyses:
+                analyses = [("", lexicon.hapax_prior)]
+        memo = lexicon._unknown[key] = (analyses, _normalized(_summed(analyses)))
+    return memo
+
+
+def _summed(analyses) -> dict[Tag, float]:
+    """The per-tag sum of the score dicts that end the ``analyses``
+    tuples, added in their order.  One dict is returned as it is: 0.0
+    plus a score is that score."""
+    if len(analyses) == 1:
+        return analyses[0][-1]
+    scores: dict[Tag, float] = {}
+    for analysis in analyses:
+        for tag, score in analysis[-1].items():
+            scores[tag] = scores.get(tag, 0.0) + score
+    return scores
 
 
 def segment(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
@@ -396,59 +497,26 @@ def segment(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
     any yields suffix-only analyses with the stem treated as unknown; a
     word without even a matching suffix yields the hapax-prior fallback
     with an empty suffix.  Ordered by descending suffix length, ties by
-    descending stem length.
+    descending stem length.  A bare stem or full form lists its tags in
+    its lexicon row's order, every other analysis in canonical order.
     """
-    analyses: list[MorphAnalysis] = []
-    entry = lexicon.fullforms.get(word)
-    if entry is not None:
-        probs = _scores(lexicon, "", (), entry)  # like a bare stem
-        if probs:
-            analyses.append(MorphAnalysis("", word, "", probs))
-    for prefix, stem, literal, rule_ids in _splits(word, lexicon.rules):
-        entry = lexicon.stems.get(stem)
-        if entry is not None:
-            probs = _scores(lexicon, literal, rule_ids, entry)
-            if probs:
-                analyses.append(MorphAnalysis(prefix, stem, literal, probs))
-
-    if not analyses:
-        analyses = _unknown_analyses(word, lexicon)
-
-    analyses.sort(key=lambda a: (-len(a.suffix), -len(a.stem)))
-    return analyses
-
-
-def _unknown_analyses(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
-    if is_punct(word) and PUNCT_CATEGORY in lexicon.schema.category_features:
-        return [MorphAnalysis("", word, "", ((Tag(PUNCT_CATEGORY), 1.0),))]
-    out = []
-    for literal, rule_ids in lexicon.rules.match_suffixes(word):
-        if not literal:
-            continue  # an empty suffix tells nothing about an unknown stem
-        probs = _scores(lexicon, literal, rule_ids)
-        if probs:
-            out.append(MorphAnalysis("", word[: len(word) - len(literal)], literal, probs))
-    if out:
-        return out
-    prior = _sorted_scores(lexicon.hapax_prior)
-    return [MorphAnalysis("", word, "", prior)]
+    known, longest = _known_analyses(word, lexicon)
+    if known:
+        return [MorphAnalysis(prefix, stem, suffix,
+                              _sorted_scores(scores) if rule_ids else tuple(scores.items()))
+                for prefix, stem, suffix, rule_ids, scores in known]
+    return [MorphAnalysis("", word[: len(word) - len(literal)], literal, _sorted_scores(scores))
+            for literal, scores in _unknown(word, longest, lexicon)[0]]
 
 
 def lexical_prob(word: str, lexicon: Lexicon) -> list[tuple[Tag, float]]:
     """Distribution over tags for a normalized word: per-analysis scores
-    summed per tag and renormalized.  Empty only for a lexicon with no
-    usable statistics at all."""
-    scores: dict[Tag, float] = defaultdict(float)
-    for analysis in segment(word, lexicon):
-        for tag, score in analysis.tag_probs:
-            scores[tag] += score
-    tags = sorted(scores, key=format_tag)
-    total = 0.0
-    for t in tags:
-        total += scores[t]
-    if total <= 0.0:
-        return []
-    return [(t, scores[t] / total) for t in tags]
+    summed per tag, in ``segment``'s order, and renormalized.  Empty
+    only for a lexicon with no usable statistics at all."""
+    known, longest = _known_analyses(word, lexicon)
+    if known:
+        return _normalized(_summed(known))
+    return list(_unknown(word, longest, lexicon)[1])
 
 
 class LexiconCounts:

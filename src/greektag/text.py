@@ -184,13 +184,17 @@ def read_annotated_corpus(stream, schema: TagSchema, path=None) -> list[Sequence
 
 
 def write_annotated_corpus(stream, sequences) -> None:
+    """Write tagged ``sequences`` as ``surface<TAB>tag`` lines, a blank
+    line after each sequence, in one write.  Raises ``ValueError``, with
+    nothing written, if a sequence has no tags."""
+    lines = []
     for seq in sequences:
         tags = seq.gold_tags
         if tags is None:
             raise ValueError("cannot write a sequence without tags")
-        for token, tag in zip(seq.tokens, tags):
-            stream.write(f"{token.surface}\t{format_tag(tag)}\n")
-        stream.write("\n")
+        lines += [f"{token.surface}\t{format_tag(tag)}\n" for token, tag in zip(seq.tokens, tags)]
+        lines.append("\n")
+    stream.write("".join(lines))
 
 
 def load_annotated_corpus(path, schema: TagSchema) -> list[Sequence]:

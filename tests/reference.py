@@ -55,6 +55,16 @@ category whose pool is degenerate, category by category, and computes
 each cell's pooled probability on its own, so it must give the same
 chi-square values, repr for repr.
 
+``segment_reference`` and ``lexical_prob_reference`` are
+``greektag.morph.segment`` and ``lexical_prob`` as they were before
+their memos, with ``_scores_reference`` and
+``_unknown_analyses_reference``: every word is analysed afresh, each
+analysis's scores are sorted into a ``MorphAnalysis``, an unknown word
+matches its suffixes a second time, and ``lexical_prob_reference``
+sums the analyses of ``segment_reference``.  Only the names differ
+from that code.  The library must give the same analyses and the same
+doubles on every word and lexicon.
+
 The last two helpers serve the tests, not as oracles: ``all_tags``
 lists every schema-valid tag, and ``rescored`` rebuilds a trained model
 with raw scoring or fixed interpolation weights.
@@ -74,8 +84,10 @@ from greektag.model import NEG_INF, Model, _instances, train
 from greektag.morph import (
     Lexicon,
     LexiconEntry,
+    MorphAnalysis,
     RuleSet,
     SuffixRule,
+    _sorted_scores,
     _splits,
 )
 from greektag.stylometry import chi_square_cell
@@ -87,6 +99,7 @@ from greektag.tags import (
     _tag_prefixes,
     format_tag,
 )
+from greektag.text import PUNCT_CATEGORY, is_punct
 
 
 class _TagTables:
@@ -497,6 +510,96 @@ def run_test_reference(group, threshold, exclude_self):
             chi2[i, col] = chi_square_cell(int(counts[i, j]), int(totals[i]), p)
     alpha = tuple(int((chi2[i] >= threshold).sum()) for i in range(len(texts)))
     return ([categories[j] for j in kept], [categories[j] for j in dropped], chi2, alpha)
+
+
+def _scores_reference(lexicon: Lexicon, literal: str, rule_ids,
+                      stem: LexiconEntry | None = None) -> tuple[tuple[Tag, float], ...]:
+    """Positive per-tag scores of one analysis, summed over its rules.
+
+    P(tag | suffix) is the trained table of ``literal``, else the rule's
+    trained weights, else uniform over the rule's tags.  A known stem
+    skips the rules outside its paradigm classes and multiplies each
+    score by P(tag | stem); with no rule ids it stands alone, the suffix
+    factor being 1."""
+    if not rule_ids:
+        return tuple((t, p) for t, p in stem.tag_probs if p > 0)
+    table = lexicon.suffix_probs.get(literal)
+    stem_probs = None if stem is None else dict(stem.tag_probs)
+    scores: dict[Tag, float] = defaultdict(float)
+    for rid in rule_ids:
+        rule = lexicon.rules.suffix_rules[rid]
+        if stem is not None and rule.paradigm_class not in stem.paradigm_classes:
+            continue
+        weights = table if table is not None else rule.tag_probs
+        for tag in rule.tags:
+            p = 1.0 / len(rule.tags) if weights is None else weights.get(tag, 0.0)
+            if stem_probs is not None:
+                p = stem_probs.get(tag, 0.0) * p
+            if p > 0:
+                scores[tag] += p
+    return _sorted_scores(scores)
+
+
+def segment_reference(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
+    """Every admissible prefix-stem-suffix split of a normalized word.
+
+    Known words yield full-form and stem-based analyses; a word without
+    any yields suffix-only analyses with the stem treated as unknown; a
+    word without even a matching suffix yields the hapax-prior fallback
+    with an empty suffix.  Ordered by descending suffix length, ties by
+    descending stem length.
+    """
+    analyses: list[MorphAnalysis] = []
+    entry = lexicon.fullforms.get(word)
+    if entry is not None:
+        probs = _scores_reference(lexicon, "", (), entry)  # like a bare stem
+        if probs:
+            analyses.append(MorphAnalysis("", word, "", probs))
+    for prefix, stem, literal, rule_ids in _splits(word, lexicon.rules):
+        entry = lexicon.stems.get(stem)
+        if entry is not None:
+            probs = _scores_reference(lexicon, literal, rule_ids, entry)
+            if probs:
+                analyses.append(MorphAnalysis(prefix, stem, literal, probs))
+
+    if not analyses:
+        analyses = _unknown_analyses_reference(word, lexicon)
+
+    analyses.sort(key=lambda a: (-len(a.suffix), -len(a.stem)))
+    return analyses
+
+
+def _unknown_analyses_reference(word: str, lexicon: Lexicon) -> list[MorphAnalysis]:
+    if is_punct(word) and PUNCT_CATEGORY in lexicon.schema.category_features:
+        return [MorphAnalysis("", word, "", ((Tag(PUNCT_CATEGORY), 1.0),))]
+    out = []
+    for literal, rule_ids in lexicon.rules.match_suffixes(word):
+        if not literal:
+            continue  # an empty suffix tells nothing about an unknown stem
+        probs = _scores_reference(lexicon, literal, rule_ids)
+        if probs:
+            out.append(MorphAnalysis("", word[: len(word) - len(literal)], literal, probs))
+    if out:
+        return out
+    prior = _sorted_scores(lexicon.hapax_prior)
+    return [MorphAnalysis("", word, "", prior)]
+
+
+def lexical_prob_reference(word: str, lexicon: Lexicon) -> list[tuple[Tag, float]]:
+    """Distribution over tags for a normalized word: per-analysis scores
+    summed per tag and renormalized.  Empty only for a lexicon with no
+    usable statistics at all."""
+    scores: dict[Tag, float] = defaultdict(float)
+    for analysis in segment_reference(word, lexicon):
+        for tag, score in analysis.tag_probs:
+            scores[tag] += score
+    tags = sorted(scores, key=format_tag)
+    total = 0.0
+    for t in tags:
+        total += scores[t]
+    if total <= 0.0:
+        return []
+    return [(t, scores[t] / total) for t in tags]
 
 
 def all_tags(schema):

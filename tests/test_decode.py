@@ -513,6 +513,28 @@ def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_s
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the cache
 
 
+def test_candidate_cache_cap(monkeypatch, fixtures_dir, toy_model):
+    """With the candidate cache capped at a few words, tagging the
+    fixture texts twice gives the tags of an uncapped model, and neither
+    the candidate cache nor the distribution memo ever holds more words
+    than the cap."""
+    from greektag import model as model_module
+
+    texts = _fixture_texts(fixtures_dir) * 2
+    cap = 5
+    assert len({tok.norm for tokens in texts for tok in tokens}) > 4 * cap
+    expected = [tag_sequence(rescored(toy_model), tokens) for tokens in texts]
+    monkeypatch.setattr(model_module, "MAX_CANDIDATE_WORDS", cap)
+    model, sizes = rescored(toy_model), []
+    for tokens, want in zip(texts, expected):
+        for tok in tokens:
+            model.candidates(tok.norm)
+            sizes.append(len(model._cands))
+            assert len(model._dists) <= len(model._cands) <= cap
+        assert tag_sequence(model, tokens) == want
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the cache
+
+
 def test_warm_pass_builds_no_block(monkeypatch, fixtures_dir, toy_corpus, toy_rules,
                                    toy_schema):
     """A cold pass over the fixture texts, and two more sentences whose

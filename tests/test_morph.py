@@ -3,22 +3,25 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from greektag import morph
 from greektag import (
     FormatError,
     GreektagError,
     Lexicon,
     LexiconEntry,
+    Model,
     ModelError,
     RuleSet,
     lexical_prob,
     segment,
     train_lexicon,
 )
+from greektag.model import _fold_models
 from greektag.morph import _OPERATORS, _expand_pattern
 from greektag.tags import Tag, format_tag
 
 from genmodels import mangled_lines
-from reference import all_tags
+from reference import all_tags, lexical_prob_reference, segment_reference
 
 PART_GEN = "part:tense=aor,voice=act,case=gen,num=sg,gend=masc"
 VERF_1PL = "verf:pers=1,num=pl,mood=ind,tense=pres,voice=act"
@@ -517,3 +520,129 @@ def _lexical_digest(lexicon, fixtures_dir):
 
 def test_lexical_probabilities_are_golden(toy_model, fixtures_dir):
     assert _lexical_digest(toy_model.lexicon, fixtures_dir) == LEXICAL_SHA256
+
+
+# -- the one-pass, memoized analysis against the reference ----------------------
+
+
+def _reversed_rows(lines):
+    """Lexicon file lines with each row's tag items in reverse order."""
+    out = []
+    for line in lines:
+        form, kind, classes, body = line.split("\t")
+        out.append("\t".join((form, kind, classes, " ".join(reversed(body.split())))))
+    return out
+
+
+def _dense(lexicon, words):
+    """``lexicon`` with a stem for every split of ``words`` that lacks
+    one, admitting the split's rules and their tags, uniformly and in
+    reverse canonical order, and a full form for every third word: most
+    words then have several known analyses."""
+    rules, schema = lexicon.rules, lexicon.schema
+    stems, fullforms = dict(lexicon.stems), dict(lexicon.fullforms)
+    for k, word in enumerate(words):
+        for _, stem, _, rule_ids in morph._splits(word, rules):
+            if stem not in stems and rule_ids:
+                ruled = [rules.suffix_rules[rid] for rid in rule_ids]
+                tags = sorted({t for r in ruled for t in r.tags}, key=format_tag, reverse=True)
+                stems[stem] = _entry(stem, {r.paradigm_class for r in ruled},
+                                     [(t, 1 / len(tags)) for t in tags])
+        if k % 3 == 0 and word not in fullforms:
+            fullforms[word] = _entry(word, (), [(schema.parse("konj"), 0.25),
+                                                (schema.parse(VERF_1PL), 0.75)])
+    return Lexicon(schema, rules, stems.values(), fullforms.values(), lexicon.suffix_probs,
+                   lexicon.hapax_prior)
+
+
+@pytest.fixture(scope="module")
+def lexicons(toy_model, toy_corpus, toy_rules, toy_schema, fixtures_dir):
+    """The toy model's lexicon, a cross-validation fold's, the toy one
+    with every row's tags in reverse order, one trained with a rule for
+    the empty suffix, under which a bare stem is never analysed, and
+    ``_dense`` of the first and the last over the fixture words."""
+    folds = [list(range(k, len(toy_corpus), 3)) for k in range(3)]
+    _, fold_model = next(_fold_models(toy_corpus, toy_rules, toy_schema, folds))
+    toy = toy_model.lexicon
+    reordered = Lexicon.from_lines(_reversed_rows(toy.to_lines()), toy_schema, toy.rules)
+    assert any(list(e.tag_probs) != sorted(e.tag_probs, key=lambda tp: format_tag(tp[0]))
+               for e in [*reordered.stems.values(), *reordered.fullforms.values()])
+    empty_rule = RuleSet.from_lines(toy_rules.to_lines() + [f"-\tw-verb\t{VERF_1PL}"],
+                                    toy_schema)
+    assert empty_rule.has_empty_suffix_rule
+    with_empty_rule = train_lexicon(toy_corpus, empty_rule, toy_schema)
+    words = _fixture_words(fixtures_dir)
+    return {"toy": toy, "fold": fold_model.lexicon, "reordered": reordered,
+            "empty suffix rule": with_empty_rule, "dense": _dense(toy, words),
+            "dense, empty suffix rule": _dense(with_empty_rule, words)}
+
+
+LEXICONS = ["toy", "fold", "reordered", "empty suffix rule", "dense",
+            "dense, empty suffix rule"]
+
+
+def _literal_count(rules):
+    return len({lit for rule in rules.suffix_rules for lit in rule.literals})
+
+
+def _hexed(pairs):
+    return [(format_tag(t), p.hex()) for t, p in pairs]
+
+
+def _assert_matches_reference(word, lexicon):
+    """``segment`` and ``lexical_prob`` give the reference's analyses and
+    doubles for ``word``, and the unknown-word memo stays in its bound."""
+    got = [(a.prefix, a.stem, a.suffix, _hexed(a.tag_probs)) for a in segment(word, lexicon)]
+    want = [(a.prefix, a.stem, a.suffix, _hexed(a.tag_probs))
+            for a in segment_reference(word, lexicon)]
+    assert got == want, word
+    assert _hexed(lexical_prob(word, lexicon)) == _hexed(lexical_prob_reference(word, lexicon)), word
+    assert len(lexicon._unknown) <= _literal_count(lexicon.rules) + 2
+
+
+@pytest.mark.parametrize("name", LEXICONS)
+def test_analysis_matches_reference_on_fixture_words(lexicons, name, fixtures_dir):
+    lexicon = lexicons[name]
+    for _ in range(2):  # the second pass reads the memo
+        for word in _fixture_words(fixtures_dir):
+            _assert_matches_reference(word, lexicon)
+
+
+def _vocabulary(lexicon):
+    """Words built from the rule literals, the prefixes, the lexicon's
+    forms, punctuation and junk."""
+    rules = lexicon.rules
+    pieces = ({lit for rule in rules.suffix_rules for lit in rule.literals}
+              | {lit for rule in rules.prefix_rules for lit in rule.literals}
+              | set(lexicon.stems) | set(lexicon.fullforms)
+              | {".", ";", "«", "·", "β", "x", "ῶ", "1", "ββββ"})
+    return st.lists(st.sampled_from(sorted(pieces - {""})), min_size=1, max_size=4).map("".join)
+
+
+@pytest.mark.parametrize("name", LEXICONS)
+@given(data=st.data())
+def test_analysis_matches_reference_fuzz(lexicons, name, data):
+    lexicon = lexicons[name]
+    words = data.draw(st.lists(_vocabulary(lexicon), min_size=1, max_size=8))
+    for word in words + words:
+        _assert_matches_reference(word, lexicon)
+
+
+def test_unknown_words_share_their_suffix_analysis(toy_model, toy_schema):
+    """Unknown words with the same longest suffix are analysed once: one
+    memo entry, one candidate triple, and each caller gets its own copy
+    of the distribution."""
+    lexicon = Lexicon.from_lines(toy_model.lexicon.to_lines(), toy_schema,
+                                 toy_model.lexicon.rules)
+    model = Model(toy_model.schema, toy_model.stats, toy_model.lambdas, lexicon)
+    first, second = "ζζζουσιν", "ξξξουσιν"
+    assert [a.suffix for a in segment(first, lexicon)] == ["ουσιν"]
+    dist = lexical_prob(first, lexicon)
+    assert list(lexicon._unknown) == ["ουσιν"]
+    dist.clear()
+    assert lexical_prob(second, lexicon) == lexical_prob_reference(second, lexicon) != []
+    assert list(lexicon._unknown) == ["ουσιν"]
+    tags, ids, emis = model.candidates(first)
+    other_tags, other_ids, other_emis = model.candidates(second)
+    assert other_ids == ids and other_emis is emis and other_tags is tags
+    assert len(model._cands) == 2 and len(model._dists) == 1

@@ -214,3 +214,23 @@ def test_corpus_round_trip(toy_corpus, toy_schema):
     buf2 = io.StringIO()
     write_annotated_corpus(buf2, again)
     assert buf2.getvalue() == first
+
+
+class _CountingWriter(io.StringIO):
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_write_is_one_call_with_nothing_written_on_error(toy_corpus):
+    """The whole corpus goes out in one write; a sequence without tags
+    raises before anything is written, even after tagged sequences."""
+    buf = _CountingWriter()
+    write_annotated_corpus(buf, toy_corpus)
+    assert buf.writes == 1
+    buf = _CountingWriter()
+    with pytest.raises(ValueError, match="without tags"):
+        write_annotated_corpus(buf, [toy_corpus[0], Sequence(toy_corpus[1].tokens)])
+    assert (buf.writes, buf.getvalue()) == (0, "")
