@@ -30,8 +30,8 @@ kernel allocates its largest trellis (512:32: 16.8 M cells, 134 MB).
 It exits with an error if a hapax word's candidates are not the whole
 hapax prior, if the cross-validation accuracy is not the reference's,
 if ``lexical_prob`` or ``segment`` gives a word of the ``--texts``
-other analyses or doubles than ``lexical_prob_reference`` or
-``segment_reference``, on the trained lexicon or on a read-back one,
+other analyses or doubles than the reference (``analysis_mismatch``),
+on the trained lexicon or on a read-back one,
 if ``tag_sequence`` runs the kernel on a sequence with one candidate
 per token, if the staged fill pass tags a text otherwise than
 ``tag_sequence``,
@@ -64,8 +64,7 @@ from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpu
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
-from reference import (cross_validation_reference, lexical_prob_reference,  # noqa: E402
-                       segment_reference)
+from reference import analysis_mismatch, cross_validation_reference  # noqa: E402
 
 #: The hapax run's three words: letter runs that no lexicon entry or
 #: suffix rule of the fixture or the generated corpora matches.
@@ -222,24 +221,8 @@ def text_section(model, paths, repeats):
     print(f"  {'Model.candidates, cold':<24} {best * 1e9 / len(words):8.0f}")
     for lexicon in (lex, cold.lexicon):
         for word in words:
-            check_analysis(word, lexicon)
-
-
-def check_analysis(word, lexicon):
-    """Exit unless ``segment`` and ``lexical_prob`` give ``word`` the
-    reference's analyses and doubles."""
-    def hexed(pairs):
-        return [(format_tag(t), p.hex()) for t, p in pairs]
-
-    got = [(a.prefix, a.stem, a.suffix, hexed(a.tag_probs)) for a in morph.segment(word, lexicon)]
-    want = [(a.prefix, a.stem, a.suffix, hexed(a.tag_probs))
-            for a in segment_reference(word, lexicon)]
-    if got != want:
-        sys.exit(f"segment({word!r}) differs from the reference: {got} against {want}")
-    got = hexed(morph.lexical_prob(word, lexicon))
-    want = hexed(lexical_prob_reference(word, lexicon))
-    if got != want:
-        sys.exit(f"lexical_prob({word!r}) differs from the reference: {got} against {want}")
+            if mismatch := analysis_mismatch(word, lexicon):
+                sys.exit(mismatch)
 
 
 def staged_pass(model, texts):

@@ -63,7 +63,8 @@ analysis's scores are sorted into a ``MorphAnalysis``, an unknown word
 matches its suffixes a second time, and ``lexical_prob_reference``
 sums the analyses of ``segment_reference``.  Only the names differ
 from that code.  The library must give the same analyses and the same
-doubles on every word and lexicon.
+doubles on every word and lexicon; ``analysis_mismatch`` says where it
+does not.
 
 The last two helpers serve the tests, not as oracles: ``all_tags``
 lists every schema-valid tag, and ``rescored`` rebuilds a trained model
@@ -89,6 +90,8 @@ from greektag.morph import (
     SuffixRule,
     _sorted_scores,
     _splits,
+    lexical_prob,
+    segment,
 )
 from greektag.stylometry import chi_square_cell
 from greektag.tags import (
@@ -600,6 +603,23 @@ def lexical_prob_reference(word: str, lexicon: Lexicon) -> list[tuple[Tag, float
     if total <= 0.0:
         return []
     return [(t, scores[t] / total) for t in tags]
+
+
+def analysis_mismatch(word: str, lexicon: Lexicon) -> str | None:
+    """What ``segment`` or ``lexical_prob`` gives ``word`` otherwise than
+    ``segment_reference`` or ``lexical_prob_reference``, doubles compared
+    by ``float.hex``; None when both agree."""
+    def hexed(pairs):
+        return [(format_tag(t), p.hex()) for t, p in pairs]
+
+    got, want = ([(a.prefix, a.stem, a.suffix, hexed(a.tag_probs)) for a in fn(word, lexicon)]
+                 for fn in (segment, segment_reference))
+    if got != want:
+        return f"segment({word!r}) gives {got}, the reference {want}"
+    got, want = hexed(lexical_prob(word, lexicon)), hexed(lexical_prob_reference(word, lexicon))
+    if got != want:
+        return f"lexical_prob({word!r}) gives {got}, the reference {want}"
+    return None
 
 
 def all_tags(schema):
