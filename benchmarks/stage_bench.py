@@ -58,13 +58,13 @@ import numpy as np
 from greektag import (Model, RuleSet, TagSchema, _viterbi, cli, load_annotated_corpus,
                       model as model_module, morph, tag_corpus, train)
 from greektag.decode import _fill, tag_sequence
-from greektag.tags import TransitionStats, format_tag
+from greektag.tags import format_tag
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
-from reference import analysis_mismatch, cross_validation_reference  # noqa: E402
+from reference import analysis_mismatch, cross_validation_reference, rescored  # noqa: E402
 
 #: The hapax run's three words: letter runs that no lexicon entry or
 #: suffix rule of the fixture or the generated corpora matches.
@@ -95,14 +95,6 @@ def best_of(repeats, fn, fresh=lambda: None):
     return best, out
 
 
-def cold_model(model):
-    """A model on the same counts and weights, with every cache empty."""
-    s = model.stats
-    stats = TransitionStats(s.schema, s.tables, smoothed=s.smoothed,
-                            chain_weights=s.chain_weights, floor=s.floor)
-    return Model(model.schema, stats, model.lambdas, model.lexicon)
-
-
 def chain_section(model, repeats):
     intern = model.stats.tables.intern
     (run,) = tokenize(HAPAX_WORDS + " .")
@@ -112,7 +104,7 @@ def chain_section(model, repeats):
             sys.exit(f"{token.surface!r} does not get the hapax prior as its candidates")
 
     def cold(build):
-        return best_of(repeats, build, lambda: cold_model(model))[0]
+        return best_of(repeats, build, lambda: rescored(model))[0]
 
     best = cold(lambda m: tag_sequence(m, run.tokens))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -210,7 +202,7 @@ def text_section(model, paths, repeats):
 
     def fresh():
         lexicon = morph.Lexicon.from_lines(lex.to_lines(), model.schema, lex.rules)
-        return Model(model.schema, cold_model(model).stats, model.lambdas, lexicon)
+        return Model(model.schema, rescored(model).stats, model.lambdas, lexicon)
 
     def lookup(m):
         deque(map(m.candidates, words), 0)

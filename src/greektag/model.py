@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from . import morph
-from .errors import FormatError, GreektagError, ModelError, TagError, open_utf8
+from .errors import FormatError, ModelError, TagError, open_utf8
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -402,6 +402,8 @@ def _check_gold(seq, schema) -> None:
 def _fitted_model(schema, tables, index, lexicon, held=()) -> Model:
     """The smoothed model on the counted ``tables``, with the weights
     fitted on the sequences of ``index`` outside ``held``."""
+    if not tables.counts_after(()).get(ROOT, 0):
+        raise ModelError("empty training corpus")
     lambdas, chain_weights = fit_interpolation(index, held)
     stats = TransitionStats(schema, tables, chain_weights=chain_weights)
     return Model(schema, stats, lambdas, lexicon)
@@ -419,10 +421,7 @@ def train(corpus, rules, schema) -> Model:
         rules = morph.RuleSet.empty()
     for seq in corpus:
         _check_gold(seq, schema)
-    seq_tags = [seq.gold_tags for seq in corpus if seq.gold_tags]
-    if not seq_tags:
-        raise ModelError("empty training corpus")
-    tables, seq_counts = count_sequences(seq_tags)
+    tables, seq_counts = count_sequences([seq.gold_tags for seq in corpus])
     lexicon = morph.train_lexicon(corpus, rules, schema)
     return _fitted_model(schema, tables, seq_counts, lexicon)
 
@@ -430,9 +429,9 @@ def train(corpus, rules, schema) -> Model:
 def _fold_models(corpus, rules, schema, folds):
     """Yield ``(held, model)`` for each fold of ``folds``, sorted lists
     of corpus indices that partition the corpus; ``model`` is what
-    ``train`` makes of the rest of the corpus, with the same model file
-    and the same errors, in fold order.  Its lexicon carries no training
-    log.
+    ``train`` makes of the rest of the corpus, with the same model file.
+    Its lexicon carries no training log.  A corpus ``train`` rejects for
+    a sequence raises ``train``'s error before the first fold.
 
     The corpus is counted once: its trigram tables, its one
     leave-one-out index, and the lexicon counts of each fold, summed
@@ -446,33 +445,19 @@ def _fold_models(corpus, rules, schema, folds):
         rules = morph.RuleSet.empty()
     if sorted(i for held in folds for i in held) != list(range(len(corpus))):
         raise ValueError("folds must partition the corpus indices")
-    bad = []  # (index, error) of the sequences train would reject
-    for i, seq in enumerate(corpus):
-        try:
-            _check_gold(seq, schema)
-        except GreektagError as exc:
-            bad.append((i, exc))
-    skip = {i for i, _ in bad}
-    tables, seq_counts = count_sequences(
-        [() if i in skip else seq.gold_tags for i, seq in enumerate(corpus)])
-    fold_lexicons = [
-        morph.count_lexicon([corpus[i] for i in held if i not in skip], rules, schema)
-        for held in folds
-    ]
+    for seq in corpus:
+        _check_gold(seq, schema)
+    tables, seq_counts = count_sequences([seq.gold_tags for seq in corpus])
+    fold_lexicons = [morph.count_lexicon([corpus[i] for i in held], rules, schema)
+                     for held in folds]
     lexicon_counts = morph.LexiconCounts()
     for counts in fold_lexicons:
         lexicon_counts.add(counts)
     whole = lexicon_counts.to_lexicon(rules, schema)
 
     for held, held_lexicon in zip(folds, fold_lexicons):
-        held_set = set(held)
-        for i, exc in bad:
-            if i not in held_set:
-                raise exc
         for i in held:
             tables.add(seq_counts[i], -1)
-        if not tables.counts_after(()).get(ROOT, 0):
-            raise ModelError("empty training corpus")
         lexicon = lexicon_counts.to_lexicon(rules, schema, held_lexicon, whole)
         yield held, _fitted_model(schema, tables, seq_counts, lexicon, held)
         for i in held:

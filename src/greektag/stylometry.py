@@ -29,6 +29,8 @@ FLAG_LEVEL = 2.0
 
 DEFAULT_EXCLUDED = ("punct",)
 
+_INT64_MAX = int(np.iinfo(np.int64).max)  # every count total must fit an int64
+
 
 @dataclass(frozen=True)
 class CategoryCounts:
@@ -104,10 +106,15 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
     texts = tuple(c.text_id for c in group)
     if len(set(texts)) != len(texts):
         raise GreektagError("duplicate text ids in group")
-    totals = np.array([c.total for c in group], dtype=np.int64)
-    if (totals <= 0).any():
-        empty = texts[int(np.argmin(totals))]
+    totals = [c.total for c in group]
+    if min(totals) <= 0:
+        empty = texts[totals.index(min(totals))]
         raise GreektagError(f"text {empty!r} has no counted words")
+    grand_total = sum(totals)
+    if grand_total > _INT64_MAX:
+        raise GreektagError(f"the group's counts total {grand_total}, "
+                            f"more than {_INT64_MAX} (int64)")
+    totals = np.array(totals, dtype=np.int64)
 
     categories = tuple(sorted({cat for c in group for cat in c.counts}))
     counts = np.array(
@@ -115,7 +122,6 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
         dtype=np.int64,
     )
     grand = counts.sum(axis=0)
-    grand_total = int(totals.sum())
     # each text's pool and its total: the group's, or the other texts'
     pool, pool_total = grand[None, :], np.array([[grand_total]])
     if exclude_self:
@@ -231,6 +237,7 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
         raise FormatError("a text id is given twice", path, 1)
     per_text: list[dict[str, int]] = [{} for _ in texts]
     seen: set[str] = set()
+    total = 0  # of every count read so far
     for no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -246,7 +253,13 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
         for i, cell in enumerate(row[1:]):
             if not (cell.isascii() and cell.isdigit()):
                 raise FormatError(f"count {cell!r} is not a non-negative integer", path, no)
-            per_text[i][row[0]] = int(cell)
+            digits = cell.lstrip("0")
+            # 20 digits pass the bound, and int() reads no more than 4300
+            count = int(digits or "0") if len(digits) < 20 else _INT64_MAX + 1
+            per_text[i][row[0]] = count
+            total += count
+        if total > _INT64_MAX:
+            raise FormatError(f"counts total more than {_INT64_MAX} (int64)", path, no)
     return [CategoryCounts(t, dict(sorted(d.items()))) for t, d in zip(texts, per_text)]
 
 

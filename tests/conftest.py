@@ -13,6 +13,11 @@ def fixtures_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
+def abc_schema() -> TagSchema:
+    return TagSchema.from_lines(["category a", "category b", "category c"])
+
+
+@pytest.fixture(scope="session")
 def toy_schema() -> TagSchema:
     return TagSchema.load(FIXTURES / "toy.schema")
 

@@ -13,6 +13,13 @@ from greektag.tags import format_tag
 from reference import all_tags, rescored
 
 
+def tagged_sequences(schema, rows):
+    """One gold-tagged ``Sequence`` per row of (word, tag string) pairs."""
+    return [Sequence(tuple(Token(w, w, i) for i, (w, _) in enumerate(row)),
+                     tuple(schema.parse(t) for _, t in row))
+            for row in rows]
+
+
 def _random_schema(rng):
     lines = []
     featured = rng.random() < 0.35

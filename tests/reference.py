@@ -28,9 +28,9 @@ every candidate sequence and scores each with
 enough to enumerate.
 
 ``cross_validation_reference`` is ``greektag.cli.cross_validation``
-trained from scratch: each fold's model is ``train`` on the sequences
-the fold keeps, so it must give exactly the same accuracy, or raise the
-same error.
+trained from scratch: it checks every sequence as ``train`` does, then
+each fold's model is ``train`` on the sequences the fold keeps, so it
+must give exactly the same accuracy, or raise the same error.
 
 ``train_lexicon_reference`` is ``greektag.morph.train_lexicon`` token
 by token: it splits every token of the corpus on its own, counts it
@@ -80,7 +80,7 @@ import numpy as np
 
 from greektag.cli import CV_FOLDS, DEFAULT_SEED
 from greektag.decode import tag_sequence
-from greektag.errors import GreektagError, SearchSpaceError
+from greektag.errors import GreektagError, ModelError, SearchSpaceError
 from greektag.model import NEG_INF, Model, _instances, train
 from greektag.morph import (
     Lexicon,
@@ -269,6 +269,11 @@ def cross_validation_reference(corpus, rules, schema, folds=CV_FOLDS, seed=DEFAU
     each fold's model from scratch."""
     if len(corpus) < 2:
         return None
+    for seq in corpus:  # as train checks its corpus, before any fold
+        if seq.gold_tags is None:
+            raise ModelError("training corpus must carry gold tags")
+        for t in seq.gold_tags:
+            schema.validate(t)
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
     k = min(folds, len(corpus))

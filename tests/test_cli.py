@@ -693,6 +693,22 @@ def test_chisq_rejects_counts_that_are_not_ascii_digits(workdir, capsys, cell):
     assert not (workdir / "report.txt").exists()
 
 
+@pytest.mark.parametrize("rows, line", [
+    (["a,5,99999999999999999999999999,5", "b,5,5,5"], 2),
+    (["a,1,2,3", f"b,{2**62},{2**62},{2**62}"], 3),
+], ids=["cell", "sum"])
+def test_chisq_rejects_counts_past_int64(workdir, capsys, rows, line):
+    """A cell, or a sum of cells, that an int64 cannot hold fails with
+    its line instead of overflowing or wrapping."""
+    counts_path = workdir / "huge.csv"
+    counts_path.write_text("\n".join(["category,t0,t1,t2", *rows]) + "\n", encoding="utf-8")
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {counts_path}: line {line}: "
+                   f"counts total more than {2**63 - 1} (int64)\n")
+    assert not (workdir / "report.txt").exists()
+
+
 def test_chisq_degenerate_exits_0(workdir, capsys):
     from greektag.stylometry import CategoryCounts, save_counts_csv
 

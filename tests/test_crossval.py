@@ -6,22 +6,23 @@ on them, and ``cross_validation_reference``, which trains every fold
 from scratch."""
 
 import copy
+import random
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from greektag import RuleSet, Sequence, Tag, TagSchema, Token, train
+from greektag import RuleSet, Sequence, Tag, train
 from greektag import decode, morph
-from greektag.cli import cross_validation
-from greektag.errors import GreektagError
+from greektag.cli import CV_FOLDS, DEFAULT_SEED, cross_validation
+from greektag.errors import GreektagError, ModelError, TagError
 from greektag.model import (_fitted_model, _fold_models, _instances, count_sequences,
                             fit_interpolation)
 from greektag.morph import LexiconCounts, count_lexicon, train_lexicon
 from greektag.tags import TransitionStats, format_tag
 
-from genmodels import random_corpus
+from genmodels import random_corpus, tagged_sequences
 from reference import _TagTables, cross_validation_reference, fit_interpolation_reference
 
 
@@ -36,8 +37,15 @@ def _outcome(fn):
 def _check_folds(corpus, rules, schema, folds):
     """Each model ``_fold_models`` yields writes the file of ``train`` on
     the sequences its fold keeps, and a fold ``train`` rejects raises
-    the same error."""
+    the same error.  A corpus ``train`` rejects raises its error at the
+    first fold."""
     models = _fold_models(corpus, rules, schema, folds)
+    try:
+        train(corpus, rules, schema)
+    except GreektagError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            next(models)
+        return
     for held in folds:
         held_set = set(held)
         rest = [seq for i, seq in enumerate(corpus) if i not in held_set]
@@ -60,16 +68,6 @@ def _two_folds(n, first):
     return [sorted(first), rest] if rest else [sorted(first)]
 
 
-def _seq(schema, row):
-    tokens = tuple(Token(w, w, i) for i, (w, _) in enumerate(row))
-    return Sequence(tokens, tuple(schema.parse(t) for _, t in row))
-
-
-@pytest.fixture(scope="module")
-def abc_schema():
-    return TagSchema.from_lines(["category a", "category b", "category c"])
-
-
 def test_cross_validation_matches_reference_on_fixture(toy_corpus, toy_rules, toy_schema):
     for seed in range(8):
         got = cross_validation(toy_corpus, toy_rules, toy_schema, seed=seed)
@@ -81,19 +79,28 @@ def test_cross_validation_matches_reference_on_fixture(toy_corpus, toy_rules, to
                                                                   toy_schema, folds=folds))
 
 
+def _untagged(corpus, i):
+    """``corpus`` with sequence ``i`` stripped of its gold tags."""
+    return [Sequence(seq.tokens, None) if j == i else seq for j, seq in enumerate(corpus)]
+
+
+def _undeclared(corpus, i):
+    """``corpus`` with the last tag of sequence ``i`` of an undeclared
+    category."""
+    tags = (*corpus[i].gold_tags[:-1], Tag("nosuch"))
+    return [Sequence(seq.tokens, tags) if j == i else seq for j, seq in enumerate(corpus)]
+
+
 def _spoil(rng, schema, corpus):
-    """A copy of ``corpus`` with one fault that ``train`` or tagging
+    """``corpus`` with one fault that ``train`` or tagging
     rejects, or none: a sequence without gold tags, a tag of an
     undeclared category, or every sequence but one emptied."""
-    corpus = list(corpus)
     kind = int(rng.integers(0, 4))
     i = int(rng.integers(0, len(corpus)))
     if kind == 1:
-        corpus[i] = Sequence(corpus[i].tokens, None)
+        corpus = _untagged(corpus, i)
     elif kind == 2:
-        tags = list(corpus[i].gold_tags)
-        tags[-1] = Tag("nosuch")
-        corpus[i] = Sequence(corpus[i].tokens, tuple(tags))
+        corpus = _undeclared(corpus, i)
     elif kind == 3:
         corpus = [seq if j == i else Sequence((), ()) for j, seq in enumerate(corpus)]
     return corpus
@@ -120,6 +127,62 @@ def test_cross_validation_keeps_the_trellis_bound(toy_corpus, toy_rules, toy_sch
     assert got[0] is decode.SearchSpaceError
     assert got == _outcome(lambda: cross_validation_reference(toy_corpus, toy_rules,
                                                               toy_schema))
+
+
+def test_cross_validation_rejects_an_untagged_sequence_as_train_does(toy_corpus, toy_rules,
+                                                                     toy_schema):
+    """Sequence 8 of the fixture untagged, in the first fold at the
+    default seed and elsewhere at others: the error of ``train``."""
+    corpus = _untagged(toy_corpus, 8)
+    order = list(range(len(corpus)))
+    random.Random(DEFAULT_SEED).shuffle(order)
+    assert 8 in order[::CV_FOLDS]
+    for seed in (DEFAULT_SEED, *range(8)):
+        with pytest.raises(ModelError, match="^training corpus must carry gold tags$"):
+            cross_validation(corpus, toy_rules, toy_schema, seed=seed)
+    with pytest.raises(ModelError, match="^training corpus must carry gold tags$"):
+        train(corpus, toy_rules, toy_schema)
+
+
+_UNTAGGED = (_untagged, ModelError, "training corpus must carry gold tags")
+_UNDECLARED = (_undeclared, TagError, "unknown category: nosuch")
+
+
+def test_fold_models_reject_a_bad_sequence_in_any_fold(toy_corpus, toy_rules, toy_schema):
+    """A sequence without gold tags, or with a tag of an undeclared
+    category, in each of 10 folds in turn raises its error at the first
+    fold.  Of two bad sequences, the first in corpus order raises, as in
+    ``train``, though a later one sits in an earlier fold."""
+    order = np.random.default_rng(2).permutation(len(toy_corpus)).tolist()
+    folds = [sorted(order[f::CV_FOLDS]) for f in range(CV_FOLDS)]
+    for held in folds:
+        for spoil, error, message in (_UNTAGGED, _UNDECLARED):
+            with pytest.raises(error, match=f"^{message}$"):
+                next(_fold_models(spoil(toy_corpus, held[-1]), toy_rules, toy_schema, folds))
+    fold_of = {i: f for f, held in enumerate(folds) for i in held}
+    n = len(toy_corpus)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if fold_of[j] < fold_of[i])
+    for (first, error, message), (second, _, _) in ((_UNTAGGED, _UNDECLARED),
+                                                    (_UNDECLARED, _UNTAGGED)):
+        corpus = second(first(toy_corpus, i), j)
+        with pytest.raises(error, match=f"^{message}$"):
+            train(corpus, toy_rules, toy_schema)
+        with pytest.raises(error, match=f"^{message}$"):
+            next(_fold_models(corpus, toy_rules, toy_schema, folds))
+
+
+def test_one_emptiness_check(toy_corpus, toy_rules, toy_schema, abc_schema):
+    """A corpus with no tag to count, and a fold whose rest has none,
+    raise the one ``ModelError`` of ``train``."""
+    empties = [Sequence((), ())] * 2
+    for corpus in ([], empties):
+        with pytest.raises(ModelError, match="^empty training corpus$"):
+            train(corpus, None, abc_schema)
+    for corpus, rules, schema, folds in (
+            (empties, None, abc_schema, [[0], [1]]),
+            (toy_corpus, toy_rules, toy_schema, [list(range(len(toy_corpus)))])):
+        with pytest.raises(ModelError, match="^empty training corpus$"):
+            next(_fold_models(corpus, rules, schema, folds))
 
 
 def test_fold_models_match_training_on_the_rest(toy_corpus, toy_rules, toy_schema):
@@ -172,18 +235,18 @@ def test_fold_changes_the_hapax_prior(abc_schema):
     one seen once under each of two tags (with the tag the fold does
     not hold), and holding out the only hapax leaves the prior over
     every token."""
-    corpus = [
-        _seq(abc_schema, [("x", "a"), ("y", "b")]),
-        _seq(abc_schema, [("z", "c")]),
-        _seq(abc_schema, [("x", "a"), ("y", "b")]),
-    ]
+    corpus = tagged_sequences(abc_schema, [
+        [("x", "a"), ("y", "b")],
+        [("z", "c")],
+        [("x", "a"), ("y", "b")],
+    ])
     for held in ([0], [1], [2], [0, 2]):
         _check_folds(corpus, None, abc_schema, _two_folds(len(corpus), held))
     _, without_z = next(_fold_models(corpus, None, abc_schema, [[1], [0, 2]]))
     # x, y, x, y: no word is seen once, so the prior is over all four tokens
     a, b = abc_schema.parse("a"), abc_schema.parse("b")
     assert without_z.lexicon.hapax_prior == {a: 0.5, b: 0.5}
-    two_tags = [_seq(abc_schema, [("x", "a")]), _seq(abc_schema, [("x", "b"), ("z", "c")])]
+    two_tags = tagged_sequences(abc_schema, [[("x", "a")], [("x", "b"), ("z", "c")]])
     _check_folds(two_tags, None, abc_schema, [[0], [1]])
     _, without_xa = next(_fold_models(two_tags, None, abc_schema, [[0], [1]]))
     c = abc_schema.parse("c")
@@ -218,12 +281,12 @@ def test_fold_holding_one_paradigm_class_of_a_stem(toy_rules, toy_schema):
     noun = ["subs:case=nom,num=sg,gend=masc", "subs:case=acc,num=sg,gend=masc"]
     verb = ["verf:pers=3,num=sg,mood=ind,tense=pres,voice=act",
             "verf:pers=2,num=sg,mood=ind,tense=pres,voice=act"]
-    corpus = [
-        _seq(toy_schema, [("λόγος", noun[0]), ("καί", "konj")]),
-        _seq(toy_schema, [("λόγει", verb[0]), (".", "punct")]),
-        _seq(toy_schema, [("λόγον", noun[1]), (".", "punct")]),
-        _seq(toy_schema, [("λόγεις", verb[1]), ("καί", "konj")]),
-    ]
+    corpus = tagged_sequences(toy_schema, [
+        [("λόγος", noun[0]), ("καί", "konj")],
+        [("λόγει", verb[0]), (".", "punct")],
+        [("λόγον", noun[1]), (".", "punct")],
+        [("λόγεις", verb[1]), ("καί", "konj")],
+    ])
     whole = train_lexicon(corpus, toy_rules, toy_schema)
     assert whole.stems["λόγ"].paradigm_classes == {"o-noun", "w-verb"}
     for held, kept in (([1, 3], "o-noun"), ([0, 2], "w-verb"), ([0, 1], None)):

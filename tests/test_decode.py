@@ -20,7 +20,7 @@ from greektag.decode import tag_corpus
 from greektag.tags import format_tag
 from greektag.text import read_annotated_corpus, tokenize
 
-from genmodels import random_corpus, random_instance, symmetric_tie_instance
+from genmodels import random_corpus, random_instance, symmetric_tie_instance, tagged_sequences
 from reference import _viterbi_loops, brute_force_best, reference_increments, rescored
 from test_model import _deep_chain_corpus
 
@@ -178,15 +178,7 @@ def test_tag_sequence_rejects_bad_beam(toy_model, beam):
 
 def test_brute_force_guard():
     schema = TagSchema.from_lines(["category a", "category b"])
-    rows = [[("w", "a")], [("w", "b")]]
-    seqs = [
-        Sequence(
-            tuple(Token(w, w, i) for i, (w, _) in enumerate(row)),
-            tuple(schema.parse(t) for _, t in row),
-        )
-        for row in rows
-    ]
-    model = train(seqs, None, schema)
+    model = train(tagged_sequences(schema, [[("w", "a")], [("w", "b")]]), None, schema)
     tokens = [Token("w", "w", i) for i in range(8)]
     with pytest.raises(SearchSpaceError):
         brute_force_best(model, tokens, limit=100)

@@ -16,7 +16,7 @@ from greektag.model import NEG_INF, _instances, count_sequences, fit_interpolati
 from greektag.tags import BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpus
 
-from genmodels import mangled_lines, random_corpus, wide_corpus
+from genmodels import mangled_lines, random_corpus, tagged_sequences, wide_corpus
 from reference import (
     all_tags,
     fit_interpolation_reference,
@@ -26,22 +26,8 @@ from reference import (
 )
 
 
-def _seqs(schema, rows):
-    out = []
-    for row in rows:
-        tokens = tuple(Token(w, w, i) for i, (w, _) in enumerate(row))
-        tags = tuple(schema.parse(t) for _, t in row)
-        out.append(Sequence(tokens, tags))
-    return out
-
-
-@pytest.fixture(scope="module")
-def abc_schema():
-    return TagSchema.from_lines(["category a", "category b", "category c"])
-
-
 def test_trigram_counts_with_boundary_padding(abc_schema):
-    model = train(_seqs(abc_schema, [[("w1", "a"), ("w2", "b")]]), None, abc_schema)
+    model = train(tagged_sequences(abc_schema, [[("w1", "a"), ("w2", "b")]]), None, abc_schema)
     a, b = abc_schema.parse("a"), abc_schema.parse("b")
     assert model.stats.trigram_counts == {
         (BOUNDARY, BOUNDARY, a): 1,
@@ -50,7 +36,7 @@ def test_trigram_counts_with_boundary_padding(abc_schema):
 
 
 def test_lambdas_shift_down_when_trigrams_unique(abc_schema):
-    corpus = _seqs(abc_schema, [
+    corpus = tagged_sequences(abc_schema, [
         [("w", "a"), ("w", "b"), ("w", "c"), ("w", "a")],
         [("w", "b"), ("w", "a"), ("w", "a"), ("w", "c")],
         [("w", "c"), ("w", "c"), ("w", "b"), ("w", "b")],
@@ -96,7 +82,7 @@ def test_retraining_is_deterministic(toy_corpus, toy_rules, toy_schema):
 
 
 def test_unigram_weights_give_unigram_probability(abc_schema):
-    corpus = _seqs(abc_schema, [
+    corpus = tagged_sequences(abc_schema, [
         [("w", "a"), ("w", "b"), ("w", "a")],
         [("w", "a"), ("w", "c")],
     ])
@@ -109,7 +95,7 @@ def test_unigram_weights_give_unigram_probability(abc_schema):
 
 
 def test_pure_trigram_weights_give_trigram_mle(abc_schema):
-    corpus = _seqs(abc_schema, [
+    corpus = tagged_sequences(abc_schema, [
         [("w", "a"), ("w", "b"), ("w", "a"), ("w", "b"), ("w", "a")],
         [("w", "a"), ("w", "b"), ("w", "c")],
     ])

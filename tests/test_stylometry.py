@@ -156,6 +156,13 @@ def test_rejects_empty_text():
         run_test(group)
 
 
+def test_rejects_a_group_total_past_int64():
+    """Three texts of 2**62 words would wrap the int64 sums."""
+    group = [CategoryCounts(f"t{i}", {"a": 2**62 - 1, "b": 1}) for i in range(3)]
+    with pytest.raises(GreektagError, match=f"^the group's counts total {3 * 2**62}, "):
+        run_test(group)
+
+
 @pytest.mark.parametrize("x", [1, 2, 7])
 def test_alpha_pattern_reproduces_expected_rho(x):
     targets = (x, x - 1, x, x, x - 1, x + 3)
@@ -328,6 +335,24 @@ def test_counts_csv_errors():
         read_counts_csv(io.StringIO("category,t1\nx,-3\n"))
     with pytest.raises(FormatError):
         read_counts_csv(io.StringIO("category,t1,t2\nx,1\n"))
+
+
+def test_counts_csv_total_must_fit_int64():
+    """The row at which the counts read so far total 2**63 fails with
+    its line; a cell ``int`` cannot read fails the same way, and zeros
+    in front of a count do not count."""
+    from greektag.errors import FormatError
+
+    fits = f"category,t1,t2\nx,{2**63 - 2},0\ny,0,1\n"
+    assert [c.counts for c in read_counts_csv(io.StringIO(fits))] == [
+        {"x": 2**63 - 2, "y": 0}, {"x": 0, "y": 1}]
+    for text, line in ((fits + "z,0,1\n", 4),
+                       ("category,t1\nx,1" + "0" * 5000 + "\n", 2)):
+        with pytest.raises(FormatError,
+                           match=f"^f.csv: line {line}: counts total more than {2**63 - 1} "):
+            read_counts_csv(io.StringIO(text), path="f.csv")
+    padded = read_counts_csv(io.StringIO("category,t1\nx," + "0" * 5000 + "7\n"))
+    assert padded[0].counts == {"x": 7}
 
 
 _CSV_CELLS = st.one_of(

@@ -14,10 +14,8 @@ from hypothesis import given, strategies as st
 from greektag import (
     FormatError,
     GreektagError,
-    Sequence,
     TagError,
     TagSchema,
-    Token,
     format_tag,
     train,
 )
@@ -26,7 +24,7 @@ from greektag.tags import _TAGS, BOUNDARY, ROOT, Tag, TransitionStats, _Tables
 from greektag.model import _instances
 from greektag.text import read_annotated_corpus
 
-from genmodels import random_corpus
+from genmodels import random_corpus, tagged_sequences
 from reference import _TagTables, all_tags, reference_chain_prob, rescored
 from test_model import _deep_chain_corpus, _partly_counted_verf
 
@@ -303,16 +301,6 @@ def test_schema_loader_fuzz(lines):
         assert tag.category == cat and [f for f, _ in tag.features] == list(feats)
 
 
-def _toy_sequences(schema, rows):
-    """rows: list of sequences, each a list of (word, tagstring)."""
-    out = []
-    for row in rows:
-        tokens = tuple(Token(w, w, i) for i, (w, _) in enumerate(row))
-        tags = tuple(schema.parse(t) for _, t in row)
-        out.append(Sequence(tokens, tags))
-    return out
-
-
 @pytest.fixture(scope="module")
 def chain_schema():
     return TagSchema.from_lines(
@@ -335,7 +323,7 @@ def chain_corpus(chain_schema):
         [("a", "n:num=sg,case=nom"), ("b", "v:num=sg"), ("c", "n:num=sg,case=acc")],
         [("d", "k"), ("b", "v:num=pl"), ("c", "n:num=pl,case=acc")],
     ]
-    return _toy_sequences(chain_schema, rows)
+    return tagged_sequences(chain_schema, rows)
 
 
 def test_chain_rule_identity_unsmoothed(chain_schema, chain_corpus):
@@ -395,7 +383,7 @@ def test_feature_factor_with_only_zero_weight_levels_is_uniform():
     """Fitted chain weights (1, 0, 0) leave an unseen history with only
     zero-weight levels: the feature factor is then uniform, not 0/0."""
     schema = TagSchema.from_lines(["feature f u,v", "category n f", "category k"])
-    corpus = _toy_sequences(schema, [
+    corpus = tagged_sequences(schema, [
         [("w", "k"), ("w", "n:f=u")], [("w", "k"), ("w", "n:f=u")],
         [("w", "k"), ("w", "k"), ("w", "n:f=v")], [("w", "k"), ("w", "k"), ("w", "n:f=v")],
     ])
