@@ -18,12 +18,13 @@ five sections in this order, each time the best of ``--repeats``:
 - fill: a warm ``tag_sequence`` pass over the ``--texts``, and a staged
   pass that takes its steps one at a time: candidates, then, for the
   sequences with a choice only, increments lookup (``decode._fill``),
-  concatenate plus layout, and kernel, summed over the sequences of the
+  layout, and kernel, summed over the sequences of the
   fastest staged pass, with ``other`` the rest of that pass; the number
   of sequences with one candidate per token and the sizes of the
   model's two array caches.
 - kernel: ``_viterbi.viterbi`` on a dense trellis per ``--sizes``
-  length:width pair, random and all tied (the tie walk's worst case).
+  length:width pair, random (exact, and with beam ``BEAM``, which adds
+  the prune's cost) and all tied (the tie walk's worst case).
 
 Chain runs first so that the hapax run's peak RSS is read before the
 kernel allocates its largest trellis (512:32: 16.8 M cells, 134 MB).
@@ -80,6 +81,9 @@ STAGES = {
 
 #: the kernel section's random increments
 SEED = 42
+
+#: the kernel section's beam, the one ``pipebench/run.py`` tags with
+BEAM = 4
 
 
 def best_of(repeats, fn, fresh=lambda: None):
@@ -223,7 +227,7 @@ def staged_pass(model, texts):
     the tags.  A sequence with one candidate per token returns its one
     path after the candidates stage, as in ``tag_sequence``."""
     clock = time.perf_counter
-    spent = dict.fromkeys(("candidates", "increments", "concatenate + layout", "kernel"), 0.0)
+    spent = dict.fromkeys(("candidates", "increments", "layout", "kernel"), 0.0)
     tagged = []
     start = clock()
     for tokens in texts:
@@ -237,13 +241,12 @@ def staged_pass(model, texts):
             continue
         blocks = _fill(model, tokens, cands)
         t2 = clock()
-        counts, adims, bdims, off, _ = _viterbi.layout(widths)
-        inc = np.concatenate(blocks)
+        counts, adims, bdims, ends = _viterbi.layout(widths)
         t3 = clock()
-        path = _viterbi.viterbi(counts, adims, bdims, off, inc, 0)
+        path = _viterbi.viterbi(counts, adims, bdims, ends, blocks, 0)
         t4 = clock()
         spent["increments"] += t2 - t1
-        spent["concatenate + layout"] += t3 - t2
+        spent["layout"] += t3 - t2
         spent["kernel"] += t4 - t3
         tagged.append([c[0][i] for c, i in zip(cands, path)])
     return clock() - start, spent, tagged
@@ -291,27 +294,33 @@ def fill_section(model, paths, repeats):
 
 
 def dense_instance(rng, length, width, tied=False):
-    """The kernel's arguments: ``length`` positions of ``width`` candidates."""
-    *arrays, ends = _viterbi.layout([width] * length)
-    inc = np.full(ends[-1], np.log(0.5)) if tied else np.log(rng.random(ends[-1]))
-    return (*arrays, inc, 0)
+    """The kernel's arguments but the beam: ``length`` positions of
+    ``width`` candidates, each with its own (X, Y, Z) block."""
+    counts, adims, bdims, ends = _viterbi.layout([width] * length)
+    cells = np.full(ends[-1], np.log(0.5)) if tied else np.log(rng.random(ends[-1]))
+    blocks = [block.reshape(shape) for block, shape in zip(
+        np.split(cells, ends[:-1].tolist()), zip(adims.tolist(), bdims.tolist(), counts.tolist()))]
+    return counts, adims, bdims, ends, blocks
 
 
 def kernel_section(sizes, repeats):
     rng = np.random.default_rng(SEED)
-    header = f"{'length':>7} {'width':>6} {'random [s]':>11} {'all tied [s]':>13}"
+    header = (f"{'length':>7} {'width':>6} {'random [s]':>11} {f'beam {BEAM} [s]':>11} "
+              f"{'all tied [s]':>13}")
     print(header)
     print("-" * len(header))
 
-    def decode(instance):
-        return best_of(repeats, lambda _: _viterbi.viterbi(*instance))
+    def decode(instance, beam=0):
+        return best_of(repeats, lambda _: _viterbi.viterbi(*instance, beam))
 
     for length, width in sizes:
-        random_s, _ = decode(dense_instance(rng, length, width))
+        instance = dense_instance(rng, length, width)
+        random_s, _ = decode(instance)
+        beam_s, _ = decode(instance, BEAM)
         tied_s, path = decode(dense_instance(rng, length, width, tied=True))
         if any(path):
             sys.exit(f"all-tied {length}:{width} decoded {path}, not all zeros")
-        print(f"{length:>7} {width:>6} {random_s:>11.4f} {tied_s:>13.4f}")
+        print(f"{length:>7} {width:>6} {random_s:>11.4f} {beam_s:>11.4f} {tied_s:>13.4f}")
 
 
 def size_pairs(text):

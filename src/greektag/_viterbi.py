@@ -18,7 +18,9 @@ one path links optimally at every position, and it is returned.
 Otherwise ``_tie_walk`` reads the path back from the same sums.  A tie
 off the best path, such as among the ``-inf`` states a beam prunes,
 does not start the walk.  Memory is O(K·S) kept scores plus the
-increments (K positions, S states per position).
+increments (K positions, S states per position).  A beam prunes in
+place: the states below the ``beam``-th best score of the array the
+max pass has just made become ``-inf``.
 
 An edge from a state at k-1 to one at k is tight where the state's
 pruned score plus the edge's increment equals the unpruned max at k:
@@ -32,14 +34,17 @@ states, each state with a tight edge to a marked state; then, forward
 from the first position, it takes the smallest marked candidate over a
 tight edge.  Every marked state extends to an optimal path, and
 candidate indices are in canonical tag order, so this is the smallest
-optimal path.  It holds one boolean per state, and per position one
-per increment cell while it marks.
+optimal path.  It holds one boolean and one recomputed max per state,
+and per position one sum per increment cell while it marks.
 
 Instance layout: position ``k`` has ``counts[k]`` candidates and an
-increment block of shape ``(adims[k], bdims[k], counts[k])`` flattened
-at ``off[k]`` inside ``inc``, where ``adims[k]``/``bdims[k]`` are the
-candidate counts two and one positions back (1 at the boundary).
-``layout`` computes these arrays from the candidate counts.
+increment block ``blocks[k]``, a float64 array of shape ``(adims[k],
+bdims[k], counts[k])``, where ``adims[k]``/``bdims[k]`` are the
+candidate counts two and one positions back (1 at the boundary).  The
+blocks are separate arrays, taken as the caller hands them (the
+model's cached, read-only increments), with no joined copy.
+``layout`` computes the three count arrays from the candidate counts,
+and each position's end in the trellis's cell count.
 
 In the max pass, a position whose block is one cell (one candidate
 there and at the two positions before it) offers no choice: its one
@@ -55,58 +60,64 @@ import numpy as np
 
 
 def layout(widths):
-    """``counts``, ``adims``, ``bdims`` and ``off`` of the instance whose
-    position k has ``widths[k]`` candidates, and each position's end
-    offset in ``inc`` (the last is the increment count), as int64
-    arrays.  ``counts``, ``bdims`` and ``adims`` are views of one array,
+    """``counts``, ``adims`` and ``bdims`` of the instance whose position
+    k has ``widths[k]`` candidates, and each position's end in the
+    trellis's cell count (the last is the count), as int64 arrays.
+    ``counts``, ``bdims`` and ``adims`` are views of one array,
     ``[1, 1, *widths]``."""
     padded = np.array([1, 1, *widths], np.int64)
     counts, bdims, adims = padded[2:], padded[1:-1], padded[:-2]
-    sizes = adims * bdims * counts
-    ends = np.cumsum(sizes)
-    return counts, adims, bdims, ends - sizes, ends
+    return counts, adims, bdims, np.cumsum(adims * bdims * counts)
 
 
 def _prune(scores, beam):
-    flat = scores.reshape(-1)
-    if 0 < beam < flat.size:
-        threshold = np.partition(flat, flat.size - beam)[flat.size - beam]
-        return np.where(scores < threshold, -np.inf, scores)
-    return scores
+    """Set, in place, the states of ``scores`` below its ``beam``-th best
+    to ``-inf``."""
+    n = scores.size
+    if 0 < beam < n:
+        threshold = np.sort(scores, axis=None)[n - beam]
+        np.putmask(scores, scores < threshold, -np.inf)
 
 
-def viterbi(counts, adims, bdims, off, inc, beam=0):
+def viterbi(counts, adims, bdims, ends, blocks, beam=0):
     """Candidate index per position of the best path (smallest path
     among exact ties), as a list of ints; ``beam > 0`` keeps the
     ``beam`` best states per position, plus any tied with the last of
     them.
 
+    ``blocks[k]`` is position k's increment block, which the kernel
+    reads and never writes.  ``ends`` is not read: the slot keeps the
+    six positional parameters that the traced benchmark's wrapper
+    (``pipebench/spans.py``) forwards, until that tracer changes
+    (ROADMAP item 1).
+
     States are flat indices ``y * Z + z`` into the (previous, current)
-    candidate grid.  ``steps[k]`` keeps the scores, the increment block
-    and the unpruned max of position k, or None where every state has
-    one predecessor (``x = 0``).
+    candidate grid.  ``steps[k]`` keeps the scores and the increment
+    block of position k, or None where every state has one predecessor
+    (``x = 0``).  The beam prunes only score arrays the pass made: the
+    first position's scores are a copy of its block.
     """
     K = len(counts)
-    xs, ys, zs, offs = adims.tolist(), bdims.tolist(), counts.tolist(), off.tolist()
-    scores = inc[offs[0] : offs[0] + zs[0]].reshape(1, zs[0])
+    xs, ys, zs = adims.tolist(), bdims.tolist(), counts.tolist()
+    scores = blocks[0][0]
     if beam:
-        scores = _prune(scores, beam)
+        scores = scores.copy()
+        _prune(scores, beam)
     steps = [None] * K
 
     for k in range(1, K):
-        X, Y, Z = xs[k], ys[k], zs[k]
-        if X == Y == Z == 1:  # no choice: one state, its own predecessor
-            scores = scores + inc[offs[k]]
+        X, Y = xs[k], ys[k]
+        block = blocks[k]
+        if X == Y == zs[k] == 1:  # no choice: one state, its own predecessor
+            scores = scores + block[0]
             continue
-        block = inc[offs[k] : offs[k] + X * Y * Z].reshape(X, Y, Z)
         if X == 1:  # one predecessor per state: nothing to choose or tie
             scores = scores.reshape(Y, 1) + block[0]
         else:
-            best = (scores[:, :, None] + block).max(axis=0)
-            steps[k] = (scores, block, best)
-            scores = best
+            steps[k] = (scores, block)
+            scores = (scores[:, :, None] + block).max(axis=0)
         if beam:
-            scores = _prune(scores, beam)
+            _prune(scores, beam)
 
     final = scores.ravel().tolist()
     best = max(final)
@@ -121,7 +132,7 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
         x = 0
         if steps[k] is not None:
             # the sums position k maximised for this state, one per predecessor
-            prev, block, _ = steps[k]
+            prev, block = steps[k]
             cand = (prev[:, y] + block[:, y, z]).tolist()
             best = max(cand)
             if cand.count(best) > 1:  # two predecessors reach this state's best
@@ -134,24 +145,29 @@ def viterbi(counts, adims, bdims, off, inc, beam=0):
 
 def _tie_walk(steps, scores):
     """The smallest path over tight edges to a best final state of
-    ``scores``; ``on[k]`` marks the states at k that lie on such a path."""
+    ``scores``; ``on[k]`` marks the states at k that lie on such a path.
+    Each position's unpruned max is recomputed from its kept scores and
+    block by the max pass's expression, so it is the same doubles."""
     K = len(steps)
     on = [None] * K
+    bests = [None] * K
     on[-1] = scores == scores.max()
     for k in range(K - 1, 0, -1):
         if steps[k] is None:  # every edge tight
             on[k - 1] = on[k].any(axis=1)[None, :]
         else:
-            prev, block, best = steps[k]
-            on[k - 1] = ((prev[:, :, None] + block == best) & on[k]).any(axis=2)
+            prev, block = steps[k]
+            sums = prev[:, :, None] + block
+            bests[k] = best = sums.max(axis=0)
+            on[k - 1] = ((sums == best) & on[k]).any(axis=2)
     out = [0] * K
     x, y = 0, int(on[0][0].argmax())
     out[0] = y
     for k in range(1, K):
         marked = on[k][y]
         if steps[k] is not None:
-            prev, block, best = steps[k]
-            marked = marked & (prev[x, y] + block[x, y] == best[y])
+            prev, block = steps[k]
+            marked = marked & (prev[x, y] + block[x, y] == bests[k][y])
         x, y = y, int(marked.argmax())
         out[k] = y
     return out

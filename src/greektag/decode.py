@@ -43,7 +43,7 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
     if K <= MAX_TRELLIS_CELLS and max(widths) == 1:
         return [tags[0] for tags, _, _ in cands]
 
-    counts, adims, bdims, off, ends = _viterbi.layout(widths)
+    counts, adims, bdims, ends = _viterbi.layout(widths)
     if ends[-1] > MAX_TRELLIS_CELLS:
         k = int(np.searchsorted(ends, MAX_TRELLIS_CELLS, side="right"))
         raise SearchSpaceError(
@@ -52,13 +52,12 @@ def tag_sequence(model: Model, tokens, beam: int = 0) -> list[Tag]:
         )
 
     # float64: 8 bytes a cell, as the bound assumes
-    inc = np.concatenate(_fill(model, tokens, cands))
-    path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
+    path = _viterbi.viterbi(counts, adims, bdims, ends, _fill(model, tokens, cands), beam)
     return [tags[i] for (tags, _, _), i in zip(cands, path)]
 
 
 def _fill(model: Model, tokens, cands) -> list:
-    """Each position's flat increments, for the candidates ``cands`` of
+    """Each position's increment block, for the candidates ``cands`` of
     ``tokens``, from ``Model.increments``."""
     increments = model.increments
     prev2 = prev1 = (model.boundary_id,)

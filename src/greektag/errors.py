@@ -1,7 +1,11 @@
-"""Exception hierarchy shared by all greektag modules, and the UTF-8
-readers that report undecodable input as a ``FormatError``."""
+"""Exception hierarchy shared by all greektag modules, the UTF-8
+readers that report undecodable input as a ``FormatError``, and the
+bound on counts read from files."""
 
 from contextlib import contextmanager
+
+#: The largest count, or count total, a file may give: it must fit an int64.
+INT64_MAX = 2**63 - 1
 
 
 class GreektagError(Exception):

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from . import morph
-from .errors import FormatError, ModelError, TagError, open_utf8
+from .errors import INT64_MAX, FormatError, ModelError, TagError, open_utf8
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -201,19 +201,19 @@ class Model:
         return block
 
     def increments(self, prev2_ids, prev1_ids, norm: str) -> np.ndarray:
-        """Read-only flat float64 array of the trellis increments of word
-        ``norm`` after candidate ids ``prev2_ids`` and ``prev1_ids``:
-        ``transition_block(prev2_ids, prev1_ids, ids) + emis`` in (h2,
-        h1, t) order, with the word's ``candidates`` ids and log
-        emissions.  Each cell is the double ``sequence_log_prob`` adds.
-        One array is made per distinct key, from the cached block, and
-        cached under the same bound as the blocks."""
+        """Read-only float64 array of shape (X, Y, Z) of the trellis
+        increments of word ``norm`` after candidate ids ``prev2_ids`` and
+        ``prev1_ids``: ``transition_block(prev2_ids, prev1_ids, ids) +
+        emis``, with the word's ``candidates`` ids and log emissions, so
+        cell ``[x, y, z]`` is the double ``sequence_log_prob`` adds for
+        ``ids[z]`` after ``prev1_ids[y]`` and ``prev2_ids[x]``.  One
+        array is made per distinct key, from the cached block, and cached
+        under the same bound as the blocks."""
         key = (prev2_ids, prev1_ids, norm)
         inc = self._incs.get(key)
         if inc is None:
             _, ids, emis = self.candidates(norm)
-            inc = self._incs.put(key, (self.transition_block(prev2_ids, prev1_ids, ids)
-                                       + emis).reshape(-1))
+            inc = self._incs.put(key, self.transition_block(prev2_ids, prev1_ids, ids) + emis)
         return inc
 
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:
@@ -368,9 +368,13 @@ class Model:
                 key = (parse_tag(fields[0]), parse_tag(fields[1]), parse_tag(fields[2]))
             except TagError as exc:
                 raise FormatError(str(exc), path, no) from None
-            if not (fields[3].isascii() and fields[3].isdigit() and int(fields[3])):
+            digits = fields[3].lstrip("0")
+            if not (fields[3].isascii() and fields[3].isdigit() and digits):
                 raise FormatError(f"trigram count {fields[3]!r} is not a positive integer",
                                   path, no)
+            # 20 digits pass the bound, and int() reads no more than 4300
+            if len(digits) >= 20 or int(digits) > INT64_MAX:
+                raise FormatError(f"trigram count more than {INT64_MAX} (int64)", path, no)
             # the boundary tag only pads the start of a sequence: never
             # the scored tag, and as h1 only after another boundary
             if key[2] == BOUNDARY or (key[1] == BOUNDARY and key[0] != BOUNDARY):
@@ -378,7 +382,7 @@ class Model:
                                   f"{' '.join(fields[:3])}", path, no)
             if key in trigram_counts:
                 raise FormatError("trigram given twice", path, no)
-            trigram_counts[key] = int(fields[3])
+            trigram_counts[key] = int(digits)
         if not trigram_counts:
             raise FormatError("[trigrams] section has no rows (untrained model)",
                               path, starts["trigrams"])

@@ -140,10 +140,10 @@ class RuleSet:
         self._suffix_ids = {lit: tuple(ids) for lit, ids in suffix_ids.items()}
         self._suffix_lengths = sorted({len(lit) for lit in self._suffix_ids}, reverse=True)
         self.has_empty_suffix_rule = "" in self._suffix_ids
-        self._prefix_literals = sorted(
+        self._prefix_literals = tuple(sorted(
             {lit for r in self.prefix_rules if r.strippable for lit in r.literals if lit},
             key=lambda s: (-len(s), s),
-        )
+        ))
 
     @classmethod
     def empty(cls) -> "RuleSet":
@@ -166,6 +166,8 @@ class RuleSet:
 
     def match_prefixes(self, word: str) -> list[str]:
         """Strippable prefix literals that start ``word`` (longest first)."""
+        if not word.startswith(self._prefix_literals):
+            return []
         return [p for p in self._prefix_literals if len(p) < len(word) and word.startswith(p)]
 
     # -- rule file format ---------------------------------------------------

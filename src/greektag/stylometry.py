@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, GreektagError, open_utf8
+from .errors import INT64_MAX, FormatError, GreektagError, open_utf8
 
 #: Chi-square cutoff for one category: 1 degree of freedom at p = 0.05.
 DEFAULT_THRESHOLD = 3.841
@@ -28,8 +28,6 @@ DEFAULT_THRESHOLD = 3.841
 FLAG_LEVEL = 2.0
 
 DEFAULT_EXCLUDED = ("punct",)
-
-_INT64_MAX = int(np.iinfo(np.int64).max)  # every count total must fit an int64
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,9 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
         empty = texts[totals.index(min(totals))]
         raise GreektagError(f"text {empty!r} has no counted words")
     grand_total = sum(totals)
-    if grand_total > _INT64_MAX:
+    if grand_total > INT64_MAX:
         raise GreektagError(f"the group's counts total {grand_total}, "
-                            f"more than {_INT64_MAX} (int64)")
+                            f"more than {INT64_MAX} (int64)")
     totals = np.array(totals, dtype=np.int64)
 
     categories = tuple(sorted({cat for c in group for cat in c.counts}))
@@ -255,11 +253,11 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
                 raise FormatError(f"count {cell!r} is not a non-negative integer", path, no)
             digits = cell.lstrip("0")
             # 20 digits pass the bound, and int() reads no more than 4300
-            count = int(digits or "0") if len(digits) < 20 else _INT64_MAX + 1
+            count = int(digits or "0") if len(digits) < 20 else INT64_MAX + 1
             per_text[i][row[0]] = count
             total += count
-        if total > _INT64_MAX:
-            raise FormatError(f"counts total more than {_INT64_MAX} (int64)", path, no)
+        if total > INT64_MAX:
+            raise FormatError(f"counts total more than {INT64_MAX} (int64)", path, no)
     return [CategoryCounts(t, dict(sorted(d.items()))) for t, d in zip(texts, per_text)]
 
 

@@ -16,7 +16,9 @@ renormalizing the weights left (uniform with none left) and mixing in
 the floor; without smoothing, the product of raw relative frequencies.
 
 ``_viterbi_loops`` is the trigram Viterbi search written as plain loops
-over the instance layout of ``greektag._viterbi.viterbi``.  It copies
+over a flat form of the instance of ``greektag._viterbi.viterbi``: the
+increment blocks flattened and joined in one array ``inc``, position
+k's block at offset ``off[k]``.  It copies
 every state's whole best path at each position and breaks exact ties by
 comparing those paths element by element, the most literal reading of
 the lexicographic tie-break, beam pruning included.
@@ -46,8 +48,9 @@ equal every cell of ``Model.transition_block`` byte for byte.
 
 ``reference_increments`` fills a sequence's trellis cell by cell on
 ``Tag`` objects: ``reference_log_transition`` of each (h2, h1, t) plus
-the ``math.log`` of the word's lexical probability of t, in the
-increment layout of ``greektag._viterbi.viterbi``.
+the ``math.log`` of the word's lexical probability of t, in the flat
+layout of ``_viterbi_loops``: the blocks ``decode._fill`` returns,
+flattened and joined.
 
 ``run_test_reference`` is the chi-square deviation test of
 ``greektag.stylometry.run_test`` from the definition: it drops each

@@ -443,6 +443,24 @@ def test_tag_rejects_trigram_no_sequence_produces(workdir, capsys, row, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("count, code", [
+    ("1" * 5000, 1), ("1" * 20, 1), (str(2**63), 1), ("000" + str(2**63 - 1), 0),
+], ids=["5000-digits", "20-digits", "2**63", "2**63-1"])
+def test_tag_rejects_trigram_count_past_int64(workdir, capsys, count, code):
+    """A trigram count that does not fit an int64 exits 1 with the line,
+    however many digits it has; the largest int64 loads."""
+    def edit(lines):
+        no = lines.index("[trigrams]") + 1
+        lines.insert(no, "nega\tnega\tnega\t" + count)
+        edit.line = no + 1
+
+    got, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert got == code, err
+    if code:
+        assert f"bad.model: line {edit.line}: trigram count more than {2**63 - 1} (int64)" in err
+    assert "Traceback" not in err
+
+
 def test_tag_rejects_trigram_given_twice(workdir, capsys):
     def edit(lines):
         no = lines.index("[trigrams]") + 1

@@ -188,17 +188,16 @@ def _layout_loop(widths):
     """``_viterbi.layout`` as a plain loop: the candidate counts two and
     one positions back are 1 before the first position."""
     padded = [1, 1, *widths]
-    counts, adims, bdims, off, ends = [], [], [], [], []
+    counts, adims, bdims, ends = [], [], [], []
     end = 0
     for k, z in enumerate(widths):
         x, y = padded[k], padded[k + 1]
         counts.append(z)
         adims.append(x)
         bdims.append(y)
-        off.append(end)
         end += x * y * z
         ends.append(end)
-    return counts, adims, bdims, off, ends
+    return counts, adims, bdims, ends
 
 
 def test_layout_matches_plain_loop():
@@ -212,6 +211,23 @@ def test_layout_matches_plain_loop():
                 assert array.tolist() == want
 
 
+def _flat_layout(widths):
+    """``_viterbi.layout`` with each position's start offset in one flat
+    increments array, the layout ``_viterbi_loops`` reads: ``counts``,
+    ``adims``, ``bdims``, ``off`` and the ends."""
+    counts, adims, bdims, ends = _viterbi.layout(widths)
+    return counts, adims, bdims, ends - adims * bdims * counts, ends
+
+
+def _kernel(counts, adims, bdims, off, inc, beam):
+    """``_viterbi.viterbi`` on a flat instance: ``inc`` split into each
+    position's (X, Y, Z) view."""
+    ends = off + adims * bdims * counts
+    blocks = [inc[a:b].reshape(x, y, z) for a, b, x, y, z in
+              zip(off.tolist(), ends.tolist(), adims.tolist(), bdims.tolist(), counts.tolist())]
+    return _viterbi.viterbi(counts, adims, bdims, ends, blocks, beam)
+
+
 def _kernel_instances(seed, trials, max_len):
     """Random trellises: tie-heavy, tie-heavy with zero-probability
     (``-inf``) increments, and continuous; beams 0 to 4.  Then long
@@ -222,7 +238,7 @@ def _kernel_instances(seed, trials, max_len):
         K = int(rng.integers(1, max_len + 1))
         width = int(rng.integers(1, 6))
         counts = rng.integers(1, width + 1, K).astype(np.int64)
-        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
         if trial % 3 == 2:
             inc = np.log(rng.random(total))
         else:
@@ -234,13 +250,13 @@ def _kernel_instances(seed, trials, max_len):
     for K, value, beam in ((300, np.log(0.5), 0), (300, -np.inf, 0),
                            (200, np.log(0.5), 3), (200, -np.inf, 2)):
         counts = rng.integers(1, 4, K).astype(np.int64)
-        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
         yield counts, adims, bdims, off, np.full(total, value), beam
 
 
 def test_kernel_matches_reference_loops():
     for args in _kernel_instances(99, 600, 30):
-        assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
+        assert np.array_equal(_kernel(*args), _viterbi_loops(*args))
 
 
 def _run_widths(rng, K, ones):
@@ -262,7 +278,7 @@ def _no_choice_instances(seed, trials, max_len):
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         counts = _run_widths(rng, int(rng.integers(1, max_len + 1)), trial % 2 == 0)
-        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
         kind = (trial // 2) % 3
         if kind == 2:
             inc = np.log(rng.random(total))
@@ -274,7 +290,7 @@ def _no_choice_instances(seed, trials, max_len):
     for trial in range(20):
         K = int(rng.integers(150, 301))
         counts = _run_widths(rng, K, trial % 4 == 0)
-        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
         value = -np.inf if trial % 2 else np.log(0.5)
         yield counts, adims, bdims, off, np.full(total, value), trial % 5
 
@@ -312,28 +328,30 @@ def _walks(args, calls):
     """How often decoding ``args`` ran the tie walk; the path must equal
     the plain-loop reference's either way."""
     before = len(calls)
-    assert np.array_equal(_viterbi.viterbi(*args), _viterbi_loops(*args))
+    assert np.array_equal(_kernel(*args), _viterbi_loops(*args))
     return len(calls) - before
 
 
 def _continuous_instance(rng, K, max_width, beam):
     """Random log-probability increments: no two sums are equal."""
     counts = rng.integers(1, max_width + 1, K).astype(np.int64)
-    counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+    counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
     return counts, adims, bdims, off, np.log(rng.random(total)), beam
 
 
 def _tied_states(counts, adims, bdims, off, inc, beam):
     """States, over all positions, whose best score two or more
     predecessors reach, from a plain forward pass."""
-    scores = _viterbi._prune(inc[: counts[0]].reshape(1, -1), beam)
+    scores = inc[: counts[0]].reshape(1, -1).copy()
+    _viterbi._prune(scores, beam)
     tied = 0
     for k in range(1, len(counts)):
         X, Y, Z = adims[k], bdims[k], counts[k]
         cand = scores[:, :, None] + inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
         best = cand.max(axis=0)
         tied += int(((cand == best).sum(axis=0) > 1).sum())
-        scores = _viterbi._prune(best, beam)
+        _viterbi._prune(best, beam)
+        scores = best
     return tied
 
 
@@ -373,14 +391,14 @@ def test_kernel_skips_tie_walk_for_ties_off_best_path(tie_walks):
     # best path 0, 0, 0 scores -3; state (1, 1) at the last position is
     # reached at -7 from both candidates two back
     counts = np.array([2, 2, 2], np.int64)
-    counts, adims, bdims, off, _ = _viterbi.layout(counts)
+    counts, adims, bdims, off, _ = _flat_layout(counts)
     last = np.full((2, 2, 2), -8.0)
     last[0, 0, 0], last[0, 1, 1], last[1, 1, 1] = -1.0, -4.0, -2.0
     inc = np.concatenate([[-1.0, -3.0], [-1.0, -2.0, -1.0, -2.0], last.ravel()])
     args = (counts, adims, bdims, off, inc, 0)
     assert _tied_states(*args) == 1
     assert _walks(args, tie_walks) == 0
-    assert list(_viterbi.viterbi(*args)) == [0, 0, 0]
+    assert list(_kernel(*args)) == [0, 0, 0]
 
 
 def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
@@ -413,7 +431,7 @@ def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
     # every path ties: all increments equal, or all -inf
     for trial in range(20):
         counts = _run_widths(rng, int(rng.integers(20, 120)), False)
-        counts, adims, bdims, off, (*_, total) = _viterbi.layout(counts)
+        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
         value = -np.inf if trial % 2 else np.log(0.5)
         args = (counts, adims, bdims, off, np.full(total, value), trial % 5)
         assert _walks(args, tie_walks) == 1
@@ -425,9 +443,9 @@ def _tag_capturing(monkeypatch, model, texts):
     captured = []
     kernel = _viterbi.viterbi
 
-    def spy(counts, adims, bdims, off, inc, beam=0):
-        captured.append(inc.tobytes())
-        return kernel(counts, adims, bdims, off, inc, beam)
+    def spy(counts, adims, bdims, ends, blocks, beam=0):
+        captured.append(np.concatenate([block.ravel() for block in blocks]).tobytes())
+        return kernel(counts, adims, bdims, ends, blocks, beam)
 
     with monkeypatch.context() as m:
         m.setattr(_viterbi, "viterbi", spy)
@@ -447,7 +465,8 @@ def _increments_by_text(monkeypatch, model, texts):
         forced = all(len(c[1]) == 1 for c in cands)
         captured = _tag_capturing(monkeypatch, model, [tokens])[1]
         assert len(captured) == (not forced)
-        out += captured or [np.concatenate(decode._fill(model, tokens, cands)).tobytes()]
+        blocks = decode._fill(model, tokens, cands)
+        out += captured or [np.concatenate([block.ravel() for block in blocks]).tobytes()]
     return out
 
 
@@ -503,6 +522,40 @@ def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_s
                           texts) == expected
     for sizes in held.values():
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the cache
+
+
+def test_beam_prunes_only_arrays_the_kernel_made(fixtures_dir, toy_corpus, toy_rules,
+                                                 toy_schema):
+    """Tagging cold, warm and at beams 1 to 4 leaves every cached block
+    and increments array read-only and as one exact pass made it; the
+    kernel leaves writable blocks a caller hands it unchanged at beams 1
+    to 4, the first position's included."""
+    texts = _fixture_texts(fixtures_dir)
+    model = train(toy_corpus, toy_rules, toy_schema)
+    for tokens in texts:
+        tag_sequence(model, tokens)
+    made = {name: {key: a.tobytes() for key, a in getattr(model, name).items()}
+            for name in ("_incs", "_blocks")}
+    # a first position with more candidates than beam 1 keeps
+    assert any(len(model.candidates(tokens[0].norm)[1]) > 1 for tokens in texts if tokens)
+    for beam in range(5):
+        for tokens in texts:
+            tag_sequence(model, tokens, beam)
+    for name, arrays in made.items():
+        cache = getattr(model, name)
+        assert {key: a.tobytes() for key, a in cache.items()} == arrays
+        assert not any(a.flags.writeable for a in cache.values())
+
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        counts, adims, bdims, ends = _viterbi.layout(
+            [6, *rng.integers(1, 7, int(rng.integers(0, 12)))])
+        blocks = [np.log(rng.random(shape))
+                  for shape in zip(adims.tolist(), bdims.tolist(), counts.tolist())]
+        before = [block.tobytes() for block in blocks]
+        for beam in range(1, 5):
+            _viterbi.viterbi(counts, adims, bdims, ends, blocks, beam)
+        assert [block.tobytes() for block in blocks] == before
 
 
 def test_candidate_cache_cap(monkeypatch, fixtures_dir, toy_model):
@@ -616,11 +669,11 @@ def test_forced_sequences_match_oracle_and_kernel(tmp_path, fixtures_dir, toy_co
             cands = [model.candidates(tok.norm) for tok in tokens]
             if any(len(ids) > 1 for _, ids, _ in cands):
                 continue
-            counts, adims, bdims, off, _ = _viterbi.layout([1] * len(tokens))
+            counts, adims, bdims, off, _ = _flat_layout([1] * len(tokens))
             inc = reference_increments(model, tokens)
             oracle = brute_force_best(model, tokens)
             for beam in range(5):
-                path = _viterbi.viterbi(counts, adims, bdims, off, inc, beam)
+                path = _kernel(counts, adims, bdims, off, inc, beam)
                 assert [tags[i] for (tags, _, _), i in zip(cands, path)] == oracle
                 assert tag_sequence(model, tokens, beam) == oracle
             scores.append(model.sequence_log_prob(tokens, oracle))
