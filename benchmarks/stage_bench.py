@@ -65,7 +65,8 @@ from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpu
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
-from reference import analysis_mismatch, cross_validation_reference, rescored  # noqa: E402
+from reference import (analysis_mismatch, cross_validation_reference, rescored,  # noqa: E402
+                       trellis_blocks)
 
 #: The hapax run's three words: letter runs that no lexicon entry or
 #: suffix rule of the fixture or the generated corpora matches.
@@ -296,11 +297,9 @@ def fill_section(model, paths, repeats):
 def dense_instance(rng, length, width, tied=False):
     """The kernel's arguments but the beam: ``length`` positions of
     ``width`` candidates, each with its own (X, Y, Z) block."""
-    counts, adims, bdims, ends = _viterbi.layout([width] * length)
-    cells = np.full(ends[-1], np.log(0.5)) if tied else np.log(rng.random(ends[-1]))
-    blocks = [block.reshape(shape) for block, shape in zip(
-        np.split(cells, ends[:-1].tolist()), zip(adims.tolist(), bdims.tolist(), counts.tolist()))]
-    return counts, adims, bdims, ends, blocks
+    widths = [width] * length
+    draw = (lambda n: np.full(n, np.log(0.5))) if tied else (lambda n: np.log(rng.random(n)))
+    return (*_viterbi.layout(widths), trellis_blocks(widths, draw))
 
 
 def kernel_section(sizes, repeats):

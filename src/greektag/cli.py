@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import stylometry
 from .decode import tag_corpus, tag_sequence
-from .errors import GreektagError, decode_utf8
+from .errors import GreektagError, check_distinct, decode_utf8
 from .model import Model, _fold_models, train
 from .morph import RuleSet
 from .stylometry import (
@@ -45,12 +45,12 @@ def _load_schema(path) -> TagSchema:
     return TagSchema.load(path if path else default_schema_path())
 
 
-def cross_validation(corpus, rules, schema, folds=CV_FOLDS, seed=DEFAULT_SEED):
-    """Held-out tagging accuracy, averaged over up to ``folds`` folds of
-    whole sequences.  None when the corpus is too small to split."""
-    k = min(folds, len(corpus))
-    if len(corpus) < 2 or k < 1:
+def cross_validation(corpus, rules, schema, seed=DEFAULT_SEED):
+    """Held-out tagging accuracy, averaged over up to ``CV_FOLDS`` folds
+    of whole sequences.  None when the corpus is too small to split."""
+    if len(corpus) < 2:
         return None
+    k = min(CV_FOLDS, len(corpus))
     order = list(range(len(corpus)))
     random.Random(seed).shuffle(order)
     correct = 0
@@ -114,17 +114,13 @@ def cmd_count(args) -> int:
             print(f"error: --exclude-category {category}: the schema declares no "
                   "such category", file=sys.stderr)
             return EXIT_USAGE
+    check_distinct((Path(path).stem for path in args.tagged), "text id")
     group = []
-    seen = set()
     for path in args.tagged:
-        text_id = Path(path).stem
-        if text_id in seen:
-            raise GreektagError(f"duplicate text id {text_id!r}")
-        seen.add(text_id)
         pairs = []
         for seq in load_annotated_corpus(path, schema):
             pairs.extend(zip(seq.tokens, seq.gold_tags))
-        group.append(count_categories(pairs, text_id, exclude))
+        group.append(count_categories(pairs, Path(path).stem, exclude))
     stylometry.save_counts_csv(args.out, group)
     print(f"counted {len(group)} texts to {args.out}")
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all greektag modules, the UTF-8
-readers that report undecodable input as a ``FormatError``, and the
-bound on counts read from files."""
+readers that report undecodable input as a ``FormatError``, the bound
+on counts read from files, and the reader of weights."""
 
+import math
 from contextlib import contextmanager
 
 #: The largest count, or count total, a file may give: it must fit an int64.
@@ -37,6 +38,18 @@ def check_distinct(names, what: str, path=None, line=None) -> None:
         if name in seen:
             raise FormatError(f"{what} {name} given twice", path, line)
         seen.add(name)
+
+
+def parse_weight(text: str) -> float:
+    """A probability or weight read from a file; ValueError unless
+    ``text`` is ASCII, holds no ``_`` and is a finite non-negative
+    number."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"weight {text!r} is not an ASCII number without '_'")
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"weight {text!r} is not a finite non-negative number")
+    return value
 
 
 class ModelError(GreektagError):

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from . import morph
-from .errors import INT64_MAX, FormatError, ModelError, TagError, open_utf8
+from .errors import INT64_MAX, FormatError, ModelError, TagError, open_utf8, parse_weight
 from .tags import (
     BOUNDARY,
     BOUNDARY_CATEGORY,
@@ -95,14 +95,14 @@ def _header_fields(header, name, path) -> tuple[int, list[str]]:
 
 
 def _header_numbers(header, name, count, path) -> tuple[float, ...]:
-    """The ``count`` numbers of model header line ``name``, each finite
-    and non-negative."""
+    """The ``count`` numbers of model header line ``name``, each read by
+    ``parse_weight``."""
     no, fields = _header_fields(header, name, path)
     try:
-        values = tuple(float(x) for x in fields)
+        values = tuple(map(parse_weight, fields))
     except ValueError:
         values = ()
-    if len(values) != count or not all(math.isfinite(v) and v >= 0.0 for v in values):
+    if len(values) != count:
         raise FormatError(
             f"{name} needs {count} finite non-negative number(s), got {' '.join(fields)}",
             path, no,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import FormatError, GreektagError, ModelError, check_distinct, open_utf8
+from .errors import (FormatError, GreektagError, ModelError, check_distinct, open_utf8,
+                     parse_weight)
 from .tags import Tag, TagSchema, format_tag
 from .text import PUNCT_CATEGORY, Sequence, _tab_rows, is_punct
 
@@ -39,15 +40,6 @@ _MAX_EXPANSION = 4096
 _OPERATORS = frozenset("()[]|?*+{}\\^$.")
 #: how far a lexicon row's probabilities may sum from 1
 _SUM_TOLERANCE = 1e-9
-
-
-def _weight(text: str) -> float:
-    """A probability or rule weight; ValueError unless it is a finite
-    non-negative number."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"weight {text!r} is not a finite non-negative number")
-    return value
 
 
 def _expand_pattern(pattern: str, path=None, line=None) -> tuple[str, ...]:
@@ -218,7 +210,7 @@ class RuleSet:
                 except GreektagError:
                     tagstring, eq, prob = item.rpartition("=")
                     try:
-                        tag, w = schema.parse(tagstring), _weight(prob)
+                        tag, w = schema.parse(tagstring), parse_weight(prob)
                     except (GreektagError, ValueError) as exc:
                         raise FormatError(f"bad tag item {item!r}: {exc}", path, no) from None
                 tags.append(tag)
@@ -332,7 +324,7 @@ class Lexicon:
                 if not eq:
                     raise FormatError(f"missing probability in {item!r}", path, no)
                 try:
-                    probs.append((schema.parse(tagstring), _weight(prob)))
+                    probs.append((schema.parse(tagstring), parse_weight(prob)))
                 except (GreektagError, ValueError) as exc:
                     raise FormatError(str(exc), path, no) from None
             check_distinct((format_tag(t) for t, _ in probs), "tag", path, no)
@@ -437,9 +429,9 @@ def _known_analyses(word: str, lexicon: Lexicon):
 
 
 def _normalized(scores: dict) -> list[tuple[Tag, float]]:
-    """Summed per-tag scores in canonical tag string order, each divided
-    by their total added in that order; empty when the total is not
-    positive."""
+    """Per-tag scores or counts in canonical tag string order, each
+    divided by their total added in that order; empty when the total is
+    not positive.  On counts, these are their relative frequencies."""
     tags = sorted(scores, key=format_tag)
     total = 0.0
     for t in tags:
@@ -584,7 +576,7 @@ class LexiconCounts:
             entries, mine, held = dict(entries), getattr(self, name), getattr(keys, name)
             for key in held:
                 if counts := mine[key] if part is None else _less(mine[key], held[key]):
-                    entries[key] = make(key, _distribution(counts))
+                    entries[key] = make(key, tuple(_normalized(counts)))
                 else:
                     del entries[key]
             return entries
@@ -598,19 +590,12 @@ class LexiconCounts:
         for idx in keys.rules:
             r, counts = rules.suffix_rules[idx], left("rules", idx)
             suffix_rules[idx] = SuffixRule(r.pattern, r.paradigm_class, r.tags, r.literals,
-                                           dict(_distribution(counts))) if counts else r
+                                           dict(_normalized(counts))) if counts else r
         words = self.words if part is None else _less(self.words, part.words)
         lexicon = Lexicon(schema, RuleSet(suffix_rules, rules.prefix_rules), (), (),
                           suffix_probs, _hapax_prior(words), self.log if part is None else ())
         lexicon.stems, lexicon.fullforms = stems, fullforms  # already keyed by form
         return lexicon
-
-
-def _distribution(counter: dict) -> tuple[tuple[Tag, float], ...]:
-    """Relative frequencies of a tag-keyed dict of counts, in canonical
-    tag string order."""
-    total = sum(counter.values())
-    return tuple([(t, counter[t] / total) for t in sorted(counter, key=format_tag)])
 
 
 def _less(counts: dict, part: dict) -> dict:
@@ -629,7 +614,7 @@ def _hapax_prior(words: dict) -> dict[Tag, float]:
     if not hapax:
         for (_, gold), n in words.items():
             hapax[gold] += n
-    return dict(_distribution(hapax))
+    return dict(_normalized(hapax))
 
 
 def _training_split(word: str, gold: Tag, rules: RuleSet):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import INT64_MAX, FormatError, GreektagError, open_utf8
+from .errors import INT64_MAX, FormatError, GreektagError, check_distinct, open_utf8
 
 #: Chi-square cutoff for one category: 1 degree of freedom at p = 0.05.
 DEFAULT_THRESHOLD = 3.841
@@ -102,8 +102,7 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
     if len(group) < 3:
         raise GreektagError(f"need at least 3 texts, got {len(group)}")
     texts = tuple(c.text_id for c in group)
-    if len(set(texts)) != len(texts):
-        raise GreektagError("duplicate text ids in group")
+    check_distinct(texts, "text id")
     totals = [c.total for c in group]
     if min(totals) <= 0:
         empty = texts[totals.index(min(totals))]
@@ -214,8 +213,7 @@ def render_report(report: DeviationReport) -> tuple[str, str]:
 
 def write_counts_csv(stream, group) -> None:
     texts = [c.text_id for c in group]
-    if len(set(texts)) != len(texts):
-        raise GreektagError("duplicate text ids")
+    check_distinct(texts, "text id")
     categories = sorted({cat for c in group for cat in c.counts})
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["category"] + texts)
@@ -231,8 +229,7 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
     if not header or header[0] != "category":
         raise FormatError("counts CSV must start with a 'category' header", path, 1)
     texts = header[1:]
-    if len(set(texts)) != len(texts):
-        raise FormatError("a text id is given twice", path, 1)
+    check_distinct(texts, "text id", path, 1)
     per_text: list[dict[str, int]] = [{} for _ in texts]
     seen: set[str] = set()
     total = 0  # of every count read so far

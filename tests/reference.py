@@ -16,12 +16,14 @@ renormalizing the weights left (uniform with none left) and mixing in
 the floor; without smoothing, the product of raw relative frequencies.
 
 ``_viterbi_loops`` is the trigram Viterbi search written as plain loops
-over a flat form of the instance of ``greektag._viterbi.viterbi``: the
-increment blocks flattened and joined in one array ``inc``, position
-k's block at offset ``off[k]``.  It copies
+over the increment blocks that ``greektag._viterbi.viterbi`` takes:
+position k's block is an array of shape (X, Y, Z), the candidate counts
+two and one positions back and at k.  It copies
 every state's whole best path at each position and breaks exact ties by
 comparing those paths element by element, the most literal reading of
-the lexicographic tie-break, beam pruning included.
+the lexicographic tie-break, beam pruning included.  ``trellis_blocks``
+draws a random trellis's cells in one flat array and cuts them, in
+order, into such blocks.
 
 ``brute_force_best`` is the exhaustive decoding oracle: it enumerates
 every candidate sequence and scores each with
@@ -48,9 +50,8 @@ equal every cell of ``Model.transition_block`` byte for byte.
 
 ``reference_increments`` fills a sequence's trellis cell by cell on
 ``Tag`` objects: ``reference_log_transition`` of each (h2, h1, t) plus
-the ``math.log`` of the word's lexical probability of t, in the flat
-layout of ``_viterbi_loops``: the blocks ``decode._fill`` returns,
-flattened and joined.
+the ``math.log`` of the word's lexical probability of t, one (X, Y, Z)
+block per position, as ``decode._fill`` returns them.
 
 ``run_test_reference`` is the chi-square deviation test of
 ``greektag.stylometry.run_test`` from the definition: it drops each
@@ -81,6 +82,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from greektag import _viterbi
 from greektag.cli import CV_FOLDS, DEFAULT_SEED
 from greektag.decode import tag_sequence
 from greektag.errors import GreektagError, ModelError, SearchSpaceError
@@ -175,6 +177,18 @@ def reference_chain_prob(tables, schema, tag, history, *, smoothed,
     return p
 
 
+def _marginals(trigrams):
+    """The (h1, t), t, (h2, h1) and h1 counts of the (h2, h1, t) counts
+    ``trigrams``, and their total."""
+    big, uni, ctx3, ctx2 = Counter(), Counter(), Counter(), Counter()
+    for (a, b, t), n in trigrams.items():
+        big[(b, t)] += n
+        uni[t] += n
+        ctx3[(a, b)] += n
+        ctx2[b] += n
+    return big, uni, ctx3, ctx2, sum(trigrams.values())
+
+
 def fit_interpolation_reference(seq_tag_lists):
     """(lambdas, chain_weights) by leave-one-sequence-out deleted
     interpolation, one table per held-out sequence."""
@@ -183,29 +197,14 @@ def fit_interpolation_reference(seq_tag_lists):
     for c in per_seq:
         tri_g.update(c)
 
-    big_g, uni_g, ctx3_g, ctx2_g = Counter(), Counter(), Counter(), Counter()
-    n_g = 0
-    for (a, b, t), n in tri_g.items():
-        big_g[(b, t)] += n
-        uni_g[t] += n
-        ctx3_g[(a, b)] += n
-        ctx2_g[b] += n
-        n_g += n
-
+    big_g, uni_g, ctx3_g, ctx2_g, n_g = _marginals(tri_g)
     tables_g = _TagTables(tri_g)
     order_awards = [0.0, 0.0, 0.0]  # l1, l2, l3
     chain_awards = [0.0, 0.0, 0.0]  # specific, category-local, global
     saw_features = False
 
     for c_s in per_seq:
-        big_s, uni_s, ctx3_s, ctx2_s = Counter(), Counter(), Counter(), Counter()
-        n_s = 0
-        for (a, b, t), n in c_s.items():
-            big_s[(b, t)] += n
-            uni_s[t] += n
-            ctx3_s[(a, b)] += n
-            ctx2_s[b] += n
-            n_s += n
+        big_s, uni_s, ctx3_s, ctx2_s, n_s = _marginals(c_s)
         tables_s = _TagTables(c_s)
 
         for (a, b, t), n in c_s.items():
@@ -355,40 +354,52 @@ def train_lexicon_reference(corpus, rules, schema):
     )
 
 
-def _viterbi_loops(counts, adims, bdims, off, inc, beam):
-    K = counts.shape[0]
-    maxc = 1
-    for k in range(K):
-        if counts[k] > maxc:
-            maxc = counts[k]
+def trellis_blocks(widths, draw):
+    """The increment blocks of a trellis whose position k has
+    ``widths[k]`` candidates: ``draw(n)`` returns all n cells in one
+    flat array, which is cut, in order, into each position's (X, Y, Z)
+    block."""
+    counts, adims, bdims, ends = _viterbi.layout(widths)
+    cells = draw(int(ends[-1]))
+    return [cells[end - x * y * z:end].reshape(x, y, z) for x, y, z, end in
+            zip(adims.tolist(), bdims.tolist(), counts.tolist(), ends.tolist())]
+
+
+def _prune_loops(scores, Y, Z, beam):
+    """Set the states of ``scores[:Y, :Z]`` below their ``beam``-th best
+    to ``-inf``."""
+    if 0 < beam < Y * Z:
+        threshold = np.sort(scores[:Y, :Z].copy().reshape(Y * Z))[Y * Z - beam]
+        for y in range(Y):
+            for z in range(Z):
+                if scores[y, z] < threshold:
+                    scores[y, z] = -np.inf
+
+
+def _viterbi_loops(blocks, beam):
+    K = len(blocks)
+    maxc = max(block.shape[2] for block in blocks)
 
     scores = np.full((maxc, maxc), -np.inf)
     paths = np.zeros((maxc, maxc, K), np.int32)
     new_scores = np.full((maxc, maxc), -np.inf)
     new_paths = np.zeros((maxc, maxc, K), np.int32)
 
-    n0 = counts[0]
+    n0 = blocks[0].shape[2]
     for y in range(n0):
-        scores[0, y] = inc[off[0] + y]
+        scores[0, y] = blocks[0][0, 0, y]
         paths[0, y, 0] = y
-    if 0 < beam < n0:
-        flat = np.sort(scores[0, :n0].copy())
-        threshold = flat[n0 - beam]
-        for y in range(n0):
-            if scores[0, y] < threshold:
-                scores[0, y] = -np.inf
+    _prune_loops(scores, 1, n0, beam)
 
     for k in range(1, K):
-        X = adims[k]
-        Y = bdims[k]
-        Z = counts[k]
-        base = off[k]
+        block = blocks[k]
+        X, Y, Z = block.shape
         for y in range(Y):
             for z in range(Z):
                 best = -np.inf
                 bestx = -1
                 for x in range(X):
-                    v = scores[x, y] + inc[base + (x * Y + y) * Z + z]
+                    v = scores[x, y] + block[x, y, z]
                     if bestx < 0 or v > best:
                         best = v
                         bestx = x
@@ -407,16 +418,9 @@ def _viterbi_loops(counts, adims, bdims, off, inc, beam):
                 new_paths[y, z, k] = z
         scores, new_scores = new_scores, scores
         paths, new_paths = new_paths, paths
-        if 0 < beam < Y * Z:
-            flat = np.sort(scores[:Y, :Z].copy().reshape(Y * Z))
-            threshold = flat[Y * Z - beam]
-            for y in range(Y):
-                for z in range(Z):
-                    if scores[y, z] < threshold:
-                        scores[y, z] = -np.inf
+        _prune_loops(scores, Y, Z, beam)
 
-    U = bdims[K - 1]
-    V = counts[K - 1]
+    _, U, V = blocks[K - 1].shape
     best = -np.inf
     bu = -1
     bv = -1
@@ -475,19 +479,18 @@ def brute_force_best(model, tokens, limit=ORACLE_LIMIT):
 
 
 def reference_increments(model, tokens):
-    """float64 trellis increments of ``tokens``, one cell at a time."""
+    """The float64 increment block of each position of ``tokens``, one
+    cell at a time."""
     cands = [model.lexical_probs(tok.norm) for tok in tokens]
     boundary = [(BOUNDARY, 1.0)]
-    inc = []
+    blocks = []
     for k in range(len(tokens)):
         prev2 = cands[k - 2] if k >= 2 else boundary
         prev1 = cands[k - 1] if k >= 1 else boundary
-        for a, _ in prev2:
-            for b, _ in prev1:
-                for t, p in cands[k]:
-                    emis = math.log(p) if p > 0.0 else NEG_INF
-                    inc.append(reference_log_transition(model, t, b, a) + emis)
-    return np.array(inc, np.float64)
+        blocks.append(np.array(
+            [[[reference_log_transition(model, t, b, a) + (math.log(p) if p > 0.0 else NEG_INF)
+               for t, p in cands[k]] for b, _ in prev1] for a, _ in prev2], np.float64))
+    return blocks
 
 
 def run_test_reference(group, threshold, exclude_self):

@@ -156,6 +156,14 @@ def test_train_rejects_class_the_lexicon_cannot_carry(workdir, capsys):
     assert not (workdir / "toy.model").exists()
 
 
+def test_train_warns_and_skips_cv_on_one_sequence(workdir, capsys):
+    (workdir / "toy.corpus").write_text("ξξξ\tsubs:case=nom,num=sg,gend=masc\n", encoding="utf-8")
+    code, log = _train(workdir, capsys)
+    assert code == 0
+    assert ("warning: no segmentation for 'ξξξ' with tag subs:case=nom,num=sg,gend=masc; "
+            "stored as full form\ncv-accuracy: skipped (fewer than 2 sequences)\n") in log
+
+
 def test_tag_empty_input(workdir, capsys):
     _train(workdir, capsys)
     empty = workdir / "empty.txt"
@@ -207,6 +215,27 @@ def _tag_with_edited_model(workdir, capsys, edit):
     return code, capsys.readouterr().err
 
 
+def _rejected(workdir, capsys, edit, message=""):
+    """Tagging with the toy model after ``edit(lines)``, which sets
+    ``edit.line``, exits 1 with an error that names that line of
+    ``bad.model`` and then ``message``, with no traceback; the error."""
+    code, err = _tag_with_edited_model(workdir, capsys, edit)
+    assert code == 1
+    assert f"bad.model: line {edit.line}: {message}" in err
+    assert "Traceback" not in err
+    return err
+
+
+def _replacing(prefix, replacement):
+    """The edit that makes the first line starting with ``prefix``
+    ``replacement``."""
+    def edit(lines):
+        no = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[no] = replacement
+        edit.line = no + 1
+    return edit
+
+
 @pytest.mark.parametrize("replacement", [
     "lambdas nan nan nan",
     "lambdas 0.5 0.5",
@@ -217,22 +246,14 @@ def _tag_with_edited_model(workdir, capsys, edit):
     "floor inf",
     "floor 7",
     "floor x",
+    "floor ٠.٠٠١",
+    "floor 0_0",
     "smoothed 5",
     "smoothed 1 0",
     "smoothed x",
 ])
 def test_tag_rejects_bad_model_header(workdir, capsys, replacement):
-    name = replacement.split()[0]
-
-    def edit(lines):
-        no = next(i for i, line in enumerate(lines) if line.startswith(name + " "))
-        lines[no] = replacement
-        edit.line = no + 1
-
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, _replacing(replacement.split()[0] + " ", replacement))
 
 
 def _insert_after_lambdas(lines):
@@ -260,10 +281,7 @@ def test_tag_rejects_unknown_model_layout(workdir, capsys, damage, message):
     def edit(lines):
         edit.line = damage(lines)
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: {message}" in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, edit, message)
 
 
 @pytest.mark.parametrize("name", ["lambdas", "chain", "floor", "smoothed"])
@@ -288,10 +306,7 @@ def test_tag_rejects_bad_trigram_row(workdir, capsys, field, value):
         lines[no] = "\t".join(fields)
         edit.line = no + 1
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, edit)
 
 
 def test_tag_rejects_empty_trigram_section(workdir, capsys):
@@ -302,10 +317,7 @@ def test_tag_rejects_empty_trigram_section(workdir, capsys):
         del lines[start + 1:lines.index("[lexicon]")]
         edit.line = start + 1
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: [trigrams] section has no rows" in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, edit, "[trigrams] section has no rows")
 
 
 def test_tag_rejects_empty_feature_list_in_model(workdir, capsys):
@@ -319,22 +331,7 @@ def test_tag_rejects_empty_feature_list_in_model(workdir, capsys):
         lines[no] = "\t".join(fields)
         edit.line = no + 1
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: empty feature list in 'punct:'" in err
-    assert "Traceback" not in err
-
-
-def _replace_line(workdir, capsys, prefix, replacement):
-    """Tag with the toy model after its first line starting with
-    ``prefix`` becomes ``replacement``; (exit code, stderr, file line)."""
-    def edit(lines):
-        no = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-        lines[no] = replacement
-        edit.line = no + 1
-
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    return code, err, edit.line
+    _rejected(workdir, capsys, edit, "empty feature list in 'punct:'")
 
 
 @pytest.mark.parametrize("prefix, replacement", [
@@ -345,12 +342,12 @@ def _replace_line(workdir, capsys, prefix, replacement):
     ("σας\t", "σας\tw-verb\tpart:case=nom,num=sg,tense=aor,voice=act,gend=masc=nan"),
     ("ει\tsuffix\t", "ει\tsuffix\tw-verb\tverf:pers=3,num=sg,mood=ind,tense=pres,voice=act=1"),
     ("__hapax__\t", "__hapax__\tprior\tw-verb\tprae=1"),
-], ids=["nan", "inf", "negative", "sum-0.5", "rule-nan", "suffix-classes", "prior-classes"])
+    ("καί\t", "καί\tfullform\t-\tkonj=١"),
+    ("σας\t", "σας\tw-verb\tpart:case=nom,num=sg,tense=aor,voice=act,gend=masc=1_0"),
+], ids=["nan", "inf", "negative", "sum-0.5", "rule-nan", "suffix-classes", "prior-classes",
+        "not-ascii", "rule-underscore"])
 def test_tag_rejects_bad_lexicon_row(workdir, capsys, prefix, replacement):
-    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
-    assert code == 1
-    assert f"bad.model: line {line}: " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, _replacing(prefix, replacement))
 
 
 @settings(deadline=None)
@@ -383,10 +380,7 @@ PART_NOM = "part:case=nom,num=sg,tense=aor,voice=act,gend=masc"
     ("σας\t", f"σας\tw-verb\t{PART_NOM} {PART_NOM}"),
 ], ids=["stem", "suffix", "prior", "rule-weighted", "rule-bare"])
 def test_tag_rejects_tag_given_twice(workdir, capsys, prefix, replacement):
-    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
-    assert code == 1
-    assert f"bad.model: line {line}: " in err and "given twice" in err
-    assert "Traceback" not in err
+    assert "given twice" in _rejected(workdir, capsys, _replacing(prefix, replacement))
 
 
 @pytest.mark.parametrize("prefix, second", [
@@ -401,10 +395,7 @@ def test_tag_rejects_entry_given_twice(workdir, capsys, prefix, second):
         lines.insert(no + 1, second)
         edit.line = no + 2
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: second " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, edit, "second ")
 
 
 @pytest.mark.parametrize("repeat", ["lambdas", "[schema]", "[rules]", "[trigrams]", "[lexicon]"])
@@ -420,10 +411,7 @@ def test_tag_rejects_header_or_section_given_twice(workdir, capsys, repeat):
             lines.insert(no + 1, lines[no])
             edit.line = no + 2
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: " in err and "given twice" in err
-    assert "Traceback" not in err
+    assert "given twice" in _rejected(workdir, capsys, edit)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -437,10 +425,7 @@ def test_tag_rejects_trigram_no_sequence_produces(workdir, capsys, row, message)
         lines.insert(no, row)
         edit.line = no + 1
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: " in err and message in err
-    assert "Traceback" not in err
+    assert message in _rejected(workdir, capsys, edit)
 
 
 @pytest.mark.parametrize("count, code", [
@@ -468,10 +453,7 @@ def test_tag_rejects_trigram_given_twice(workdir, capsys):
         lines.insert(no + 1, first + "\t7")
         edit.line = no + 2
 
-    code, err = _tag_with_edited_model(workdir, capsys, edit)
-    assert code == 1
-    assert f"bad.model: line {edit.line}: trigram given twice" in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, edit, "trigram given twice")
 
 
 def test_stem_and_fullform_may_share_a_form(workdir, capsys):
@@ -499,10 +481,7 @@ def test_trellis_bound_exits_1(workdir, capsys, monkeypatch):
 
 
 def test_tag_rejects_bad_schema_line_at_its_file_line(workdir, capsys):
-    code, err, line = _replace_line(workdir, capsys, "feature case ", "feature case")
-    assert code == 1
-    assert f"bad.model: line {line}: " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, _replacing("feature case ", "feature case"))
 
 
 @pytest.mark.parametrize("prefix, replacement", [
@@ -511,10 +490,7 @@ def test_tag_rejects_bad_schema_line_at_its_file_line(workdir, capsys):
 ], ids=["empty-value", "undeclared-feature"])
 def test_bad_schema_declaration_names_its_file_line(workdir, capsys, prefix, replacement):
     # in the [schema] section of a model file
-    code, err, line = _replace_line(workdir, capsys, prefix, replacement)
-    assert code == 1
-    assert f"bad.model: line {line}: " in err
-    assert "Traceback" not in err
+    _rejected(workdir, capsys, _replacing(prefix, replacement))
     # in a schema file
     schema = workdir / "toy.schema"
     lines = schema.read_text(encoding="utf-8").splitlines()
@@ -745,6 +721,16 @@ def test_chisq_too_few_texts_exits_1(workdir, capsys):
     save_counts_csv(counts_path,
                     [CategoryCounts(f"t{i}", {"a": 5, "b": 5}) for i in range(2)])
     assert main(["chisq", str(counts_path), "--out", str(workdir / "rep")]) == 1
+    counts_path.write_text("", encoding="utf-8")
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "rep")]) == 1
+    assert capsys.readouterr().err.endswith("error: need at least 3 texts, got 0\n")
+
+
+def test_chisq_prints_dropped_categories(workdir, capsys):
+    counts_path = workdir / "zero.csv"
+    counts_path.write_text("category,t0,t1,t2\na,5,6,7\nb,5,5,5\nc,0,0,0\n", encoding="utf-8")
+    assert main(["chisq", str(counts_path), "--out", str(workdir / "rep")]) == 0
+    assert "dropped: c\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

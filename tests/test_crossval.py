@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from greektag import RuleSet, Sequence, Tag, train
-from greektag import decode, morph
+from greektag import cli, decode, morph
 from greektag.cli import CV_FOLDS, DEFAULT_SEED, cross_validation
 from greektag.errors import GreektagError, ModelError, TagError
 from greektag.model import (_fitted_model, _fold_models, _instances, count_sequences,
@@ -68,13 +68,14 @@ def _two_folds(n, first):
     return [sorted(first), rest] if rest else [sorted(first)]
 
 
-def test_cross_validation_matches_reference_on_fixture(toy_corpus, toy_rules, toy_schema):
+def test_cross_validation_matches_reference_on_fixture(toy_corpus, toy_rules, toy_schema,
+                                                       monkeypatch):
     for seed in range(8):
         got = cross_validation(toy_corpus, toy_rules, toy_schema, seed=seed)
         assert got == cross_validation_reference(toy_corpus, toy_rules, toy_schema, seed=seed)
-    for folds in (-1, 0, 1, 2, 3, len(toy_corpus), 50):
-        got = _outcome(lambda: cross_validation(toy_corpus, toy_rules, toy_schema,
-                                                folds=folds))
+    for folds in (1, 2, 3, len(toy_corpus), 50):
+        monkeypatch.setattr(cli, "CV_FOLDS", folds)
+        got = _outcome(lambda: cross_validation(toy_corpus, toy_rules, toy_schema))
         assert got == _outcome(lambda: cross_validation_reference(toy_corpus, toy_rules,
                                                                   toy_schema, folds=folds))
 
@@ -461,9 +462,9 @@ def test_each_fold_normalizes_only_its_own_keys(toy_corpus, toy_rules, toy_schem
     counts, and no others.  On the fixture and 100 random corpora, in up
     to 10 folds."""
     calls = []
-    real = morph._distribution
-    monkeypatch.setattr(morph, "_distribution", lambda *a: calls.append(1) or real(*a))
-    per_fold = []  # _distribution calls of each fold's to_lexicon
+    real = morph._normalized
+    monkeypatch.setattr(morph, "_normalized", lambda *a: calls.append(1) or real(*a))
+    per_fold = []  # _normalized calls of each fold's to_lexicon
     to_lexicon = LexiconCounts.to_lexicon
 
     def counted(counts, rules, schema, part=None, whole=None):

@@ -21,7 +21,8 @@ from greektag.tags import format_tag
 from greektag.text import read_annotated_corpus, tokenize
 
 from genmodels import random_corpus, random_instance, symmetric_tie_instance, tagged_sequences
-from reference import _viterbi_loops, brute_force_best, reference_increments, rescored
+from reference import (_viterbi_loops, brute_force_best, reference_increments, rescored,
+                       trellis_blocks)
 from test_model import _deep_chain_corpus
 
 
@@ -211,21 +212,23 @@ def test_layout_matches_plain_loop():
                 assert array.tolist() == want
 
 
-def _flat_layout(widths):
-    """``_viterbi.layout`` with each position's start offset in one flat
-    increments array, the layout ``_viterbi_loops`` reads: ``counts``,
-    ``adims``, ``bdims``, ``off`` and the ends."""
-    counts, adims, bdims, ends = _viterbi.layout(widths)
-    return counts, adims, bdims, ends - adims * bdims * counts, ends
+def _kernel(blocks, beam):
+    """``_viterbi.viterbi`` on ``blocks``, with the layout of their shapes."""
+    return _viterbi.viterbi(*_viterbi.layout([b.shape[2] for b in blocks]), blocks, beam)
 
 
-def _kernel(counts, adims, bdims, off, inc, beam):
-    """``_viterbi.viterbi`` on a flat instance: ``inc`` split into each
-    position's (X, Y, Z) view."""
-    ends = off + adims * bdims * counts
-    blocks = [inc[a:b].reshape(x, y, z) for a, b, x, y, z in
-              zip(off.tolist(), ends.tolist(), adims.tolist(), bdims.tolist(), counts.tolist())]
-    return _viterbi.viterbi(counts, adims, bdims, ends, blocks, beam)
+def _draw(rng, kind, mask):
+    """A draw of n increments: each log 0.25, 0.5 or 1 (``kind`` 0), the
+    same with ``-inf`` where a uniform draw is under ``mask`` (1), or
+    continuous (2)."""
+    def draw(n):
+        if kind == 2:
+            return np.log(rng.random(n))
+        cells = np.log(rng.choice([0.25, 0.5, 1.0], n))
+        if kind == 1:
+            cells[rng.random(n) < mask] = -np.inf
+        return cells
+    return draw
 
 
 def _kernel_instances(seed, trials, max_len):
@@ -237,21 +240,11 @@ def _kernel_instances(seed, trials, max_len):
     for trial in range(trials):
         K = int(rng.integers(1, max_len + 1))
         width = int(rng.integers(1, 6))
-        counts = rng.integers(1, width + 1, K).astype(np.int64)
-        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
-        if trial % 3 == 2:
-            inc = np.log(rng.random(total))
-        else:
-            inc = np.log(rng.choice([0.25, 0.5, 1.0], total))
-            if trial % 3 == 1:
-                inc[rng.random(total) < 0.4] = -np.inf
-        beam = int(rng.integers(0, 5))
-        yield counts, adims, bdims, off, inc, beam
+        blocks = trellis_blocks(rng.integers(1, width + 1, K), _draw(rng, trial % 3, 0.4))
+        yield blocks, int(rng.integers(0, 5))
     for K, value, beam in ((300, np.log(0.5), 0), (300, -np.inf, 0),
                            (200, np.log(0.5), 3), (200, -np.inf, 2)):
-        counts = rng.integers(1, 4, K).astype(np.int64)
-        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
-        yield counts, adims, bdims, off, np.full(total, value), beam
+        yield trellis_blocks(rng.integers(1, 4, K), lambda n: np.full(n, value)), beam
 
 
 def test_kernel_matches_reference_loops():
@@ -277,22 +270,12 @@ def _no_choice_instances(seed, trials, max_len):
     increments are all equal or all ``-inf``.  Beams 0 to 4."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        counts = _run_widths(rng, int(rng.integers(1, max_len + 1)), trial % 2 == 0)
-        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
-        kind = (trial // 2) % 3
-        if kind == 2:
-            inc = np.log(rng.random(total))
-        else:
-            inc = np.log(rng.choice([0.25, 0.5, 1.0], total))
-            if kind == 1:
-                inc[rng.random(total) < 0.2] = -np.inf
-        yield counts, adims, bdims, off, inc, int(rng.integers(0, 5))
+        widths = _run_widths(rng, int(rng.integers(1, max_len + 1)), trial % 2 == 0)
+        yield trellis_blocks(widths, _draw(rng, (trial // 2) % 3, 0.2)), int(rng.integers(0, 5))
     for trial in range(20):
-        K = int(rng.integers(150, 301))
-        counts = _run_widths(rng, K, trial % 4 == 0)
-        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
+        widths = _run_widths(rng, int(rng.integers(150, 301)), trial % 4 == 0)
         value = -np.inf if trial % 2 else np.log(0.5)
-        yield counts, adims, bdims, off, np.full(total, value), trial % 5
+        yield trellis_blocks(widths, lambda n: np.full(n, value)), trial % 5
 
 
 def test_kernel_matches_reference_loops_on_no_choice_runs(tie_walks):
@@ -300,8 +283,7 @@ def test_kernel_matches_reference_loops_on_no_choice_runs(tie_walks):
     their no-choice positions as edges that are always tight."""
     no_choice = walked_no_choice = 0
     for args in _no_choice_instances(7, 400, 40):
-        counts, adims, bdims = args[:3]
-        n = int(((adims == 1) & (bdims == 1) & (counts == 1))[1:].sum())
+        n = sum(block.shape == (1, 1, 1) for block in args[0][1:])
         no_choice += n
         if _walks(args, tie_walks):
             walked_no_choice += n
@@ -334,20 +316,17 @@ def _walks(args, calls):
 
 def _continuous_instance(rng, K, max_width, beam):
     """Random log-probability increments: no two sums are equal."""
-    counts = rng.integers(1, max_width + 1, K).astype(np.int64)
-    counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
-    return counts, adims, bdims, off, np.log(rng.random(total)), beam
+    return trellis_blocks(rng.integers(1, max_width + 1, K), _draw(rng, 2, None)), beam
 
 
-def _tied_states(counts, adims, bdims, off, inc, beam):
+def _tied_states(blocks, beam):
     """States, over all positions, whose best score two or more
     predecessors reach, from a plain forward pass."""
-    scores = inc[: counts[0]].reshape(1, -1).copy()
+    scores = blocks[0][0].copy()
     _viterbi._prune(scores, beam)
     tied = 0
-    for k in range(1, len(counts)):
-        X, Y, Z = adims[k], bdims[k], counts[k]
-        cand = scores[:, :, None] + inc[off[k] : off[k] + X * Y * Z].reshape(X, Y, Z)
+    for block in blocks[1:]:
+        cand = scores[:, :, None] + block
         best = cand.max(axis=0)
         tied += int(((cand == best).sum(axis=0) > 1).sum())
         _viterbi._prune(best, beam)
@@ -359,15 +338,13 @@ def _twin(args, j, c, twin):
     """``args`` with candidate ``twin`` at position ``j`` scoring exactly
     as candidate ``c`` in every block that holds it, so every path
     through ``c`` ties with the same path through ``twin``."""
-    counts, adims, bdims, off, inc, beam = args
-    inc = inc.copy()
+    blocks, beam = args
+    blocks = [block.copy() for block in blocks]
     for k, axis in ((j, 2), (j + 1, 1), (j + 2, 0)):
-        if k < len(counts):
-            size = adims[k] * bdims[k] * counts[k]
-            block = inc[off[k] : off[k] + size].reshape(adims[k], bdims[k], counts[k])
-            view = np.moveaxis(block, axis, 0)
+        if k < len(blocks):
+            view = np.moveaxis(blocks[k], axis, 0)
             view[twin] = view[c]
-    return counts, adims, bdims, off, inc, beam
+    return blocks, beam
 
 
 def test_kernel_skips_tie_walk_without_ties(tie_walks):
@@ -390,12 +367,9 @@ def test_kernel_skips_tie_walk_for_ties_off_best_path(tie_walks):
     assert tied > 1000
     # best path 0, 0, 0 scores -3; state (1, 1) at the last position is
     # reached at -7 from both candidates two back
-    counts = np.array([2, 2, 2], np.int64)
-    counts, adims, bdims, off, _ = _flat_layout(counts)
     last = np.full((2, 2, 2), -8.0)
     last[0, 0, 0], last[0, 1, 1], last[1, 1, 1] = -1.0, -4.0, -2.0
-    inc = np.concatenate([[-1.0, -3.0], [-1.0, -2.0, -1.0, -2.0], last.ravel()])
-    args = (counts, adims, bdims, off, inc, 0)
+    args = ([np.array([[[-1.0, -3.0]]]), np.array([[[-1.0, -2.0], [-1.0, -2.0]]]), last], 0)
     assert _tied_states(*args) == 1
     assert _walks(args, tie_walks) == 0
     assert list(_kernel(*args)) == [0, 0, 0]
@@ -409,7 +383,7 @@ def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
     twins = Counter()
     for trial in range(300):
         args = _continuous_instance(rng, int(rng.integers(3, 30)), 5, 0)
-        counts = args[0]
+        counts = [block.shape[2] for block in args[0]]
         K = len(counts)
         path = _viterbi_loops(*args)
         # a twin of the best path's candidate mid-sequence, where the tie
@@ -430,21 +404,20 @@ def test_kernel_runs_tie_walk_for_ties_on_best_path(tie_walks):
     assert len(tie_walks) == before + 1
     # every path ties: all increments equal, or all -inf
     for trial in range(20):
-        counts = _run_widths(rng, int(rng.integers(20, 120)), False)
-        counts, adims, bdims, off, (*_, total) = _flat_layout(counts)
+        widths = _run_widths(rng, int(rng.integers(20, 120)), False)
         value = -np.inf if trial % 2 else np.log(0.5)
-        args = (counts, adims, bdims, off, np.full(total, value), trial % 5)
+        args = (trellis_blocks(widths, lambda n: np.full(n, value)), trial % 5)
         assert _walks(args, tie_walks) == 1
 
 
 def _tag_capturing(monkeypatch, model, texts):
-    """The tags of each token list of ``texts``, and the bytes of the
-    increments ``tag_sequence`` handed the kernel for each."""
+    """The tags of each token list of ``texts``, and the bytes of each
+    increment block ``tag_sequence`` handed the kernel for each."""
     captured = []
     kernel = _viterbi.viterbi
 
     def spy(counts, adims, bdims, ends, blocks, beam=0):
-        captured.append(np.concatenate([block.ravel() for block in blocks]).tobytes())
+        captured.append([block.tobytes() for block in blocks])
         return kernel(counts, adims, bdims, ends, blocks, beam)
 
     with monkeypatch.context() as m:
@@ -454,11 +427,11 @@ def _tag_capturing(monkeypatch, model, texts):
 
 
 def _increments_by_text(monkeypatch, model, texts):
-    """The bytes of each token list's increments, in the order of
-    ``texts``: those ``tag_sequence`` hands the kernel, or, for a
-    sequence with one candidate per token, which does not reach the
-    kernel, the ``decode._fill`` blocks joined.  Texts are taken in turn,
-    so the model's caches fill as in one tagging pass."""
+    """The bytes of each increment block of each token list, in the
+    order of ``texts``: those ``tag_sequence`` hands the kernel, or, for
+    a sequence with one candidate per token, which does not reach the
+    kernel, those of the ``decode._fill`` blocks.  Texts are taken in
+    turn, so the model's caches fill as in one tagging pass."""
     out = []
     for tokens in texts:
         cands = [model.candidates(tok.norm) for tok in tokens]
@@ -466,12 +439,12 @@ def _increments_by_text(monkeypatch, model, texts):
         captured = _tag_capturing(monkeypatch, model, [tokens])[1]
         assert len(captured) == (not forced)
         blocks = decode._fill(model, tokens, cands)
-        out += captured or [np.concatenate([block.ravel() for block in blocks]).tobytes()]
+        out += captured or [[block.tobytes() for block in blocks]]
     return out
 
 
 def _check_increments(monkeypatch, make_model, texts, warm_text):
-    """The increments of each token list of ``texts`` equal
+    """The increment blocks of each token list of ``texts`` equal
     ``reference_increments`` byte for byte (``-inf`` cells included),
     on a fresh model and on one whose caches were warmed by tagging
     ``warm_text`` first: at the kernel for a sequence with a choice,
@@ -480,7 +453,8 @@ def _check_increments(monkeypatch, make_model, texts, warm_text):
     warm = make_model()
     for tokens in warm_text:
         tag_sequence(warm, tokens)
-    expected = [reference_increments(reference, tokens).tobytes() for tokens in texts]
+    expected = [[block.tobytes() for block in reference_increments(reference, tokens)]
+                for tokens in texts]
     for model in (make_model(), warm):
         assert _increments_by_text(monkeypatch, model, texts) == expected
 
@@ -548,13 +522,11 @@ def test_beam_prunes_only_arrays_the_kernel_made(fixtures_dir, toy_corpus, toy_r
 
     rng = np.random.default_rng(53)
     for _ in range(40):
-        counts, adims, bdims, ends = _viterbi.layout(
-            [6, *rng.integers(1, 7, int(rng.integers(0, 12)))])
-        blocks = [np.log(rng.random(shape))
-                  for shape in zip(adims.tolist(), bdims.tolist(), counts.tolist())]
+        blocks = trellis_blocks([6, *rng.integers(1, 7, int(rng.integers(0, 12)))],
+                                _draw(rng, 2, None))
         before = [block.tobytes() for block in blocks]
         for beam in range(1, 5):
-            _viterbi.viterbi(counts, adims, bdims, ends, blocks, beam)
+            _kernel(blocks, beam)
         assert [block.tobytes() for block in blocks] == before
 
 
@@ -669,11 +641,10 @@ def test_forced_sequences_match_oracle_and_kernel(tmp_path, fixtures_dir, toy_co
             cands = [model.candidates(tok.norm) for tok in tokens]
             if any(len(ids) > 1 for _, ids, _ in cands):
                 continue
-            counts, adims, bdims, off, _ = _flat_layout([1] * len(tokens))
-            inc = reference_increments(model, tokens)
+            blocks = reference_increments(model, tokens)
             oracle = brute_force_best(model, tokens)
             for beam in range(5):
-                path = _kernel(counts, adims, bdims, off, inc, beam)
+                path = _kernel(blocks, beam)
                 assert [tags[i] for (tags, _, _), i in zip(cands, path)] == oracle
                 assert tag_sequence(model, tokens, beam) == oracle
             scores.append(model.sequence_log_prob(tokens, oracle))

@@ -114,6 +114,12 @@ def test_rule_file_errors(toy_schema):
         RuleSet.from_lines(["ος\tcls\tnosuchtag"], toy_schema)
     with pytest.raises(FormatError):
         RuleSet.from_lines(["ἐ\t@prefix\tmangle"], toy_schema)
+    # no tags; an empty class; 2**13 literals, past the 4096 a pattern may expand to
+    for row, message in (("-\tw-verb\t", "rule lists no tags"),
+                         (f"a[]\to-noun\t{SUBS_NOM}", "empty character class"),
+                         (f"{'[ab]' * 13}\to-noun\t{SUBS_NOM}", "pattern .* expands too far")):
+        with pytest.raises(FormatError, match=f"^line 1: {message}"):
+            RuleSet.from_lines([row], toy_schema)
 
 
 def test_suffix_matching_longest_first(toy_rules):

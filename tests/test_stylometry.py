@@ -142,8 +142,9 @@ def test_requires_three_texts():
 
 def test_rejects_duplicate_ids():
     group = [CategoryCounts("same", {"a": 5}) for _ in range(3)]
-    with pytest.raises(GreektagError):
-        run_test(group)
+    for run in (lambda: run_test(group), lambda: write_counts_csv(io.StringIO(), group)):
+        with pytest.raises(GreektagError, match="^text id same given twice$"):
+            run()
 
 
 def test_rejects_empty_text():

@@ -50,6 +50,9 @@ def test_parse_five_feature_verb(toy_schema):
 def test_parse_reorders_to_canonical(toy_schema):
     assert format_tag(toy_schema.parse("subs:gend=masc,case=nom,num=sg")) == \
         "subs:case=nom,num=sg,gend=masc"
+    # a tag built out of that order is not one of the schema's
+    with pytest.raises(TagError, match="^features out of canonical order: subs:num=sg,case="):
+        toy_schema.validate(Tag("subs", (("num", "sg"), ("case", "nom"), ("gend", "masc"))))
 
 
 @pytest.mark.parametrize("bad", [
@@ -269,6 +272,13 @@ def test_schema_constructor_rejects_duplicates():
         TagSchema({"case": ("nom", "nom", "acc")}, {"subs": ("case",)})
     with pytest.raises(FormatError, match="^category subs: feature case given twice$"):
         TagSchema({"case": ("nom", "acc")}, {"subs": ("case", "case")})
+
+
+def test_schema_rejects_valueless_feature_and_unknown_lookup(toy_schema):
+    with pytest.raises(FormatError, match="^feature f declares no values$"):
+        TagSchema({"f": ()}, {})
+    with pytest.raises(TagError, match="^unknown feature: nosuch$"):
+        toy_schema.allowed_values("nosuch")
 
 
 _SCHEMA_LINES = st.one_of(
