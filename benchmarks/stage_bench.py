@@ -15,13 +15,14 @@ five sections in this order, each time the best of ``--repeats``:
   ns per distinct word of ``Model.candidates`` on a model whose
   lexicon was just read back from the model's lexicon lines, so every
   memo is empty, as after ``Model.load``.
-- fill: a warm ``tag_sequence`` pass over the ``--texts``, and a staged
-  pass that takes its steps one at a time: candidates, then, for the
-  sequences with a choice only, increments lookup (``decode._fill``),
-  layout, and kernel, summed over the sequences of the
-  fastest staged pass, with ``other`` the rest of that pass; the number
-  of sequences with one candidate per token and the sizes of the
-  model's two array caches.
+- fill: a cold ``tag_sequence`` pass over the ``--texts`` on a fresh
+  ``rescored`` model (empty scoring caches and chain memo), a warm pass,
+  and a staged pass that takes its steps one at a time: candidates,
+  then, for the sequences with a choice only, increments lookup
+  (``decode._fill``), layout, and kernel, summed over the sequences of
+  the fastest staged pass, with ``other`` the rest of that pass; the
+  number of sequences with one candidate per token and the sizes of the
+  model's two array caches and of its memo of order-2 rows.
 - kernel: ``_viterbi.viterbi`` on a dense trellis per ``--sizes``
   length:width pair, random (exact, and with beam ``BEAM``, which adds
   the prune's cost) and all tied (the tie walk's worst case).
@@ -275,6 +276,8 @@ def fill_section(model, paths, repeats):
         sys.exit(f"tag_sequence ran the kernel on {len(kernel_forced)} sequences "
                  f"with one candidate per token")
 
+    cold, _ = best_of(repeats, lambda m: deque(map(partial(tag_sequence, m), texts), 0),
+                      lambda: rescored(model))
     total, _ = best_of(repeats, lambda _: deque(map(partial(tag_sequence, model), texts), 0))
     staged, spent, staged_tags = min((staged_pass(model, texts) for _ in range(repeats)),
                                      key=lambda run: run[0])
@@ -286,7 +289,9 @@ def fill_section(model, paths, repeats):
     print(f"input: {len(texts)} sequences, {forced} with one candidate per token, "
           f"{positions} positions; increments cache {len(model._incs)} entries, "
           f"{model._incs.cells} cells; block cache {len(model._blocks)} blocks, "
-          f"{model._blocks.cells} cells")
+          f"{model._blocks.cells} cells; row memo {len(model._rows)} entries, "
+          f"{model._rows.cells} cells")
+    print(f"cold tag_sequence, best of {repeats}: {cold * 1e3:.3f} ms")
     print(f"warm tag_sequence, best of {repeats}: {total * 1e3:.3f} ms")
     print(f"staged pass, best of {repeats}: {staged * 1e3:.3f} ms")
     for name, t in spent.items():

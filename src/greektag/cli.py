@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import stylometry
 from .decode import tag_corpus, tag_sequence
-from .errors import GreektagError, check_distinct, decode_utf8
+from .errors import GreektagError, decode_utf8
 from .model import Model, _fold_models, train
 from .morph import RuleSet
 from .stylometry import (
@@ -114,7 +114,7 @@ def cmd_count(args) -> int:
             print(f"error: --exclude-category {category}: the schema declares no "
                   "such category", file=sys.stderr)
             return EXIT_USAGE
-    check_distinct((Path(path).stem for path in args.tagged), "text id")
+    stylometry.check_text_ids([Path(path).stem for path in args.tagged])
     group = []
     for path in args.tagged:
         pairs = []

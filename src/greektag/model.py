@@ -31,8 +31,9 @@ from .tags import (
 from .text import _tab_rows
 
 NEG_INF = float("-inf")
-#: Upper bound on the float64 cells held by each of one model's two array
-#: caches, transition blocks and increments (8 MB each); the array that
+#: Upper bound on the cells held by each of one model's three scoring
+#: caches: the float64 transition blocks and increments (8 MB each), and
+#: the memo of order-2 rows (Python floats, about 32 MB); the entry that
 #: would pass it clears its cache first, and a larger one is not cached.
 MAX_BLOCK_CACHE_CELLS = 1_000_000
 #: Upper bound on the words held by a model's candidate cache; the word
@@ -110,24 +111,23 @@ def _header_numbers(header, name, count, path) -> tuple[float, ...]:
     return values
 
 
-class _ArrayCache(dict):
-    """A dict of read-only arrays that holds at most
-    ``MAX_BLOCK_CACHE_CELLS`` cells in all (``cells``)."""
+class _BoundedCache(dict):
+    """A dict whose values hold at most ``MAX_BLOCK_CACHE_CELLS`` cells
+    in all (``cells``)."""
 
     cells = 0
 
-    def put(self, key, array: np.ndarray) -> np.ndarray:
-        """Make ``array`` read-only and cache it under ``key``, first
-        clearing the cache if it would pass the bound; an array larger
+    def put(self, key, value, cells: int):
+        """Cache ``value``, of ``cells`` cells, under ``key``, first
+        clearing the cache if it would pass the bound; a value larger
         than the bound is returned uncached."""
-        array.flags.writeable = False
-        if array.size <= MAX_BLOCK_CACHE_CELLS:
-            if self.cells + array.size > MAX_BLOCK_CACHE_CELLS:
+        if cells <= MAX_BLOCK_CACHE_CELLS:
+            if self.cells + cells > MAX_BLOCK_CACHE_CELLS:
                 self.clear()
                 self.cells = 0
-            self[key] = array
-            self.cells += array.size
-        return array
+            self[key] = value
+            self.cells += cells
+        return value
 
 
 class Model:
@@ -147,8 +147,9 @@ class Model:
         self._intern = stats.tables.intern
         #: tag id of the boundary padding before a sequence's first tag
         self.boundary_id = self._intern(BOUNDARY)
-        self._blocks = _ArrayCache()  # (h2 ids, h1 ids, t ids) -> (X, Y, Z) log transitions
-        self._incs = _ArrayCache()  # (h2 ids, h1 ids, word) -> increments(...)
+        self._blocks = _BoundedCache()  # (h2 ids, h1 ids, t ids) -> (X, Y, Z) log transitions
+        self._incs = _BoundedCache()  # (h2 ids, h1 ids, word) -> increments(...)
+        self._rows = _BoundedCache()  # (h1, t ids) -> [P(t | h1) row, shared cells]
         self._cands: dict = {}  # word -> candidates(word)
         self._dists: dict = {}  # tuple(lexical_probs(word)) -> candidates(word)
 
@@ -159,32 +160,41 @@ class Model:
         ``prev2_ids``, h1 of ``prev1_ids`` and t of ``ids``, flat in that
         order.  P is l3·P(t | h2, h1) + l2·P(t | h1) + l1·P(t), added
         left to right, where a zero weight's term is 0.0 and its chain
-        is not walked.  P(t) is read off the chain memo, the order-2 row
-        is walked once per h1, and the order-3 row once per counted
-        (h2, h1); every h2 after which (h2, h1) was not counted shares
-        one row, built once per h1."""
+        is not walked.  P(t) is read off the chain memo.  The row memo
+        ``_rows`` holds, per (h1, ids), the P(t | h1) row and, once a
+        block needs them, the cells that every h2 after which (h2, h1)
+        was not counted shares; so each order-2 row is walked, and each
+        shared row logged, once per model while the memo keeps them.
+        The order-3 row is walked once per counted (h2, h1) per block."""
         l1, l2, l3 = self.lambdas
         stats = self.stats
         after, row = stats.tables.counts_after, stats.row
         chains = stats.chains(ids)
         log = math.log
-        zeros = [0.0] * len(ids)
-        q1 = [l1 * chain[3] for chain in chains]
-        q2 = [row(after((h1,)), chains) if l2 else zeros for h1 in prev1_ids]
+        q1 = [l1 * chain[4] for chain in chains]
+        memo = self._rows
+        rows = []
+        for h1 in prev1_ids:
+            entry = memo.get((h1, ids))
+            if entry is None:
+                q2 = row(after((h1,)), chains) if l2 else [0.0] * len(ids)
+                entry = memo.put((h1, ids), [q2, None], 2 * len(ids))
+            rows.append(entry)
         out = []
-        shared = {}  # h1 index -> its cells after an uncounted (h2, h1)
         for h2 in prev2_ids:
-            for y, h1 in enumerate(prev1_ids):
+            for h1, entry in zip(prev1_ids, rows):
                 counts = l3 and after((h2, h1))
-                own = counts and counts.get(ROOT, 0)
-                cells = None if own else shared.get(y)
-                if cells is None:
-                    q3 = row(counts, chains) if l3 else zeros
-                    cells = [log(p) if (p := l3 * p3 + l2 * p2 + p1) > 0.0 else NEG_INF
-                             for p3, p2, p1 in zip(q3, q2[y], q1)]
-                    if not own:
-                        shared[y] = cells
-                out += cells
+                if counts and counts.get(ROOT, 0):
+                    out += [log(p) if (p := l3 * p3 + l2 * p2 + p1) > 0.0 else NEG_INF
+                            for p3, p2, p1 in zip(row(counts, chains), entry[0], q1)]
+                    continue
+                shared = entry[1]
+                if shared is None:  # built on first use
+                    # after an uncounted (h2, h1), P(t | h2, h1) is t's history-free chain
+                    shared = entry[1] = [
+                        log(p) if (p := l3 * chain[2] + l2 * p2 + p1) > 0.0 else NEG_INF
+                        for chain, p2, p1 in zip(chains, entry[0], q1)]
+                out += shared
         return out
 
     def transition_block(self, prev2_ids, prev1_ids, ids) -> np.ndarray:
@@ -197,7 +207,9 @@ class Model:
         block = self._blocks.get(key)
         if block is None:
             block = np.array(self._log_probs(prev2_ids, prev1_ids, ids), np.float64)
-            block = self._blocks.put(key, block.reshape(len(prev2_ids), len(prev1_ids), len(ids)))
+            block = block.reshape(len(prev2_ids), len(prev1_ids), len(ids))
+            block.flags.writeable = False
+            self._blocks.put(key, block, block.size)
         return block
 
     def increments(self, prev2_ids, prev1_ids, norm: str) -> np.ndarray:
@@ -213,7 +225,9 @@ class Model:
         inc = self._incs.get(key)
         if inc is None:
             _, ids, emis = self.candidates(norm)
-            inc = self._incs.put(key, self.transition_block(prev2_ids, prev1_ids, ids) + emis)
+            inc = self.transition_block(prev2_ids, prev1_ids, ids) + emis
+            inc.flags.writeable = False
+            self._incs.put(key, inc, inc.size)
         return inc
 
     def log_transition(self, t: Tag, h1: Tag, h2: Tag) -> float:

@@ -59,6 +59,14 @@ class DeviationReport:
         return self.rho is None
 
 
+def check_text_ids(texts, path=None, line=None) -> None:
+    """FormatError unless every text id of ``texts`` is non-empty and
+    distinct."""
+    if "" in texts:
+        raise FormatError("empty text id", path, line)
+    check_distinct(texts, "text id", path, line)
+
+
 def count_categories(tagged, text_id: str,
                      exclude=DEFAULT_EXCLUDED) -> CategoryCounts:
     """Histogram of tag categories over (token, tag) pairs."""
@@ -102,7 +110,7 @@ def run_test(group, threshold: float = DEFAULT_THRESHOLD,
     if len(group) < 3:
         raise GreektagError(f"need at least 3 texts, got {len(group)}")
     texts = tuple(c.text_id for c in group)
-    check_distinct(texts, "text id")
+    check_text_ids(texts)
     totals = [c.total for c in group]
     if min(totals) <= 0:
         empty = texts[totals.index(min(totals))]
@@ -213,7 +221,7 @@ def render_report(report: DeviationReport) -> tuple[str, str]:
 
 def write_counts_csv(stream, group) -> None:
     texts = [c.text_id for c in group]
-    check_distinct(texts, "text id")
+    check_text_ids(texts)
     categories = sorted({cat for c in group for cat in c.counts})
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["category"] + texts)
@@ -229,7 +237,7 @@ def read_counts_csv(stream, path=None) -> list[CategoryCounts]:
     if not header or header[0] != "category":
         raise FormatError("counts CSV must start with a 'category' header", path, 1)
     texts = header[1:]
-    check_distinct(texts, "text id", path, 1)
+    check_text_ids(texts, path, 1)
     per_text: list[dict[str, int]] = [{} for _ in texts]
     seen: set[str] = set()
     total = 0  # of every count read so far

@@ -437,7 +437,11 @@ class TransitionStats:
         w3·m3 (m2, m3 the category-local and global levels; 0.0 when
         dropped), the weight sum with the specific level present, the
         whole factor with it absent, and the floor share; its whole
-        chain after an unseen history; and P(t), walked at order 1."""
+        chain after an unseen history; its whole chain after a counted
+        history with no count for its category, the category floor
+        times each link's absent factor, in link order (counts nest, so
+        every deeper prefix count is then 0 too); and P(t), walked at
+        order 1."""
         tb = self.tables
         prefixes = tb.prefixes[t]
         counts = tb.counts_after(())  # order 1, the backoff counts with it
@@ -446,6 +450,7 @@ class TransitionStats:
         unseen = 0.0
         if self.smoothed:  # escape to the category unigram
             unseen = keep * _freq(counts, prefixes[1], ROOT) + self._category_floor
+        zero = self._category_floor
         links = []
         keys = iter(tb.features[t])  # three backoff keys per feature value
         for (feature, _), prefix, local, glob, total in zip(
@@ -471,7 +476,8 @@ class TransitionStats:
             absent = keep * (mixed / wsum) + share if wsum else 1.0 / nvals
             links.append((prefix, c2, c3, wspec, absent, share))
             unseen *= absent  # an unseen history drops every specific level
-        chain = (prefixes[1], tuple(links), unseen)
+            zero *= absent
+        chain = (prefixes[1], tuple(links), unseen, zero)
         (p1,) = self.row(counts, [chain + (None,)])
         return chain + (p1,)
 
@@ -488,14 +494,19 @@ class TransitionStats:
         ``counts`` are ``tables.counts_after(hist)``: P(t | hist) at
         order len(hist)+1.  Each link reads one prefix count, whose
         parent's count is the previous link's; after a history that was
-        not counted, every tag gets its history-free chain."""
+        not counted, every tag gets its history-free chain, and a tag
+        whose category the history did not count gets its constant
+        after one lookup."""
         den = counts.get(ROOT, 0)
         if not den:
             return [chain[2] for chain in chains]
         keep, w1, category_floor = self._keep, self._weights[0], self._category_floor
         out = []
-        for category, links, _, _ in chains:
+        for category, links, _, zero, _ in chains:
             c = counts.get(category, 0)
+            if not c:
+                out.append(zero)
+                continue
             p = keep * (c / den) + category_floor
             for prefix, c2, c3, wspec, absent, share in links:
                 d, c = c, counts.get(prefix, 0)

@@ -656,7 +656,8 @@ def test_chisq_rejects_non_utf8_counts(workdir, capsys):
     (lambda rows: rows.insert(2, rows[1]), 3, "given twice"),
     (lambda rows: rows.insert(2, "," + rows[1].split(",", 1)[1]), 3, "empty category name"),
     (lambda rows: rows.__setitem__(0, rows[0].replace("t1", "t0")), 1, "given twice"),
-], ids=["category", "empty-category", "text"])
+    (lambda rows: rows.__setitem__(0, rows[0].replace("t1", "")), 1, "empty text id"),
+], ids=["category", "empty-category", "text", "empty-text"])
 def test_chisq_rejects_repeated_counts_rows(workdir, capsys, edit, line, message):
     counts_path = workdir / "pattern.csv"
     _write_pattern_csv(counts_path, (7, 6, 7, 7, 6, 10))

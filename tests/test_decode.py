@@ -17,8 +17,8 @@ from greektag import (
 from greektag import _viterbi, decode
 from greektag.cli import default_schema_path
 from greektag.decode import tag_corpus
-from greektag.tags import format_tag
-from greektag.text import read_annotated_corpus, tokenize
+from greektag.tags import Tag, format_tag
+from greektag.text import PUNCT_CATEGORY, read_annotated_corpus, tokenize
 
 from genmodels import random_corpus, random_instance, symmetric_tie_instance, tagged_sequences
 from reference import (_viterbi_loops, brute_force_best, reference_increments, rescored,
@@ -496,6 +496,64 @@ def test_block_cache_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_s
                           texts) == expected
     for sizes in held.values():
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the cache
+
+
+def test_row_memo_cap(monkeypatch, fixtures_dir, toy_corpus, toy_rules, toy_schema):
+    """With the memo of order-2 rows capped at a few cells, tagging the
+    fixture texts cold and then warm gives the same tags and hands the
+    kernel the same increments as under the default cap; the memo never
+    holds more cells than the cap, and clears and refills on the way."""
+    from greektag import model as model_module
+
+    texts = _fixture_texts(fixtures_dir) * 2
+    expected = _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema), texts)
+    cap, sizes = 8, []
+    scored = Model._log_probs
+
+    def checked(self, *args):
+        out = scored(self, *args)
+        sizes.append(sum(2 * len(q2) for q2, _ in self._rows.values()))
+        assert sizes[-1] == self._rows.cells <= cap
+        return out
+
+    monkeypatch.setattr(model_module, "MAX_BLOCK_CACHE_CELLS", cap)
+    monkeypatch.setattr(Model, "_log_probs", checked)
+    assert _tag_capturing(monkeypatch, train(toy_corpus, toy_rules, toy_schema),
+                          texts) == expected
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap cleared the memo
+
+
+def _proposable_tags(lexicon):
+    """Every tag the lexicon can make a candidate: its stems', full
+    forms' and suffix rules' tags, its hapax prior, and punctuation."""
+    tags = set(lexicon.hapax_prior) | {Tag(PUNCT_CATEGORY)}
+    for entries in (lexicon.stems, lexicon.fullforms):
+        tags.update(t for entry in entries.values() for t, _ in entry.tag_probs)
+    tags.update(t for rule in lexicon.rules.suffix_rules for t in rule.tags)
+    return tags
+
+
+def test_chain_memo_holds_only_proposable_tags(fixtures_dir, toy_corpus, toy_rules,
+                                               toy_schema):
+    """Tagging grows ``TransitionStats._chains`` only with the tags the
+    lexicon, its rules or its hapax prior can propose, so the chain memo
+    is bounded by the model, not by the input: after the fixture texts
+    and a few hundred unknown words, some matching a suffix rule and
+    some none, every key is the id of such a tag."""
+    model = train(toy_corpus, toy_rules, toy_schema)
+    rng = np.random.default_rng(61)
+    letters = list("αβγδεζηθικλμνξοπρστυφχψω")
+    endings = [lit for rule in model.lexicon.rules.suffix_rules for lit in rule.literals]
+    words = ["".join(rng.choice(letters, int(rng.integers(2, 7))))
+             + (str(rng.choice(endings)) if i % 2 else "") for i in range(400)]
+    texts = _fixture_texts(fixtures_dir) + [seq.tokens for seq in tokenize(
+        " ".join(w + (" ." if i % 9 == 8 else "") for i, w in enumerate(words)))]
+    for tokens in texts:
+        tag_sequence(model, tokens)
+    tags = model.stats.tables.tags
+    proposable = _proposable_tags(model.lexicon)
+    assert len(model.stats._chains) > len(model.lexicon.hapax_prior)
+    assert {tags[t] for t in model.stats._chains} <= proposable
 
 
 def test_beam_prunes_only_arrays_the_kernel_made(fixtures_dir, toy_corpus, toy_rules,

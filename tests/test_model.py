@@ -18,8 +18,10 @@ from greektag.text import read_annotated_corpus, tokenize, write_annotated_corpu
 
 from genmodels import mangled_lines, random_corpus, tagged_sequences, wide_corpus
 from reference import (
+    _TagTables,
     all_tags,
     fit_interpolation_reference,
+    reference_chain_prob,
     reference_log_transition,
     rescored,
     transition_prob,
@@ -241,9 +243,11 @@ def test_cold_blocks_walk_each_counted_history_once(monkeypatch):
     """A cold block over the W hapax-prior candidates of an unknown word
     as h2, h1 and t walks the order-3 chain once per counted (h2, h1)
     pair among its W² histories, and not at all with l3 = 0; every other
-    pair shares its h1's history-free row.  The order-1 chain P(t) is
-    walked once per distinct tag per model: not again for a second
-    block, and again for another model on the same counts."""
+    pair shares its h1's history-free row.  It walks the order-2 chain
+    once per counted h1, and a second block with the same h1s and
+    candidate ids walks none.  The order-1 chain P(t) is walked once per
+    distinct tag per model: not again for a second block, and again for
+    another model on the same counts."""
     schema, seqs = wide_corpus(np.random.default_rng(5))
     model = train(seqs, None, schema)
     walked = []  # the history of each chain walk, as tag ids
@@ -267,15 +271,94 @@ def test_cold_blocks_walk_each_counted_history_once(monkeypatch):
     pairs = {(intern(a), intern(b)) for a, b, _ in model.stats.trigram_counts
              if a in tags and b in tags}
     assert 0 < len(pairs) < len(ids) ** 2
+    counted = [(h1,) for h1 in ids if model.stats.tables.counts_after((h1,)).get(ROOT, 0)]
+    assert counted
+    walked.clear()
     model.transition_block(ids, ids, ids)
     assert Counter(h for h in walked if len(h) == 2) == Counter(pairs)
+    assert Counter(h for h in walked if len(h) == 1) == Counter(counted)
     assert walked.count(()) == len(ids)
+    walked.clear()
+    model.transition_block(ids[:3], ids, ids)
+    assert not [h for h in walked if len(h) < 2]
     model.transition_block(ids[:3], ids[1:], ids[::-1])
-    assert walked.count(()) == len(ids)
+    assert () not in walked
     walked.clear()
     rescored(model, lambdas=(0.5, 0.5, 0.0)).transition_block(ids, ids, ids)
     assert not [h for h in walked if len(h) == 2]
     assert walked.count(()) == len(ids)
+
+
+class _ReadCounts(dict):
+    """A history's prefix counts that record each key read by ``get``."""
+
+    def __init__(self, counts, read):
+        super().__init__(counts)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def test_a_category_the_history_never_counted_reads_no_link(monkeypatch):
+    """After a counted history with no count for a tag's category, the
+    tag's chain is its memo's constant: scoring reads the history's root
+    and category counts and no link's prefix count, and each log
+    transition equals the reference chain products' mix, bit for bit,
+    smoothed and raw, and with l3 = 0 and with l2 = 0.  Each h1 has a
+    counted (h2, h1), and its tags are those whose category never
+    followed h1, so never followed (h2, h1) either."""
+    schema = TagSchema.load(default_schema_path())
+    corpus = read_annotated_corpus(_deep_chain_corpus(schema), schema)
+    trained = train(corpus, None, schema)
+    tables = trained.stats.tables
+    observed = trained.stats.observed_tags
+    tags = [*observed, _partly_counted_verf(schema, observed),
+            schema.parse("subs:case=nom,num=sg,gend=masc")]
+    ids = [tables.intern(t) for t in tags]
+    category = {t: tables.prefixes[t][1] for t in ids}
+    ref = _TagTables(trained.stats.trigram_counts)
+    histories = {b: a for a, b, _ in sorted(tables.tri)}  # h1 -> a counted (h2, h1)
+    reads = []  # per walk of a history's counts, the keys it read
+    counts_after = _Tables.counts_after
+
+    def spy_counts_after(self, hist):
+        counts = counts_after(self, hist)
+        if hist:
+            reads.append([])
+            counts = _ReadCounts(counts, reads[-1])
+        return counts
+
+    monkeypatch.setattr(_Tables, "counts_after", spy_counts_after)
+    cells = 0
+    for smooth, lambdas in ((True, None), (False, None), (True, (0.5, 0.5, 0.0)),
+                            (True, (0.5, 0.0, 0.5))):
+        model = rescored(trained, smooth=smooth, lambdas=lambdas)
+        stats = model.stats
+        l1, l2, l3 = model.lambdas
+
+        def chain(t, history):
+            return reference_chain_prob(ref, schema, tables.tags[t], history,
+                                        smoothed=stats.smoothed,
+                                        chain_weights=stats.chain_weights, floor=stats.floor)
+
+        reads.clear()
+        for h1, h2 in histories.items():
+            unseen = tuple(t for t in ids if not counts_after(tables, (h1,)).get(category[t], 0))
+            if not unseen:
+                continue
+            hist = (tables.tags[h2], tables.tags[h1])
+            for t, got in zip(unseen, model._log_probs((h2,), (h1,), unseen)):
+                p = 0.0
+                for weight, history in ((l3, hist), (l2, hist[1:]), (l1, ())):
+                    if weight:
+                        p += weight * chain(t, history)
+                assert got == (math.log(p) if p > 0.0 else NEG_INF), (tables.tags[t], hist)
+            cells += len(unseen)
+        allowed = {ROOT, *category.values()}
+        assert reads and all(set(read) <= allowed for read in reads)
+    assert cells > 4 * len(histories)
 
 
 def test_sequence_log_prob_length_mismatch(toy_model, toy_schema):

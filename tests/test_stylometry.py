@@ -147,6 +147,13 @@ def test_rejects_duplicate_ids():
             run()
 
 
+def test_rejects_empty_text_id():
+    group = [CategoryCounts(text_id, {"a": 5}) for text_id in ("a", "", "c")]
+    for run in (lambda: run_test(group), lambda: write_counts_csv(io.StringIO(), group)):
+        with pytest.raises(GreektagError, match="^empty text id$"):
+            run()
+
+
 def test_rejects_empty_text():
     group = [
         CategoryCounts("a", {"x": 5}),
